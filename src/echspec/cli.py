@@ -3,14 +3,7 @@
 Subcommands: capacities | weyl | dk | zeta | residues | envelope.
 Data goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
 Exact rationals are always emitted as integer numerator/denominator pairs,
-never as decimals. An optional on-disk spectrum cache makes repeated
-capacity and defect runs byte-identical and cheap.
-
-Cache file format, UTF-8 with LF endings:
-    ECHSPEC v1 a=<p/q> b=<p/q> kmax=<n>
-    k,num,den
-    0,0,1
-    ...
+never as decimals.
 """
 
 from __future__ import annotations
@@ -18,33 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 from fractions import Fraction
 
-from .asymptotics import (
-    _defect_scaled,
-    contact_volume,
-    exponent_fit,
-    weyl_count,
-    weyl_fit,
-    DkPoint,
-)
-from .envelope import EnvelopeConstants, EnvelopeError, capacity_envelope
-from .spectrum import Ellipsoid, spectrum_range
-from .zeta import (
-    ZetaConvention,
-    ZetaError,
-    ech_zeta,
-    laurent_at,
-)
-
-CACHE_MAGIC = "ECHSPEC v1"
+from .asymptotics import contact_volume, d_sequence, exponent_fit, weyl_count, weyl_fit
+from .envelope import EnvelopeConstants, capacity_envelope
+from .spectrum import EchspecError, Ellipsoid, spectrum_range
+from .zeta import ZetaConvention, ech_zeta, laurent_at
 
 
-class CLIError(Exception):
-    pass
+class CLIError(EchspecError):
+    """Malformed command-line input; main exits with status 2."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -86,10 +63,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _rat_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 # ---------------------------------------------------------------- output
 
 def emit(cfg, header: list[str], rows: list[dict], summary: dict, warnings: list[str]):
@@ -113,65 +86,6 @@ def emit(cfg, header: list[str], rows: list[dict], summary: dict, warnings: list
             out.write(f"# {key}={val}\n")
 
 
-# ----------------------------------------------------------------- cache
-
-def load_cache(path: str, E: Ellipsoid) -> list[Fraction] | None:
-    """Values k=0.. from a cache file matching this ellipsoid, or None."""
-    if not path or not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        head = fh.readline().rstrip("\n")
-        fields = head.split()
-        if len(fields) != 5 or " ".join(fields[:2]) != CACHE_MAGIC:
-            raise CLIError(f"unrecognized cache header: {head!r}")
-        meta = dict(f.split("=", 1) for f in fields[2:])
-        if Fraction(meta["a"]) != E.a or Fraction(meta["b"]) != E.b:
-            return None
-        kmax = int(meta["kmax"])
-        if fh.readline().strip() != "k,num,den":
-            raise CLIError("malformed cache body header")
-        vals = []
-        for line in fh:
-            k_s, num_s, den_s = line.rstrip("\n").split(",")
-            if int(k_s) != len(vals):
-                raise CLIError("cache rows out of order")
-            vals.append(Fraction(int(num_s), int(den_s)))
-        if len(vals) != kmax + 1:
-            raise CLIError("cache row count disagrees with header")
-    return vals
-
-
-def save_cache(path: str, E: Ellipsoid, vals: list[Fraction]):
-    """Atomic replace-on-write so readers never observe a torn file."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".echspec-cache-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                f"{CACHE_MAGIC} a={_rat_str(E.a)} b={_rat_str(E.b)} kmax={len(vals) - 1}\n"
-            )
-            fh.write("k,num,den\n")
-            for k, v in enumerate(vals):
-                fh.write(f"{k},{v.numerator},{v.denominator}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _capacities(cfg, E: Ellipsoid, k0: int, k1: int) -> list[Fraction]:
-    """Values for k0..k1, through the cache when one is configured."""
-    if cfg.cache:
-        cached = load_cache(cfg.cache, E)
-        if cached is not None and len(cached) > k1:
-            return cached[k0 : k1 + 1]
-        vals = [c for _, c in spectrum_range(E, 0, k1)]
-        save_cache(cfg.cache, E, vals)
-        return vals[k0 : k1 + 1]
-    return [c for _, c in spectrum_range(E, k0, k1)]
-
-
 # ------------------------------------------------------------- commands
 
 def _ellipsoid(cfg) -> Ellipsoid:
@@ -183,7 +97,6 @@ def cmd_capacities(cfg) -> int:
     k0, k1 = parse_range(cfg.range)
     if k0 < 0:
         raise CLIError("capacity indices must be nonnegative")
-    vals = _capacities(cfg, E, k0, k1)
     rows = [
         {
             "k": k,
@@ -191,7 +104,7 @@ def cmd_capacities(cfg) -> int:
             "c_den": c.denominator,
             "c_float": _fmt(c.numerator / c.denominator),
         }
-        for k, c in zip(range(k0, k1 + 1), vals)
+        for k, c in spectrum_range(E, k0, k1)
     ]
     emit(cfg, ["k", "c_num", "c_den", "c_float"], rows, {}, [])
     return 0
@@ -237,26 +150,20 @@ def cmd_dk(cfg) -> int:
     j0, j1 = parse_range(cfg.range)
     if j0 < 0:
         raise CLIError("grading indices must be nonnegative")
-    S = E.scaled()
-    vals = _capacities(cfg, E, j0, j1)
-    points = []
-    rows = []
-    for j, c in zip(range(j0, j1 + 1), vals):
-        v = c.numerator * (S.den // c.denominator)
-        d, d_err = _defect_scaled(S, j, v)
-        points.append(DkPoint(j=j, c=c, d=d, d_err=d_err))
-        rows.append(
-            {
-                "j": j,
-                "c_num": c.numerator,
-                "c_den": c.denominator,
-                "d": _fmt(d),
-                "d_err": _fmt(d_err),
-            }
-        )
+    points = d_sequence(E, j0, j1)
+    rows = [
+        {
+            "j": p.j,
+            "c_num": p.c.numerator,
+            "c_den": p.c.denominator,
+            "d": _fmt(p.d),
+            "d_err": _fmt(p.d_err),
+        }
+        for p in points
+    ]
     warnings = []
     bound = E.safe_coefficient_bound()
-    if bound > 1 and float(vals[-1]) / min(float(E.a), float(E.b)) >= bound:
+    if bound > 1 and float(points[-1].c) / min(float(E.a), float(E.b)) >= bound:
         warnings.append(
             "lattice coefficients reach the approximant denominator; "
             "ties may be artifacts of the rational approximation"
@@ -414,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="echspec", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, ellipsoid=True):
+    def common(sp, ellipsoid=True, tol=False):
         if ellipsoid:
             sp.add_argument("-a", required=True, help="first axis, as 'p/q' or integer")
             sp.add_argument("-b", required=True, help="second axis, as 'p/q' or integer")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
-        sp.add_argument("--cache", default=None, help="spectrum cache file")
-        sp.add_argument("--tol", type=float, default=1e-10)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-10)
 
     sp = sub.add_parser("capacities", help="exact spectrum values over an index range")
     common(sp)
@@ -439,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_dk)
 
     sp = sub.add_parser("zeta", help="spectrum zeta values")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("-s", action="append", help="evaluation point 're,im' (repeatable)")
     sp.add_argument(
         "--convention", choices=[c.value for c in ZetaConvention], default="full"
@@ -447,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_zeta)
 
     sp = sub.add_parser("residues", help="Laurent data at the poles plus the value at 0")
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(func=cmd_residues)
 
     sp = sub.add_parser("envelope", help="capacity envelope sweep over decades of j")
@@ -476,7 +383,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZetaError, EnvelopeError) as exc:
+    except (ValueError, EchspecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

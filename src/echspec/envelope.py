@@ -15,24 +15,18 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .spectrum import EchspecError, NonConvergent
+
 FOUR_PI_SQ = 4.0 * math.pi**2
 DEFAULT_VOL = 400.0 * FOUR_PI_SQ  # keeps the default sweep in the j^{2/5} regime
 _BRACKET_LIMIT = 1e30
 
 
-class EnvelopeError(Exception):
-    pass
-
-
-class NoRoot(EnvelopeError):
+class NoRoot(EchspecError):
     """The defining set of the quadratic threshold is empty."""
 
 
-class NonConvergent(EnvelopeError):
-    """A bisection bracket could not be established."""
-
-
-class TooSmallJ(EnvelopeError):
+class TooSmallJ(EchspecError):
     """j^{4/5} has not yet cleared the validity threshold."""
 
     def __init__(self, message: str, min_j: float):

@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
+
+class EchspecError(Exception):
+    """Base class of every echspec error other than an invalid argument,
+    which raises ValueError or TypeError."""
+
+
+class NonConvergent(EchspecError):
+    """Quadrature or bracketing failed to stabilize."""
 
 
 def as_rational(x) -> Fraction:
@@ -61,9 +68,6 @@ class Ellipsoid:
             B=self.b.numerator * (den // self.b.denominator),
             den=den,
         )
-
-    def swapped(self) -> "Ellipsoid":
-        return Ellipsoid(self.b, self.a)
 
     def safe_coefficient_bound(self) -> int:
         """Largest lattice coefficient below which a high-denominator rational
@@ -147,19 +151,13 @@ def _spectrum_scaled(S: ScaledEllipsoid, k0: int, k1: int) -> list[int]:
     v0 = _nth_scaled(S, k0)
     v1 = _nth_scaled(S, k1)
     below = _count_scaled(S.A, S.B, v0 - 1)
+    # Step the outer loop by the larger generator so the loop count is
+    # v1/max(A, B) whichever axis comes first.
+    big, small = max(S.A, S.B), min(S.A, S.B)
     vals: list[int] = []
-    m = 0
-    base = 0
-    while base <= v1:
-        if v0 > base:
-            n_lo = -((base - v0) // S.B)  # ceil((v0 - base)/B)
-        else:
-            n_lo = 0
-        start = base + n_lo * S.B
-        if start <= v1:
-            vals.extend(range(start, v1 + 1, S.B))
-        m += 1
-        base = m * S.A
+    for base in range(0, v1 + 1, big):
+        n_lo = max(0, -((base - v0) // small))  # ceil((v0 - base)/small)
+        vals.extend(range(base + n_lo * small, v1 + 1, small))
     vals.sort()
     off = k0 - below
     return vals[off : off + (k1 - k0 + 1)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .spectrum import Ellipsoid, _spectrum_scaled, as_rational
+from .spectrum import EchspecError, Ellipsoid, NonConvergent, _spectrum_scaled, as_rational
 
 S_MAX_DEFAULT = 4.0
 POLE_GUARD = 1e-6
@@ -29,20 +29,12 @@ _EM_TERMS = 12
 _DISTINCT_SIEVE_LIMIT = 10_000_000
 
 
-class ZetaError(Exception):
-    pass
-
-
-class PoleProximity(ZetaError):
+class PoleProximity(EchspecError):
     """Evaluation point within the guard radius of a pole."""
 
 
-class DepthExceeded(ZetaError):
+class DepthExceeded(EchspecError):
     """Evaluation point outside the configured continuation region."""
-
-
-class NonConvergent(ZetaError):
-    """Quadrature or bracketing failed to stabilize."""
 
 
 class ZetaConvention(enum.Enum):

@@ -1,17 +1,21 @@
 import json
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import echspec.cli
+from echspec import EchspecError
 from echspec.cli import (
     CLIError,
-    load_cache,
     main,
     parse_complex,
     parse_range,
     parse_rational,
 )
-from echspec.spectrum import Ellipsoid
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParsers:
@@ -64,34 +68,26 @@ class TestCapacitiesCommand:
         assert (k, num, den) == ("1", "1", "3")
 
 
-class TestCache:
-    def test_round_trip_and_reuse(self, tmp_path, capsys):
-        cache = str(tmp_path / "spec.cache")
-        args = ["capacities", "-a", "3/2", "-b", "5/7", "-k", "0..50", "--cache", cache]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        vals = load_cache(cache, Ellipsoid(F(3, 2), F(5, 7)))
-        assert vals is not None and len(vals) == 51
-        mtime = (tmp_path / "spec.cache").stat().st_mtime_ns
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert (tmp_path / "spec.cache").stat().st_mtime_ns == mtime
+class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacities", "-a", "3/2", "-b", "5/7", "-k", "0..50"],
+            ["dk", "-a", "1", "-b", "832040/514229", "-k", "1..300", "--format", "json"],
+        ],
+    )
+    def test_repeated_runs_are_byte_identical(self, argv, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
-    def test_cache_ignored_for_other_ellipsoid(self, tmp_path, capsys):
+    def test_cache_option_rejected(self, tmp_path, capsys):
         cache = str(tmp_path / "spec.cache")
-        main(["capacities", "-a", "1", "-b", "1", "-k", "0..10", "--cache", cache])
-        capsys.readouterr()
-        assert main(["capacities", "-a", "1", "-b", "2", "-k", "0..10", "--cache", cache]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[2].startswith("1,1,1")
-        assert load_cache(cache, Ellipsoid(1, 2)) is not None
-
-    def test_corrupt_cache_detected(self, tmp_path):
-        cache = tmp_path / "spec.cache"
-        cache.write_text("garbage header\nk,num,den\n")
-        with pytest.raises(CLIError):
-            load_cache(str(cache), Ellipsoid(1, 1))
+        assert main(["capacities", "-a", "1", "-b", "1", "-k", "0..3", "--cache", cache]) == 2
+        assert "--cache" in capsys.readouterr().err
+        assert not (tmp_path / "spec.cache").exists()
 
 
 class TestOtherCommands:
@@ -146,6 +142,38 @@ class TestExitCodes:
         assert main(["zeta", "-a", "1", "-b", "1", "-s", "1,0"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_echspec_error_exits_one(self, monkeypatch, capsys):
+        def fail(*args):
+            raise EchspecError("planted")
+
+        monkeypatch.setattr(echspec.cli, "spectrum_range", fail)
+        assert main(["capacities", "-a", "1", "-b", "1", "-k", "0..3"]) == 1
+        assert "error: planted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacities", "-a", "1", "-b", "1", "-k", "0..1"],
+            ["weyl", "-a", "1", "-b", "1", "-R", "2"],
+            ["dk", "-a", "1", "-b", "1", "-k", "1..3"],
+            ["envelope", "-k", "4..4"],
+        ],
+    )
+    def test_tol_only_where_read(self, argv, capsys):
+        assert main(argv + ["--tol", "1e-6"]) == 2
+        capsys.readouterr()
+
     def test_success(self, capsys):
         assert main(["capacities", "-a", "1", "-b", "1", "-k", "0..1"]) == 0
         capsys.readouterr()
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.splitlines() if ln.startswith("echspec ")]
+        assert len(lines) >= 6
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line
+            assert capsys.readouterr().out

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echspec import (
@@ -155,6 +155,25 @@ class TestSpectrumRange:
         block = spectrum_range(E, 50, 80)
         for k, c in block:
             assert c == nth_capacity(E, k)
+
+    @given(
+        A=st.integers(1, 1000),
+        B=st.integers(1, 1000),
+        den=st.integers(1, 30),
+        k0=st.integers(0, 10**10),
+        width=st.integers(0, 40),
+    )
+    @example(A=1, B=1000, den=1, k0=10**10, width=40)
+    @example(A=7, B=997, den=30, k0=10**10 - 16, width=16)
+    @settings(deadline=1000)
+    def test_axis_order_does_not_matter(self, A, B, den, k0, width):
+        # The deadline is the point: enumeration cost must not grow with the
+        # axis skew when the smaller axis comes first.
+        a, b = F(A, den), F(B, den)
+        block = spectrum_range(Ellipsoid(a, b), k0, k0 + width)
+        assert block == spectrum_range(Ellipsoid(b, a), k0, k0 + width)
+        for k, c in block:
+            assert c == nth_capacity(Ellipsoid(a, b), k)
 
 
 class TestDistinctValues:
