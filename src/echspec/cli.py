@@ -9,6 +9,7 @@ never as decimals.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -49,14 +50,26 @@ def parse_range(text: str) -> tuple[int, int]:
 
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
+    if len(parts) not in (1, 2):
+        raise CLIError(f"complex value must be 're' or 're,im': {text!r}")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        z = complex(*map(float, parts))
     except ValueError as exc:
         raise CLIError(f"cannot parse complex {text!r}: {exc}") from exc
-    raise CLIError(f"complex value must be 're' or 're,im': {text!r}")
+    if not cmath.isfinite(z):
+        raise CLIError(f"complex value must be finite: {text!r}")
+    return z
+
+
+def _positive(kind):
+    """argparse type: a finite `kind` value above zero; anything else exits 2."""
+    def parse(text: str):
+        value = kind(text)
+        if math.isfinite(value) and value > 0:
+            return value
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid ... value"
+    return parse
 
 
 def _fmt(x: float) -> str:
@@ -207,7 +220,6 @@ def cmd_residues(cfg) -> int:
     E = _ellipsoid(cfg)
     a, b = float(E.a), float(E.b)
     rows = []
-    warnings = ["distinct convention has no continuation at the poles; skipped"]
     for conv in (ZetaConvention.INTERIOR, ZetaConvention.FULL):
         f = lambda s, c=conv: ech_zeta(s, E, c)
         for s0 in (1.0, 2.0):
@@ -254,13 +266,15 @@ def cmd_residues(cfg) -> int:
         ],
         rows,
         summary,
-        warnings,
+        [],
     )
     return 0
 
 
 def cmd_envelope(cfg) -> int:
     e0, e1 = parse_range(cfg.range)
+    if e1 > sys.float_info.max_10_exp:
+        raise CLIError(f"10**{e1} overflows a float")
     k = EnvelopeConstants(
         q=cfg.q,
         c0=cfg.c0,
@@ -270,7 +284,7 @@ def cmd_envelope(cfg) -> int:
         c3_override=cfg.c3,
     )
     rows = []
-    n = max(1, cfg.per_decade)
+    n = cfg.per_decade
     js = sorted({10.0 ** (e0 + i / n) for i in range((e1 - e0) * n + 1)})
     for j in js:
         res = capacity_envelope(j, k)
@@ -327,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("-b", required=True, help="second axis, as 'p/q' or integer")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
         if tol:
-            sp.add_argument("--tol", type=float, default=1e-10)
+            sp.add_argument("--tol", type=_positive(float), default=1e-10)
 
     sp = sub.add_parser("capacities", help="exact spectrum values over an index range")
     common(sp)
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("envelope", help="capacity envelope sweep over decades of j")
     common(sp, ellipsoid=False)
     sp.add_argument("-k", "--range", required=True, help="decade exponents 'lo..hi'")
-    sp.add_argument("--per-decade", type=int, default=1)
+    sp.add_argument("--per-decade", type=_positive(int), default=1)
     sp.add_argument("--q", type=float, default=EnvelopeConstants.q)
     sp.add_argument("--c0", type=float, default=EnvelopeConstants.c0)
     sp.add_argument("--c1", type=float, default=EnvelopeConstants.c1)

@@ -44,6 +44,9 @@ class EnvelopeConstants:
     c3_override: float | None = None  # degenerate checks only; normally derived
 
     def __post_init__(self):
+        finite = (self.q, self.c0, self.c1, self.c2, self.vol, self.c3_override or 0.0)
+        if not all(map(math.isfinite, finite)):
+            raise ValueError("envelope constants must be finite")
         if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
             raise ValueError("constants c0, c1, c2 must be nonnegative")
         if self.vol <= 0:

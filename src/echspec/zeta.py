@@ -4,12 +4,16 @@ functions, with Laurent-coefficient extraction at the poles.
 The Hurwitz kernel is continued by Euler-Maclaurin summation; the Barnes
 double zeta is a finite sum of Hurwitz values plus an Euler-Maclaurin tail
 in the second lattice direction. The spectrum zeta comes in three
-conventions, since the defining series can be read over interior lattice
-points, over all nonzero lattice points, or over distinct values:
+conventions, one closed form each, with Z(s) = barnes_zeta(s, a), the sum
+over m >= 1, n >= 0:
 
-  INTERIOR  sum over m, n >= 1
-  FULL      sum over (m, n) != (0, 0), one term per lattice class
-  DISTINCT  each attained value once (defining half-plane Re s > 2 only)
+  INTERIOR  sum over m, n >= 1          Z(s) - a^-s zeta(s)
+  FULL      sum over (m, n) != (0, 0)   Z(s) + b^-s zeta(s)
+  DISTINCT  each attained value once    (step A')^-s [zeta(s) + sum_{0<n<A'} zeta(s, n B'/A')]
+
+where g = gcd(A, B) of the scaled axes, A' <= B' are A/g and B/g, and
+step = g/den: each element of <A', B'> is j A' + n B' for exactly one
+j >= 0, 0 <= n < A'. DISTINCT has one simple pole, at s = 1, residue 1/step.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .spectrum import EchspecError, Ellipsoid, NonConvergent, _spectrum_scaled, as_rational
+from .spectrum import EchspecError, Ellipsoid, NonConvergent, _spectrum_scaled
 
 S_MAX_DEFAULT = 4.0
 POLE_GUARD = 1e-6
 _EM_TERMS = 12
-_DISTINCT_SIEVE_LIMIT = 10_000_000
+_DISTINCT_TERMS_LIMIT = 1_000_000  # bound on A', the Hurwitz terms of DISTINCT
 
 
 class PoleProximity(EchspecError):
@@ -167,57 +171,34 @@ def barnes_zeta(s, w, E: Ellipsoid, depth: float = S_MAX_DEFAULT) -> complex:
     return a ** (-s) * (head + tail)
 
 
-def _axis_sum(s: complex, a: float) -> complex:
-    """Continuation of sum_{m>=1} (m*a)^{-s}."""
-    return a ** (-s) * riemann_zeta(s)
-
-
-def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
-    """Sum over distinct spectrum values, via the eventual arithmetic
-    progression of the numerical semigroup generated by the scaled axes."""
+def _distinct_zeta(s: complex, E: Ellipsoid, depth: float) -> complex:
+    """Sum over distinct spectrum values: A' Hurwitz values, one per residue
+    class of the semigroup <A', B'> modulo A'."""
     S = E.scaled()
     g = math.gcd(S.A, S.B)
-    Ap, Bp = S.A // g, S.B // g
-    step = g / S.den
-    if Ap == 1 or Bp == 1:
-        return step ** (-s) * riemann_zeta(s)
-    frob = Ap * Bp - Ap - Bp  # largest non-representable multiple of g
-    if frob > _DISTINCT_SIEVE_LIMIT:
+    Ap, Bp = sorted((S.A // g, S.B // g))
+    if Ap > _DISTINCT_TERMS_LIMIT:
         raise DepthExceeded(
-            f"distinct-value sieve up to Frobenius bound {frob} is not feasible"
+            f"distinct zeta needs {Ap} Hurwitz terms, above the limit {_DISTINCT_TERMS_LIMIT}"
         )
-    reachable = bytearray(frob + 1)
-    reachable[0] = 1
-    for gen in (Ap, Bp):
-        for t in range(gen, frob + 1):
-            if reachable[t - gen]:
-                reachable[t] = 1
-    partial = 0.0 + 0.0j
-    for t in range(1, frob + 1):
-        if reachable[t]:
-            partial += (step * t) ** (-s)
-    return partial + step ** (-s) * hurwitz_zeta(s, float(frob + 1))
+    total = riemann_zeta(s, depth=depth)
+    for n in range(1, Ap):
+        total += hurwitz_zeta(s, n * Bp / Ap, depth=depth)
+    return (g / S.den * Ap) ** (-s) * total
 
 
 def ech_zeta(
     s, E: Ellipsoid, conv: ZetaConvention = ZetaConvention.FULL, depth: float = S_MAX_DEFAULT
 ) -> complex:
-    """Spectrum zeta function of E(a, b) under the chosen convention.
-
-    INTERIOR and FULL are continued through Barnes and Riemann values;
-    DISTINCT is only defined on its convergence half-plane Re(s) > 2.
-    """
+    """Spectrum zeta function of E(a, b) under the chosen convention, by the
+    closed forms in the module docstring."""
     s = complex(s)
     if conv is ZetaConvention.DISTINCT:
-        if s.real <= 2:
-            raise DepthExceeded("DISTINCT convention is only evaluated for Re(s) > 2")
-        return _distinct_zeta(s, E)
-    a, b = float(E.a), float(E.b)
-    zb = barnes_zeta(s, E.a, E, depth=depth) + barnes_zeta(s, E.b, E, depth=depth)
-    axes = _axis_sum(s, a) + _axis_sum(s, b)
+        return _distinct_zeta(s, E, depth)
+    lattice = barnes_zeta(s, E.a, E, depth=depth)
     if conv is ZetaConvention.INTERIOR:
-        return 0.5 * (zb - axes)
-    return 0.5 * (zb + axes)
+        return lattice - float(E.a) ** (-s) * riemann_zeta(s, depth=depth)
+    return lattice + float(E.b) ** (-s) * riemann_zeta(s, depth=depth)
 
 
 def direct_zeta_sum(

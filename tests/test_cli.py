@@ -42,6 +42,11 @@ class TestParsers:
         with pytest.raises(CLIError):
             parse_complex("1,2,3")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "3,nan", "nan,1", "1,inf"])
+    def test_complex_rejects_non_finite(self, bad):
+        with pytest.raises(CLIError, match="finite"):
+            parse_complex(bad)
+
 
 class TestCapacitiesCommand:
     def test_csv_output(self, capsys):
@@ -162,6 +167,37 @@ class TestExitCodes:
     def test_tol_only_where_read(self, argv, capsys):
         assert main(argv + ["--tol", "1e-6"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "3,nan"])
+    def test_non_finite_zeta_point(self, s, capsys):
+        assert main(["zeta", "-a", "1", "-b", "2", "-s", s]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["zeta", "residues"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5", "x"])
+    def test_bad_tol(self, command, tol, capsys):
+        argv = [command, "-a", "1", "-b", "2", "--tol", tol] + ["-s", "3"] * (command == "zeta")
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--vol", "--c2", "--q", "--c3"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_envelope_constant(self, flag, value, capsys):
+        assert main(["envelope", "-k", "4..5", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("per_decade", ["0", "-3"])
+    def test_per_decade_below_one(self, per_decade, capsys):
+        assert main(["envelope", "-k", "4..5", "--per-decade", per_decade]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_envelope_decades_past_float_range(self, capsys):
+        assert main(["envelope", "-k", "300..310"]) == 2
+        assert "overflows" in capsys.readouterr().err
 
     def test_success(self, capsys):
         assert main(["capacities", "-a", "1", "-b", "1", "-k", "0..1"]) == 0

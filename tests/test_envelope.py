@@ -224,3 +224,9 @@ class TestConstants:
             EnvelopeConstants(c1=-1.0)
         with pytest.raises(ValueError):
             EnvelopeConstants(vol=0.0)
+
+    @pytest.mark.parametrize("name", ["q", "c0", "c1", "c2", "vol", "c3_override"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EnvelopeConstants(**{name: bad})

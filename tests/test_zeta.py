@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+import echspec.zeta
 from echspec import (
     DepthExceeded,
     Ellipsoid,
@@ -21,7 +23,7 @@ from echspec import (
     riemann_zeta,
 )
 
-from oracles import double_sum_barnes
+from oracles import distinct_zeta_gaps, double_sum_barnes, interior_zeta_hurwitz
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -181,10 +183,77 @@ class TestEchZeta:
             ref = 0.25 + (float(b / a) + float(a / b)) / 12.0
             assert abs(ech_zeta(0.0, E, ZetaConvention.INTERIOR) - ref) < 1e-9
 
-    def test_distinct_half_plane_only(self):
-        E = Ellipsoid(2, 3)
+    @pytest.mark.parametrize(
+        "a,b",
+        [(F(2), F(3)), (F(3), F(5)), (F(5), F(3)), (F(3, 2), F(5, 7)), (F(7), F(11))]
+        + [(F(1), F(89, 55))],
+    )
+    def test_distinct_matches_gap_oracle(self, a, b):
+        E = Ellipsoid(a, b)
+        for x in (-2.5, -1.0, 0.0, 0.5, 1.5, 2.0, 3.0, 6.0):
+            for y in (0.0, 2.0, -9.0):
+                s = complex(x, y)
+                ref = distinct_zeta_gaps(s, a, b)
+                got = ech_zeta(s, E, ZetaConvention.DISTINCT)
+                assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), s
+
+    @pytest.mark.parametrize("a,b,step", [(F(2), F(3), 1), (F(3, 2), F(5, 7), F(1, 14))])
+    def test_distinct_residue_at_one(self, a, b, step):
+        E = Ellipsoid(a, b)
+        exp = laurent_at(lambda s: ech_zeta(s, E, ZetaConvention.DISTINCT), 1.0)
+        assert abs(exp.residue - 1.0 / float(step)) <= 1e-8 + exp.quad_err
+
+    def test_distinct_pole_guard(self):
+        with pytest.raises(PoleProximity):
+            ech_zeta(1.0, Ellipsoid(F(3, 2), F(5, 7)), ZetaConvention.DISTINCT)
+
+    def test_distinct_golden_approximant_matches_direct_sum(self):
+        E = Ellipsoid(1, F(6765, 4181))
+        direct, tail = direct_zeta_sum(E, 3.0, 200000, ZetaConvention.DISTINCT)
+        got = ech_zeta(3.0, E, ZetaConvention.DISTINCT)
+        assert abs(got - direct) <= tail + 1e-9
+
+    def test_distinct_term_limit_fails_fast(self):
+        t0 = time.perf_counter()
         with pytest.raises(DepthExceeded):
-            ech_zeta(1.5, E, ZetaConvention.DISTINCT)
+            ech_zeta(0.5, Ellipsoid(1, F(1000000007, 1000000000)), ZetaConvention.DISTINCT)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(F(1), F(2)), (F(2), F(1)), (F(2), F(3)), (F(3), F(2))]
+        + [(F(1, 2), F(3, 2)), (F(3, 2), F(1, 2))],
+    )
+    def test_continued_values_match_hurwitz_oracle(self, a, b):
+        E = Ellipsoid(a, b)
+        for x in (-2.0, -1.3, -0.4, 0.5, 1.5, 2.5, 3.7, 6.0):
+            for y in (0.0, 1.5, -7.0, 15.0):
+                s = complex(x, y)
+                ref_i = interior_zeta_hurwitz(s, a, b)
+                ref_f = ref_i + (float(a) ** -s + float(b) ** -s) * complex(mpmath.zeta(s))
+                got_i = ech_zeta(s, E, ZetaConvention.INTERIOR)
+                got_f = ech_zeta(s, E, ZetaConvention.FULL)
+                assert abs(got_i - ref_i) <= 1e-8 * max(1.0, abs(ref_i)), s
+                assert abs(got_f - ref_f) <= 1e-8 * max(1.0, abs(ref_f)), s
+
+    def test_barnes_calls_per_convention(self, monkeypatch):
+        calls = []
+        barnes = echspec.zeta.barnes_zeta
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return barnes(*args, **kwargs)
+
+        monkeypatch.setattr(echspec.zeta, "barnes_zeta", counting)
+        E = Ellipsoid(F(3, 2), F(5, 7))
+        for conv, want in [
+            (ZetaConvention.INTERIOR, 1),
+            (ZetaConvention.FULL, 1),
+            (ZetaConvention.DISTINCT, 0),
+        ]:
+            calls.clear()
+            ech_zeta(complex(0.7, 2.0), E, conv)
+            assert len(calls) == want, conv
 
     def test_distinct_square_is_riemann(self):
         # all attained values of E(1,1) are the positive integers
