@@ -14,9 +14,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectrum import Ellipsoid, _spectrum_scaled, as_rational, count_leq, distinct_values_leq
+from .spectrum import (
+    Ellipsoid,
+    ScaledEllipsoid,
+    as_rational,
+    count_leq,
+    distinct_values_leq,
+    scaled_spectrum,
+)
 
 _SQRT_BITS = 60
+DEFECT_REL_ERR = 2.0**-50  # d_err = max(1, c) * DEFECT_REL_ERR
 
 
 @dataclass(frozen=True)
@@ -48,30 +56,33 @@ def contact_volume(E: Ellipsoid) -> Fraction:
     return E.a * E.b
 
 
-def _defect_scaled(S, j: int, v: int) -> tuple[float, float]:
-    """(d, d_err) for scaled capacity v at index j: d = (v - sqrt(2jAB))/den,
-    with the root carried to _SQRT_BITS fractional bits."""
-    root = math.isqrt((2 * S.A * S.B * j) << (2 * _SQRT_BITS))
-    d = ((v << _SQRT_BITS) - root) / (S.den << _SQRT_BITS)
-    d_err = max(1.0, v / S.den) * 2.0**-50
-    return d, d_err
+def scaled_defects(S: ScaledEllipsoid, j0: int, values: list[int]) -> list[float]:
+    """Defects d_j = (v - sqrt(2jAB))/den for the scaled capacities
+    values[i] = v of index j = j0 + i.
+
+    The root is floor(sqrt(2jAB) * 2^_SQRT_BITS) by integer isqrt and the
+    quotient is one correctly rounded int division, so each d lies within
+    max(1, v/den) * DEFECT_REL_ERR of the exact defect.
+    """
+    bits = _SQRT_BITS
+    root_arg = (2 * S.A * S.B) << (2 * bits)
+    den = S.den << bits
+    isqrt = math.isqrt
+    return [((v << bits) - isqrt(root_arg * j)) / den for j, v in enumerate(values, j0)]
 
 
 def d_sequence(E: Ellipsoid, j0: int, j1: int) -> list[DkPoint]:
-    """Defect samples d_j = c_j - sqrt(vol * 2j) for j in [j0, j1].
-
-    c_j is exact; the square root of the scaled integer 2*j*A*B is computed
-    with _SQRT_BITS fractional bits, so d_err is dominated by one float
-    rounding of the final quotient.
-    """
+    """Defect samples d_j = c_j - sqrt(vol * 2j) for j in [j0, j1]: exact
+    c_j and the scaled_defects of the block."""
     if j0 > j1:
         raise ValueError("d_sequence requires j0 <= j1")
     S = E.scaled()
-    out = []
-    for j, v in zip(range(j0, j1 + 1), _spectrum_scaled(S, j0, j1)):
-        d, d_err = _defect_scaled(S, j, v)
-        out.append(DkPoint(j=j, c=Fraction(v, S.den), d=d, d_err=d_err))
-    return out
+    den = S.den
+    vals = scaled_spectrum(S, j0, j1)
+    return [
+        DkPoint(j=j, c=Fraction(v, den), d=d, d_err=max(1.0, v / den) * DEFECT_REL_ERR)
+        for j, v, d in zip(range(j0, j1 + 1), vals, scaled_defects(S, j0, vals))
+    ]
 
 
 def weyl_count(E: Ellipsoid, R) -> WeylSample:
@@ -114,55 +125,66 @@ def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     )
 
 
-def window_sups(points: list[DkPoint], window_count: int) -> list[tuple[int, float]]:
-    """Per-window sup statistics: (argmax index, max |d|) over geometric
-    windows partitioning the index range of the points."""
-    if not points:
+def _window_sups(js, ds, window_count: int) -> list[tuple[int, float]]:
+    if not js:
         raise ValueError("window_sups requires nonempty input")
     if window_count < 1:
         raise ValueError("window_count must be positive")
-    pts = [p for p in points if p.j >= 1]
+    pts = [(j, d) for j, d in zip(js, ds) if j >= 1]
     if not pts:
         raise ValueError("window_sups requires points with j >= 1")
-    j_lo, j_hi = pts[0].j, pts[-1].j
+    j_lo, j_hi = pts[0][0], pts[-1][0]
     ratio = (float(j_hi + 1) / j_lo) ** (1.0 / window_count)
     edges = [j_lo * ratio**w for w in range(window_count + 1)]
     edges[-1] = float(j_hi + 1)
     sups = []
     w = 0
     best_j, best = None, -1.0
-    for p in pts:
-        while p.j >= edges[w + 1]:
+    for j, d in pts:
+        while j >= edges[w + 1]:
             if best_j is not None:
                 sups.append((best_j, best))
             best_j, best = None, -1.0
             w += 1
-        if abs(p.d) > best:
-            best_j, best = p.j, abs(p.d)
+        if abs(d) > best:
+            best_j, best = j, abs(d)
     if best_j is not None:
         sups.append((best_j, best))
     return sups
 
 
-def exponent_fit(points: list[DkPoint], window_count: int) -> FitResult:
-    """Growth exponent of |d_j|: regress log of per-window sups on log of the
-    index attaining them. Flat (O(1)) sequences fit an exponent near zero;
-    a planted power law j^p is recovered exactly."""
-    if not points:
+def window_sups(points: list[DkPoint], window_count: int) -> list[tuple[int, float]]:
+    """Per-window sup statistics: (argmax index, max |d|) over geometric
+    windows partitioning the index range of the points."""
+    return _window_sups([p.j for p in points], [p.d for p in points], window_count)
+
+
+def column_exponent_fit(js, ds, window_count: int) -> FitResult:
+    """Growth exponent of |d_j| from the columns js (strictly increasing) and
+    ds: regress log of per-window sups on log of the index attaining them.
+    Flat (O(1)) sequences fit an exponent near zero; a planted power law j^p
+    is recovered exactly. A degenerate window set can give non-finite
+    numbers; no floating-point warning is raised for them."""
+    if not js:
         raise ValueError("exponent_fit requires nonempty input")
-    if any(points[i].j >= points[i + 1].j for i in range(len(points) - 1)):
+    if any(j >= k for j, k in zip(js, js[1:])):
         raise ValueError("exponent_fit requires strictly increasing j")
-    sups = [(j, s) for j, s in window_sups(points, window_count) if s > 1e-15]
+    sups = [(j, s) for j, s in _window_sups(js, ds, window_count) if s > 1e-15]
     if len(sups) < 2:
         raise ValueError("exponent_fit requires at least two usable windows")
-    x = np.log([j for j, _ in sups])
-    y = np.log([s for _, s in sups])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    pts = [p for p in points if p.j >= 1]
-    return FitResult(
-        coefficient=float(np.exp(intercept)),
-        exponent=float(slope),
-        residual=float(np.sqrt(np.mean(resid**2))),
-        window=(pts[0].j, pts[-1].j),
-    )
+    with np.errstate(all="ignore"):
+        x = np.log([j for j, _ in sups])
+        y = np.log([s for _, s in sups])
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
+        return FitResult(
+            coefficient=float(np.exp(intercept)),
+            exponent=float(slope),
+            residual=float(np.sqrt(np.mean(resid**2))),
+            window=(next(j for j in js if j >= 1), js[-1]),
+        )
+
+
+def exponent_fit(points: list[DkPoint], window_count: int) -> FitResult:
+    """column_exponent_fit over the j and d of the points."""
+    return column_exponent_fit([p.j for p in points], [p.d for p in points], window_count)

@@ -14,10 +14,19 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
-from .asymptotics import contact_volume, d_sequence, exponent_fit, weyl_count, weyl_fit
+from .asymptotics import (
+    DEFECT_REL_ERR,
+    column_exponent_fit,
+    contact_volume,
+    scaled_defects,
+    weyl_count,
+    weyl_fit,
+)
 from .envelope import EnvelopeConstants, capacity_envelope
-from .spectrum import EchspecError, Ellipsoid, spectrum_range
+from .spectrum import EchspecError, Ellipsoid, scaled_spectrum
 from .zeta import ZetaConvention, ech_zeta, laurent_at
 
 
@@ -78,25 +87,55 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------- output
 
-def emit(cfg, header: list[str], rows: list[dict], summary: dict, warnings: list[str]):
+# Rows are formatted and written this many at a time: holding the whole
+# output text at once would add its size to the peak memory of a long table.
+_CHUNK_ROWS = 256
+# Encoders json.dumps applies to these scalar types; other types go through
+# json.dumps itself.
+_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_column(col: tuple) -> list[str]:
+    kinds = set(map(type, col))
+    encode = _JSON_SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(encode or json.dumps, col))
+
+
+def _json_rows(header: list[str], rows: list[tuple]):
+    """Text of the row objects of an indent=2 JSON document, in pieces of
+    _CHUNK_ROWS rows, from a per-header template."""
+    keys = [encode_basestring_ascii(h).replace("%", "%%") for h in header]
+    template = "\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        cols = [_json_column(col) for col in zip(*rows[i : i + _CHUNK_ROWS])]
+        yield ("," if i else "") + ",".join(map(template.__mod__, zip(*cols)))
+
+
+def emit(cfg, header: list[str], rows: list[tuple], summary: dict, warnings: list[str]):
+    """Write the rows, tuples in header order, as CSV or as one JSON document.
+    The JSON text is what json.dump(doc, out, indent=2) writes, without its
+    pure-Python indent encoder."""
     out = sys.stdout
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if cfg.format == "json":
-        doc = {
-            "config": {k: v for k, v in vars(cfg).items() if k != "func"},
-            "rows": rows,
-            "summary": summary,
-            "warnings": warnings,
-        }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+
+        def nested(obj) -> str:  # a value one level into an indent=2 document
+            return json.dumps(obj, indent=2).replace("\n", "\n  ")
+
+        config = {k: v for k, v in vars(cfg).items() if k != "func"}
+        out.write(f'{{\n  "config": {nested(config)},\n  "rows": [')
+        out.writelines(_json_rows(header, rows))
+        out.write(
+            ("\n  ]" if rows else "]")
+            + f',\n  "summary": {nested(summary)},\n  "warnings": {nested(warnings)}\n}}\n'
+        )
     else:
+        line = ",".join(["%s"] * len(header)) + "\n"
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(str(row[h]) for h in header) + "\n")
-        for key, val in summary.items():
-            out.write(f"# {key}={val}\n")
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            out.write("".join(map(line.__mod__, rows[i : i + _CHUNK_ROWS])))
+        out.write("".join(f"# {key}={val}\n" for key, val in summary.items()))
 
 
 # ------------------------------------------------------------- commands
@@ -110,14 +149,12 @@ def cmd_capacities(cfg) -> int:
     k0, k1 = parse_range(cfg.range)
     if k0 < 0:
         raise CLIError("capacity indices must be nonnegative")
+    S = E.scaled()
+    den = S.den
+    vals = scaled_spectrum(S, k0, k1)
     rows = [
-        {
-            "k": k,
-            "c_num": c.numerator,
-            "c_den": c.denominator,
-            "c_float": _fmt(c.numerator / c.denominator),
-        }
-        for k, c in spectrum_range(E, k0, k1)
+        (k, v // g, den // g, f"{v / den:.17g}")
+        for k, v, g in zip(range(k0, k1 + 1), vals, map(math.gcd, vals, repeat(den)))
     ]
     emit(cfg, ["k", "c_num", "c_den", "c_float"], rows, {}, [])
     return 0
@@ -131,14 +168,7 @@ def cmd_weyl(cfg) -> int:
     rows = []
     for R in R_list:
         s = weyl_count(E, R)
-        rows.append(
-            {
-                "R_num": R.numerator,
-                "R_den": R.denominator,
-                "count_classes": s.count_classes,
-                "count_values": s.count_values,
-            }
-        )
+        rows.append((R.numerator, R.denominator, s.count_classes, s.count_values))
     summary = {}
     warnings = []
     if len(R_list) >= 3 and all(R_list[i] < R_list[i + 1] for i in range(len(R_list) - 1)):
@@ -163,33 +193,37 @@ def cmd_dk(cfg) -> int:
     j0, j1 = parse_range(cfg.range)
     if j0 < 0:
         raise CLIError("grading indices must be nonnegative")
-    points = d_sequence(E, j0, j1)
+    S = E.scaled()
+    den = S.den
+    js = range(j0, j1 + 1)
+    vals = scaled_spectrum(S, j0, j1)
+    ds = scaled_defects(S, j0, vals)
     rows = [
-        {
-            "j": p.j,
-            "c_num": p.c.numerator,
-            "c_den": p.c.denominator,
-            "d": _fmt(p.d),
-            "d_err": _fmt(p.d_err),
-        }
-        for p in points
+        (j, v // g, den // g, f"{d:.17g}", f"{max(1.0, v / den) * DEFECT_REL_ERR:.17g}")
+        for j, v, d, g in zip(js, vals, ds, map(math.gcd, vals, repeat(den)))
     ]
     warnings = []
     bound = E.safe_coefficient_bound()
-    if bound > 1 and float(points[-1].c) / min(float(E.a), float(E.b)) >= bound:
+    if bound > 1 and vals[-1] / den / min(float(E.a), float(E.b)) >= bound:
         warnings.append(
             "lattice coefficients reach the approximant denominator; "
             "ties may be artifacts of the rational approximation"
         )
     summary = {}
-    usable = [p for p in points if p.j >= 1]
-    if len(usable) >= 2:
-        fit = exponent_fit(usable, cfg.windows)
-        summary = {
-            "sup_exponent": _fmt(fit.exponent),
-            "sup_coefficient": _fmt(fit.coefficient),
-            "fit_window": f"{fit.window[0]}..{fit.window[1]}",
-        }
+    if j1 - max(j0, 1) >= 1:  # the fit needs two indices j >= 1
+        try:
+            fit = column_exponent_fit(js, ds, cfg.windows)
+        except ValueError as exc:
+            warnings.append(f"sup exponent fit omitted: {exc}")
+        else:
+            if all(map(math.isfinite, (fit.exponent, fit.coefficient, fit.residual))):
+                summary = {
+                    "sup_exponent": _fmt(fit.exponent),
+                    "sup_coefficient": _fmt(fit.coefficient),
+                    "fit_window": f"{fit.window[0]}..{fit.window[1]}",
+                }
+            else:
+                warnings.append(f"sup exponent fit omitted: non-finite fit {fit}")
     emit(cfg, ["j", "c_num", "c_den", "d", "d_err"], rows, summary, warnings)
     return 0
 
@@ -203,15 +237,7 @@ def cmd_zeta(cfg) -> int:
     for text in cfg.s:
         s = parse_complex(text)
         val = ech_zeta(s, E, conv)
-        rows.append(
-            {
-                "s_re": _fmt(s.real),
-                "s_im": _fmt(s.imag),
-                "value_re": _fmt(val.real),
-                "value_im": _fmt(val.imag),
-                "err": _fmt(cfg.tol),
-            }
-        )
+        rows.append((_fmt(s.real), _fmt(s.imag), _fmt(val.real), _fmt(val.imag), _fmt(cfg.tol)))
     emit(cfg, ["s_re", "s_im", "value_re", "value_im", "err"], rows, {}, [])
     return 0
 
@@ -224,50 +250,19 @@ def cmd_residues(cfg) -> int:
         f = lambda s, c=conv: ech_zeta(s, E, c)
         for s0 in (1.0, 2.0):
             lau = laurent_at(f, s0, radius=0.3, n_points=64, tol=cfg.tol)
-            rows.append(
-                {
-                    "convention": conv.value,
-                    "point": _fmt(s0),
-                    "residue_re": _fmt(lau.residue.real),
-                    "residue_im": _fmt(lau.residue.imag),
-                    "constant_re": _fmt(lau.constant.real),
-                    "constant_im": _fmt(lau.constant.imag),
-                    "quad_err": _fmt(lau.quad_err),
-                }
-            )
+            res, const = lau.residue, lau.constant
+            numbers = (s0, res.real, res.imag, const.real, const.imag, lau.quad_err)
+            rows.append((conv.value, *map(_fmt, numbers)))
         val0 = ech_zeta(0.0, E, conv)
-        rows.append(
-            {
-                "convention": conv.value,
-                "point": _fmt(0.0),
-                "residue_re": _fmt(0.0),
-                "residue_im": _fmt(0.0),
-                "constant_re": _fmt(val0.real),
-                "constant_im": _fmt(val0.imag),
-                "quad_err": _fmt(0.0),
-            }
-        )
+        rows.append((conv.value, *map(_fmt, (0.0, 0.0, 0.0, val0.real, val0.imag, 0.0))))
     summary = {
         "expected_res_s2": _fmt(1.0 / (a * b)),
         "expected_abs_res_s1": _fmt(0.5 * (1.0 / a + 1.0 / b)),
         "expected_zero_interior": _fmt(0.25 + (b / a + a / b) / 12.0),
         "note": "res at s=1 is positive for full and negative for interior",
     }
-    emit(
-        cfg,
-        [
-            "convention",
-            "point",
-            "residue_re",
-            "residue_im",
-            "constant_re",
-            "constant_im",
-            "quad_err",
-        ],
-        rows,
-        summary,
-        [],
-    )
+    header = "convention point residue_re residue_im constant_re constant_im quad_err".split()
+    emit(cfg, header, rows, summary, [])
     return 0
 
 
@@ -288,44 +283,15 @@ def cmd_envelope(cfg) -> int:
     js = sorted({10.0 ** (e0 + i / n) for i in range((e1 - e0) * n + 1)})
     for j in js:
         res = capacity_envelope(j, k)
-        rows.append(
-            {
-                "j": _fmt(res.j),
-                "r1": _fmt(res.r1),
-                "r2": _fmt(res.r2),
-                "r3": _fmt(res.r3),
-                "F_lo": _fmt(res.F_lo),
-                "F_hi": _fmt(res.F_hi),
-                "e_lo": _fmt(res.e_lo),
-                "e_hi": _fmt(res.e_hi),
-                "c_lo": _fmt(res.c_lo),
-                "c_hi": _fmt(res.c_hi),
-                "width_over_j25": _fmt((res.c_hi - res.c_lo) / res.j**0.4),
-                "r1_minus_leading": _fmt(res.r1 - 2.0 * math.pi * math.sqrt(res.j / k.vol)),
-                "admissible": int(res.admissible),
-            }
-        )
-    emit(
-        cfg,
-        [
-            "j",
-            "r1",
-            "r2",
-            "r3",
-            "F_lo",
-            "F_hi",
-            "e_lo",
-            "e_hi",
-            "c_lo",
-            "c_hi",
-            "width_over_j25",
-            "r1_minus_leading",
-            "admissible",
-        ],
-        rows,
-        {"constants": f"q={k.q} c0={k.c0} c1={k.c1} c2={k.c2} c3={k.c3} vol={k.vol}"},
-        [],
-    )
+        width = (res.c_hi - res.c_lo) / res.j**0.4
+        r1_excess = res.r1 - 2.0 * math.pi * math.sqrt(res.j / k.vol)
+        numbers = (res.j, res.r1, res.r2, res.r3, res.F_lo, res.F_hi, res.e_lo, res.e_hi,
+                   res.c_lo, res.c_hi, width, r1_excess)
+        rows.append((*map(_fmt, numbers), int(res.admissible)))
+    header = ("j r1 r2 r3 F_lo F_hi e_lo e_hi c_lo c_hi width_over_j25 r1_minus_leading "
+              "admissible").split()
+    summary = {"constants": f"q={k.q} c0={k.c0} c1={k.c1} c2={k.c2} c3={k.c3} vol={k.vol}"}
+    emit(cfg, header, rows, summary, [])
     return 0
 
 
@@ -356,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dk", help="defect sequence with window sups and exponent fit")
     common(sp)
     sp.add_argument("-k", "--range", required=True, help="inclusive 'lo..hi'")
-    sp.add_argument("--windows", type=int, default=12)
+    sp.add_argument("--windows", type=_positive(int), default=12)
     sp.set_defaults(func=cmd_dk)
 
     sp = sub.add_parser("zeta", help="spectrum zeta values")

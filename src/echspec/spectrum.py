@@ -142,8 +142,10 @@ def nth_capacity(E: Ellipsoid, k: int) -> Fraction:
     return Fraction(_nth_scaled(S, k), S.den)
 
 
-def _spectrum_scaled(S: ScaledEllipsoid, k0: int, k1: int) -> list[int]:
-    """Scaled spectrum values for indices k0..k1 inclusive."""
+def scaled_spectrum(S: ScaledEllipsoid, k0: int, k1: int) -> list[int]:
+    """Scaled spectrum values v_k = den * c_k for indices k0..k1 inclusive,
+    as plain Python ints; the integer currency the rest of the package
+    builds on."""
     if k0 < 0:
         raise ValueError("index k0 must be nonnegative")
     if k0 > k1:
@@ -168,7 +170,7 @@ def spectrum_range(E: Ellipsoid, k0: int, k1: int) -> list[tuple[int, Fraction]]
     repeated nth_capacity but computed by one binary search per endpoint plus
     ordered enumeration of lattice values in the window."""
     S = E.scaled()
-    vals = _spectrum_scaled(S, k0, k1)
+    vals = scaled_spectrum(S, k0, k1)
     return [(k, Fraction(v, S.den)) for k, v in zip(range(k0, k1 + 1), vals)]
 
 

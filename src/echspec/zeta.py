@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .spectrum import EchspecError, Ellipsoid, NonConvergent, _spectrum_scaled
+from .spectrum import EchspecError, Ellipsoid, NonConvergent, scaled_spectrum
 
 S_MAX_DEFAULT = 4.0
 POLE_GUARD = 1e-6
@@ -221,7 +221,7 @@ def direct_zeta_sum(
     if sigma <= 2 + margin:
         raise ValueError(f"direct_zeta_sum requires Re(s) > {2 + margin}")
     S = E.scaled()
-    vals = _spectrum_scaled(S, 0, j_max)
+    vals = scaled_spectrum(S, 0, j_max)
     den = float(S.den)
     terms = [(v / den) ** (-s) for v in vals if v > 0]
     total = _pairwise_sum(terms)
@@ -268,27 +268,31 @@ def laurent_at(
     tol: float = 1e-7,
 ) -> LaurentExpansion:
     """Residue and constant term of f at s0 by trapezoidal contour quadrature
-    on |s - s0| = radius; spectrally accurate, with the error estimated by
-    doubling the point count."""
+    on |s - s0| = radius; spectrally accurate. quad_err is the change on
+    doubling the point count plus the rounding bound 2n * 2^-52 * max|f| *
+    max(1, radius) of the 2n-term sums, which the change can fall below."""
     s0 = complex(s0)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if n_points < 32:
         raise ValueError("n_points must be at least 32")
 
-    def coeffs(n: int) -> tuple[complex, complex]:
+    def coeffs(n: int) -> tuple[complex, complex, float]:
         res = 0.0 + 0.0j
         const = 0.0 + 0.0j
+        f_max = 0.0
         for t in range(n):
             z = radius * cmath.exp(2j * math.pi * t / n)
             fv = f(s0 + z)
             res += fv * z
             const += fv
-        return res / n, const / n
+            f_max = max(f_max, abs(fv))
+        return res / n, const / n, f_max
 
-    r1, c1 = coeffs(n_points)
-    r2, c2 = coeffs(2 * n_points)
-    quad_err = max(abs(r1 - r2), abs(c1 - c2))
-    if quad_err > 10 * tol * max(1.0, abs(r2), abs(c2)):
-        raise NonConvergent(f"quadrature did not stabilize (delta={quad_err:.2e})")
-    return LaurentExpansion(center=s0, residue=r2, constant=c2, quad_err=quad_err)
+    r1, c1, _ = coeffs(n_points)
+    r2, c2, f_max = coeffs(2 * n_points)
+    delta = max(abs(r1 - r2), abs(c1 - c2))
+    if delta > 10 * tol * max(1.0, abs(r2), abs(c2)):
+        raise NonConvergent(f"quadrature did not stabilize (delta={delta:.2e})")
+    rounding = 2 * n_points * 2.0**-52 * f_max * max(1.0, radius)
+    return LaurentExpansion(center=s0, residue=r2, constant=c2, quad_err=delta + rounding)

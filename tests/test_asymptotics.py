@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -6,9 +7,12 @@ import pytest
 from echspec import (
     DkPoint,
     Ellipsoid,
+    column_exponent_fit,
     contact_volume,
     d_sequence,
     exponent_fit,
+    scaled_defects,
+    scaled_spectrum,
     weyl_count,
     weyl_fit,
     window_sups,
@@ -52,6 +56,35 @@ class TestDSequence:
         # on E(1,1) the defect stays within O(1) of zero over a long stretch
         pts = d_sequence(Ellipsoid(1, 1), 1, 5000)
         assert max(abs(p.d) for p in pts) < 2.0
+
+
+class TestScaledDefects:
+    @pytest.mark.parametrize(
+        "a,b,j0,j1",
+        [
+            (1, 1, 0, 300),
+            (2, 3, 500_000, 500_400),
+            (1, F(832040, 514229), 11_203_511, 11_203_911),
+            (F(3, 2), F(5, 7), 10**9, 10**9 + 50),
+        ],
+    )
+    def test_matches_exact_quotient(self, a, b, j0, j1):
+        # Each d is the correctly rounded value of the exact 60-bit quotient.
+        S = Ellipsoid(a, b).scaled()
+        vals = scaled_spectrum(S, j0, j1)
+        ds = scaled_defects(S, j0, vals)
+        assert len(ds) == len(vals)
+        for j, v, d in zip(range(j0, j1 + 1), vals, ds):
+            exact = F((v << 60) - math.isqrt((2 * j * S.A * S.B) << 120), S.den << 60)
+            assert d == float(exact)
+
+    def test_d_sequence_is_built_from_the_block(self):
+        E = Ellipsoid(2, 3)
+        S = E.scaled()
+        pts = d_sequence(E, 7, 400)
+        vals = scaled_spectrum(S, 7, 400)
+        assert [p.c for p in pts] == [F(v, S.den) for v in vals]
+        assert [p.d for p in pts] == scaled_defects(S, 7, vals)
 
 
 class TestWeylCount:
@@ -117,6 +150,21 @@ class TestExponentFit:
         p = DkPoint(j=3, c=F(1), d=0.5, d_err=0.0)
         with pytest.raises(ValueError):
             exponent_fit([p, p], 2)
+
+    def test_columns_match_points(self):
+        pts = d_sequence(Ellipsoid(1, F(89, 55)), 0, 3000)
+        fit = column_exponent_fit(range(0, 3001), [p.d for p in pts], 9)
+        assert fit == exponent_fit(pts, 9)
+        assert fit.window == (1, 3000)
+
+    def test_narrow_deep_window_is_quiet(self):
+        # Nine indices near 1.1e7 give a meaningless slope whose coefficient
+        # overflows; the fit says so with non-finite numbers, not a warning.
+        pts = d_sequence(Ellipsoid(1, F(832040, 514229)), 11_203_511, 11_203_519)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = exponent_fit(pts, 12)
+        assert not math.isfinite(fit.coefficient)
 
 
 class TestWindowSups:

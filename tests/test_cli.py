@@ -1,5 +1,7 @@
+import hashlib
 import json
 import shlex
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,6 +18,28 @@ from echspec.cli import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# SHA-256 of stdout for (command, b, range, format) on E(1, b), and on
+# E(2, 3) in the b = 3 rows. The pins hold the output byte for byte: any
+# change to them is a change of the CLI's output format.
+PINNED_SHA256 = {
+    ("capacities", "832040/514229", "0..1500", "csv"): "6a6510a6435dff755f67cfe793ad49809682ed6972ada4daafcbe30568d7ee75",
+    ("capacities", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",
+    ("capacities", "832040/514229", "1000000..1000500", "csv"): "deaf2b6333bc330c2b426191a3c2b8fbcd37fb94d9c318aaa6784b87e99069ac",
+    ("capacities", "832040/514229", "1000000..1000500", "json"): "d482195ae8d4e33c7dc996bb51dc0825e6ebb0408cda190a4cac07bbc9875cb1",
+    ("dk", "832040/514229", "0..1500", "csv"): "069abdf58ad1c89da1f60661fcad82b857c45731b749f4ba3274c21b911a0390",
+    ("dk", "832040/514229", "0..1500", "json"): "bc20e0790c88a20fd10f89c2f3dd57895657a8306f5104e2b4b3e07ac993edbf",
+    ("dk", "832040/514229", "1000000..1000500", "csv"): "7051f9e5c95cf30537ad6e6d1487b34e87803c1acea3384aa9984ad4ef2fedd8",
+    ("dk", "832040/514229", "1000000..1000500", "json"): "e8843d9703b845f74b0d955d54c7390e72888351886fe84847076570074faa19",
+    ("capacities", "3", "0..1500", "csv"): "88200fcff1fe82ae3a466a9432a09431fa852254a34cf5bff766f45d4cfa23da",
+    ("capacities", "3", "0..1500", "json"): "8cf28de4fc91fbd199f0f042a21644d095dd2a6006a76775c886da8ef490c80d",
+    ("capacities", "3", "1000000..1000500", "csv"): "6cf4b152635aef2e25d76e32771541538ce0f9ab7beedfae1d217c1c0335bfd4",
+    ("capacities", "3", "1000000..1000500", "json"): "ff25d4344d23a01f5e0cecdf25eb8a53a4018fcf8b2be0710c09c2cbb3c2d971",
+    ("dk", "3", "0..1500", "csv"): "22af63701298781cb4e5ca3a45923a5649932d73cb1a04ae0c672c91832d559b",
+    ("dk", "3", "0..1500", "json"): "a3d1c686326bbbd0e7fafba2ad65c7dac6fb3594f6324c5da3a49f17208cba4a",
+    ("dk", "3", "1000000..1000500", "csv"): "5604942d9731f8eb0cf6c96bdce96a8e85d92c4f48b555e36819812471ddf2a2",
+    ("dk", "3", "1000000..1000500", "json"): "056f7b095e3ae6e8c0ae0cbd4257b9eb4706320f7419ad34fff7b69b2aff6bfc",
+}
 
 
 class TestParsers:
@@ -95,6 +119,64 @@ class TestDeterminism:
         assert not (tmp_path / "spec.cache").exists()
 
 
+class TestByteIdentity:
+    @pytest.mark.parametrize("key", sorted(PINNED_SHA256))
+    def test_pinned_stdout(self, key, capsys):
+        cmd, b, rng, fmt = key
+        a = "2" if b == "3" else "1"
+        assert main([cmd, "-a", a, "-b", b, "-k", rng, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[key]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacities", "-a", "3/2", "-b", "5/7", "-k", "0..40"],
+            ["weyl", "-a", "1", "-b", "2", "-R", "10,20,30,40"],
+            ["dk", "-a", "1", "-b", "832040/514229", "-k", "0..500"],
+            ["dk", "-a", "1", "-b", "1", "-k", "1..3", "--windows", "1"],
+            ["zeta", "-a", "1", "-b", "2", "-s", "3,1", "-s=-1.5,2", "--convention", "interior"],
+            ["residues", "-a", "1", "-b", "2"],
+            ["envelope", "-k", "4..6", "--per-decade", "2"],
+        ],
+    )
+    def test_json_is_the_stdlib_indent_encoding(self, argv, capsys):
+        assert main(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+class TestDkFitOmitted:
+    def test_too_few_windows(self, capsys):
+        assert main(["dk", "-a", "1", "-b", "1", "-k", "1..3", "--windows", "1"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 4 and not any(ln.startswith("#") for ln in lines)
+        assert "warning: sup exponent fit omitted: exponent_fit requires at least two usable windows" in captured.err
+
+    def test_non_finite_fit(self, capsys):
+        argv = ["dk", "-a", "1", "-b", "832040/514229", "-k", "11203511..11203519", "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert len(doc["rows"]) == 9
+        assert doc["summary"] == {}
+        assert any("non-finite fit" in w for w in doc["warnings"])
+        assert "RuntimeWarning" not in captured.err
+
+    def test_fit_kept_when_finite(self, capsys):
+        assert main(["dk", "-a", "1", "-b", "1", "-k", "1..2000"]) == 0
+        captured = capsys.readouterr()
+        assert "# sup_exponent=" in captured.out
+        assert "fit omitted" not in captured.err
+
+    @pytest.mark.parametrize("windows", ["0", "-3"])
+    def test_windows_must_be_positive(self, windows, capsys):
+        assert main(["dk", "-a", "1", "-b", "1", "-k", "1..30", "--windows", windows]) == 2
+
+
 class TestOtherCommands:
     def test_weyl(self, capsys):
         assert main(["weyl", "-a", "1", "-b", "1", "-R", "10"]) == 0
@@ -151,7 +233,7 @@ class TestExitCodes:
         def fail(*args):
             raise EchspecError("planted")
 
-        monkeypatch.setattr(echspec.cli, "spectrum_range", fail)
+        monkeypatch.setattr(echspec.cli, "scaled_spectrum", fail)
         assert main(["capacities", "-a", "1", "-b", "1", "-k", "0..3"]) == 1
         assert "error: planted" in capsys.readouterr().err
 

@@ -25,10 +25,11 @@ class TestErrorHierarchy:
 
 
 def test_no_private_imports_across_modules():
-    # Direction 2 of the roadmap removes the two remaining imports.
+    # Modules share only public names; the scaled-integer helpers that once
+    # crossed modules privately are public now (scaled_spectrum, scaled_defects).
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.level or "echspec" in (node.module or "")):
                 found |= {(path.stem, a.name) for a in node.names if a.name.startswith("_")}
-    assert found == {("asymptotics", "_spectrum_scaled"), ("zeta", "_spectrum_scaled")}
+    assert found == set()

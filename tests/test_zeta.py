@@ -320,6 +320,20 @@ class TestLaurent:
         with pytest.raises(NonConvergent):
             laurent_at(lambda s: cmath.exp(1.0 / (s - 0.5000001)), 0.5, radius=0.01)
 
+    @pytest.mark.parametrize("a,b", [(F(1), F(2)), (F(2), F(3)), (F(1, 2), F(3, 2))])
+    @pytest.mark.parametrize("conv", [ZetaConvention.INTERIOR, ZetaConvention.FULL])
+    @pytest.mark.parametrize("s0", [1.0, 2.0])
+    def test_closed_form_residue_within_quad_err(self, a, b, conv, s0):
+        # The reported error alone must cover the closed forms 1/(ab) at s = 2
+        # and +-(a+b)/(2ab) at s = 1, with the parameters `residues` uses.
+        E = Ellipsoid(a, b)
+        exp = laurent_at(lambda s: ech_zeta(s, E, conv), s0, radius=0.3, n_points=64, tol=1e-10)
+        if s0 == 2.0:
+            want = 1 / (a * b)
+        else:
+            want = (a + b) / (2 * a * b) * (1 if conv is ZetaConvention.FULL else -1)
+        assert abs(exp.residue - float(want)) <= exp.quad_err
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             laurent_at(cmath.exp, 0.0, radius=-1.0)
