@@ -2,10 +2,13 @@
 
 The spectrum of E(a, b) is the sorted multiset {m*a + n*b : m, n >= 0}.
 After clearing denominators every spectrum value is an integer, so
-counting, k-th value extraction, and range enumeration are all done in
+counting, k-th value extraction, and range extraction are all done in
 exact integer arithmetic: a Euclidean floor-sum kernel gives lattice
 counts under a line in O(log) integer steps, and capacities come out of
-an integer binary search on the scaled value.
+an integer binary search on the scaled value. An index window k0..k1 costs
+two binary searches, for its end values v0 and v1, plus
+min(v1/max(A, B), (v1 - v0)/gcd(A, B)) steps: walking the lattice lines
+up to v1, or counting the multiplicity of each value in [v0, v1].
 """
 
 from __future__ import annotations
@@ -121,11 +124,11 @@ def _nth_scaled(S: ScaledEllipsoid, k: int) -> int:
     """Scaled value of the k-th (0-indexed, with multiplicity) spectrum element."""
     if k < 0:
         raise ValueError("index k must be nonnegative")
-    if k == 0:
-        return 0
-    lo, hi = 0, math.isqrt(2 * S.A * S.B * (k + 1)) + S.A + S.B
-    while _count_scaled(S.A, S.B, hi) < k + 1:
-        hi *= 2
+    # The unit squares of the lattice points under v cover the triangle under
+    # v and fit in the triangle under v + A + B, so v^2 <= 2AB*count(v) and
+    # count(v) <= (v + A + B)^2/(2AB): the answer is within A + B of r.
+    r = math.isqrt(2 * S.A * S.B * (k + 1))
+    lo, hi = max(0, r - S.A - S.B), r + S.A + S.B
     while lo < hi:
         mid = (lo + hi) // 2
         if _count_scaled(S.A, S.B, mid) >= k + 1:
@@ -145,30 +148,45 @@ def nth_capacity(E: Ellipsoid, k: int) -> Fraction:
 def scaled_spectrum(S: ScaledEllipsoid, k0: int, k1: int) -> list[int]:
     """Scaled spectrum values v_k = den * c_k for indices k0..k1 inclusive,
     as plain Python ints; the integer currency the rest of the package
-    builds on."""
+    builds on. Cost: two binary searches for v0 = v_k0 and v1 = v_k1, then
+    min(v1/max(A, B), (v1 - v0)/g) steps with g = gcd(A, B)."""
     if k0 < 0:
         raise ValueError("index k0 must be nonnegative")
     if k0 > k1:
-        raise ValueError("spectrum_range requires k0 <= k1")
+        raise ValueError("scaled_spectrum requires k0 <= k1")
     v0 = _nth_scaled(S, k0)
     v1 = _nth_scaled(S, k1)
-    below = _count_scaled(S.A, S.B, v0 - 1)
-    # Step the outer loop by the larger generator so the loop count is
-    # v1/max(A, B) whichever axis comes first.
-    big, small = max(S.A, S.B), min(S.A, S.B)
+    skip = k0 - _count_scaled(S.A, S.B, v0 - 1)  # copies of v0 before index k0
+    n = k1 - k0 + 1
+    small, big = sorted((S.A, S.B))
+    g = math.gcd(small, big)
     vals: list[int] = []
-    for base in range(0, v1 + 1, big):
-        n_lo = max(0, -((base - v0) // small))  # ceil((v0 - base)/small)
-        vals.extend(range(base + n_lo * small, v1 + 1, small))
-    vals.sort()
-    off = k0 - below
-    return vals[off : off + (k1 - k0 + 1)]
+    if v1 // big <= (v1 - v0) // g:
+        # Walk the lines base = 0, big, 2*big, ... <= v1; stepping by the
+        # larger generator makes the loop count the same in either axis order.
+        for base in range(0, v1 + 1, big):
+            n_lo = max(0, -((base - v0) // small))  # ceil((v0 - base)/small)
+            vals.extend(range(base + n_lo * small, v1 + 1, small))
+        vals.sort()
+        return vals[skip : skip + n]
+    # Count each multiple w*g of g in [v0, v1]. With A' = small/g and
+    # B' = big/g coprime, m*A' + n*B' = w forces m = w/A' mod B'; the least
+    # such m leaves r = w - m*A', and there are r // (A'*B') + 1 solutions
+    # if r >= 0, none otherwise. Only v0 is cut at the front, only v1 at the end.
+    Ap, Bp = small // g, big // g
+    inv, ApBp = pow(Ap, -1, Bp), Ap * Bp
+    for w in range(v0 // g, v1 // g + 1):
+        r = w - (w * inv % Bp) * Ap
+        if r >= 0:
+            vals += [w * g] * min(r // ApBp + 1 - skip, n - len(vals))
+            skip = 0
+    return vals
 
 
 def spectrum_range(E: Ellipsoid, k0: int, k1: int) -> list[tuple[int, Fraction]]:
     """Spectrum values for the index block [k0, k1], element-wise equal to
-    repeated nth_capacity but computed by one binary search per endpoint plus
-    ordered enumeration of lattice values in the window."""
+    repeated nth_capacity, at the cost of scaled_spectrum: two binary
+    searches plus min(v1/max(A, B), (v1 - v0)/gcd(A, B)) steps."""
     S = E.scaled()
     vals = scaled_spectrum(S, k0, k1)
     return [(k, Fraction(v, S.den)) for k, v in zip(range(k0, k1 + 1), vals)]
@@ -191,6 +209,4 @@ def distinct_values_leq(E: Ellipsoid, t) -> int:
     if Ap > Bp:
         Ap, Bp = Bp, Ap
     M = min(Ap - 1, X // Bp)
-    if M < 0:
-        return 1 if T >= 0 else 0
     return floor_sum(M + 1, Bp, X - M * Bp, Ap) + M + 1

@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from echspec import (
     distinct_values_leq,
     floor_sum,
     nth_capacity,
+    scaled_spectrum,
     spectrum_range,
 )
 
@@ -174,6 +177,92 @@ class TestSpectrumRange:
         assert block == spectrum_range(Ellipsoid(b, a), k0, k0 + width)
         for k, c in block:
             assert c == nth_capacity(Ellipsoid(a, b), k)
+
+
+def _walks(E, k0, k1):
+    """Whether scaled_spectrum walks the lattice lines for this window rather
+    than counting multiplicities: it takes the branch with fewer steps."""
+    S = E.scaled()
+    v0, v1 = (nth_capacity(E, k) * S.den for k in (k0, k1))
+    return v1 // max(S.A, S.B) <= (v1 - v0) // gcd(S.A, S.B)
+
+
+GOLDEN = Ellipsoid(1, F(832040, 514229))
+
+
+class TestWindows:
+    @pytest.mark.parametrize(
+        "a,b,k0,width,walks",
+        [
+            (F(3), F(7), 0, 300, True),
+            (F(2, 3), F(5, 7), 10, 400, True),
+            (F(3), F(7), 500, 3, False),
+            (F(4), F(6), 300, 20, False),
+            (F(1), F(1), 200, 0, False),
+        ],
+    )
+    def test_both_branches_match_brute(self, a, b, k0, width, walks):
+        E = Ellipsoid(a, b)
+        assert _walks(E, k0, k0 + width) == walks
+        got = [c for _, c in spectrum_range(E, k0, k0 + width)]
+        assert got == brute_spectrum(a, b, k0 + width + 1)[k0:]
+
+    @given(
+        A=st.integers(1, 30),
+        B=st.integers(1, 30),
+        den=st.integers(1, 6),
+        k0=st.integers(0, 400),
+        width=st.integers(0, 300),
+    )
+    @settings(max_examples=80)
+    def test_window_matches_brute(self, A, B, den, k0, width):
+        a, b = F(A, den), F(B, den)
+        got = [c for _, c in spectrum_range(Ellipsoid(a, b), k0, k0 + width)]
+        assert got == brute_spectrum(a, b, k0 + width + 1)[k0:]
+
+    @pytest.mark.parametrize(
+        "E,k0,k1,walks",
+        [
+            (Ellipsoid(F(2, 3), F(5, 7)), 0, 1500, True),
+            (Ellipsoid(3, F(200, 7)), 10**9, 10**9 + 300, False),
+            (Ellipsoid(2, 3), 10**5, 10**5 + 3000, False),
+            (GOLDEN, 10**7, 10**7 + 200, True),
+        ],
+    )
+    def test_block_is_concatenated_single_windows(self, E, k0, k1, walks):
+        S = E.scaled()
+        assert _walks(E, k0, k1) == walks
+        singles = [v for k in range(k0, k1 + 1) for v in scaled_spectrum(S, k, k)]
+        assert scaled_spectrum(S, k0, k1) == singles
+
+    def test_window_inside_a_long_tie_run(self):
+        # On E(1, 1) the value v has v + 1 copies, at indices v(v+1)/2 onwards;
+        # near k = 10^13 that is about 4.5 million copies of one value.
+        E, v = Ellipsoid(1, 1), 4472135
+        start = v * (v + 1) // 2
+        assert nth_capacity(E, start - 1) == v - 1 and nth_capacity(E, start) == v
+        assert nth_capacity(E, start + v) == v and nth_capacity(E, start + v + 1) == v + 1
+        S = E.scaled()
+        assert scaled_spectrum(S, start + 1000, start + 1015) == [v] * 16
+        mid = start + v // 2
+        assert scaled_spectrum(S, mid, mid + 10**6 - 1) == [v] * 10**6
+        assert scaled_spectrum(S, start + v - 4, start + v + 5) == [v] * 5 + [v + 1] * 5
+
+    @pytest.mark.parametrize("k", [10**12, 10**13, 10**15])
+    @pytest.mark.parametrize(
+        "E", [Ellipsoid(1, 1), GOLDEN, Ellipsoid(3, F(200, 7))], ids=["E11", "golden", "E3"]
+    )
+    def test_depth_sweep(self, E, k):
+        # A 16-value window must not cost more the deeper it sits; walking
+        # the lattice lines took 0.4-1.3 s here already at k = 10^12.
+        t0 = time.perf_counter()
+        block = spectrum_range(E, k, k + 15)
+        assert time.perf_counter() - t0 < 0.05
+        step = F(1, E.scaled().den)
+        assert [j for j, _ in block] == list(range(k, k + 16))
+        for j, c in block:
+            assert c == nth_capacity(E, j)
+            assert count_leq(E, c) >= j + 1 > count_leq(E, c - step)
 
 
 class TestDistinctValues:
