@@ -1,11 +1,15 @@
 """Meromorphic continuation of Hurwitz, Riemann, Barnes, and spectrum zeta
 functions, with Laurent-coefficient extraction at the poles.
 
-The Hurwitz kernel is continued by Euler-Maclaurin summation; the Barnes
-double zeta is a finite sum of Hurwitz values plus an Euler-Maclaurin tail
-in the second lattice direction. The spectrum zeta comes in three
-conventions, one closed form each, with Z(s) = barnes_zeta(s, a), the sum
-over m >= 1, n >= 0:
+Every Hurwitz value comes from one Euler-Maclaurin kernel, the entire
+function _eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1; each caller
+divides its sum of _eta values by (s - 1) once. The Barnes double zeta is a
+finite sum of them plus an Euler-Maclaurin tail in the second lattice
+direction, whose k-th term (s)_{2k-1} zeta(s+2k-1, xN) is
+(s)_{2k-2} _eta(s+2k-1, xN). The public functions check the poles and the
+continuation region Re s > -S_MAX once, at entry. The spectrum zeta comes in
+three conventions, one closed form each, with Z(s) = barnes_zeta(s, a), the
+sum over m >= 1, n >= 0:
 
   INTERIOR  sum over m, n >= 1          Z(s) - a^-s zeta(s)
   FULL      sum over (m, n) != (0, 0)   Z(s) + b^-s zeta(s)
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 from .spectrum import EchspecError, Ellipsoid, NonConvergent, scaled_spectrum
 
-S_MAX_DEFAULT = 4.0
+S_MAX = 4.0
 POLE_GUARD = 1e-6
 _EM_TERMS = 12
 _DISTINCT_TERMS_LIMIT = 1_000_000  # bound on A', the Hurwitz terms of DISTINCT
@@ -38,7 +42,7 @@ class PoleProximity(EchspecError):
 
 
 class DepthExceeded(EchspecError):
-    """Evaluation point outside the configured continuation region."""
+    """Evaluation point outside the continuation region Re s > -4."""
 
 
 class ZetaConvention(enum.Enum):
@@ -79,28 +83,19 @@ def bernoulli(k: int) -> Fraction:
 _B2K_FACT = [float(bernoulli(2 * k)) / math.factorial(2 * k) for k in range(_EM_TERMS + 1)]
 
 
-def hurwitz_zeta(s, x: float, depth: float = S_MAX_DEFAULT) -> complex:
-    """Euler-Maclaurin continuation of sum_{n>=0} (x+n)^{-s}.
-
-    Valid for Re(s) > -depth away from the pole at s = 1; the shift point is
-    chosen so the correction series is far past its smallest term.
-    """
-    s = complex(s)
-    x = float(x)
-    if x <= 0:
-        raise ValueError("hurwitz_zeta requires x > 0")
-    if abs(s - 1) < POLE_GUARD:
-        raise PoleProximity(f"hurwitz_zeta pole at s=1 (|s-1|={abs(s - 1):.2e})")
-    if s.real <= -depth:
-        raise DepthExceeded(f"Re(s)={s.real} beyond continuation depth {depth}")
+def _eta(s: complex, x: float) -> complex:
+    """(s - 1) zeta(s, x) by Euler-Maclaurin summation: entire in s, equal to
+    1 at s = 1. The shift point is chosen so the correction series is far
+    past its smallest term. The one Hurwitz kernel; it checks nothing."""
     cutoff = max(16.0, 0.5 * abs(s.imag) + 8.0)
     N = max(0, math.ceil(cutoff - x))
     head = 0.0 + 0.0j
     for n in range(N):
         head += (x + n) ** (-s)
     X = x + N
-    val = head + X ** (1 - s) / (s - 1) + 0.5 * X ** (-s)
-    poch = s  # (s)_{2k-1} = s (s+1) ... (s+2k-2)
+    # form the cancelling part first; the corrections are small beside it
+    val = (s - 1) * (head + 0.5 * X ** (-s)) + X ** (1 - s)
+    poch = (s - 1) * s  # (s - 1) (s)_{2k-1}
     xpow = X ** (-s - 1)
     for k in range(1, _EM_TERMS + 1):
         val += _B2K_FACT[k] * poch * xpow
@@ -109,26 +104,30 @@ def hurwitz_zeta(s, x: float, depth: float = S_MAX_DEFAULT) -> complex:
     return val
 
 
-def riemann_zeta(s, depth: float = S_MAX_DEFAULT) -> complex:
-    return hurwitz_zeta(s, 1.0, depth=depth)
+def _guard(s: complex, name: str, poles: tuple[int, ...]) -> None:
+    if any(abs(s - p) < POLE_GUARD for p in poles):
+        raise PoleProximity(f"{name} pole at s={','.join(map(str, poles))} (s={s})")
+    if s.real <= -S_MAX:
+        raise DepthExceeded(f"Re(s)={s.real} beyond the continuation region Re(s) > {-S_MAX}")
 
 
-def _digamma_large(x: float) -> float:
-    """Asymptotic digamma, adequate for the shifted arguments x >= 8 used in
-    the Barnes tail."""
-    if x < 8:
-        raise ValueError("asymptotic digamma needs x >= 8")
-    inv2 = 1.0 / (x * x)
-    val = math.log(x) - 0.5 / x
-    p = inv2
-    for k in range(1, _EM_TERMS + 1):
-        val -= float(bernoulli(2 * k)) / (2 * k) * p
-        p *= inv2
-    return val
+def hurwitz_zeta(s, x: float) -> complex:
+    """Continuation of sum_{n>=0} (x+n)^{-s}, for Re(s) > -S_MAX away from the
+    pole at s = 1."""
+    s = complex(s)
+    x = float(x)
+    if x <= 0:
+        raise ValueError("hurwitz_zeta requires x > 0")
+    _guard(s, "hurwitz_zeta", (1,))
+    return _eta(s, x) / (s - 1)
 
 
-def barnes_zeta(s, w, E: Ellipsoid, depth: float = S_MAX_DEFAULT) -> complex:
-    """Continuation of sum_{m,n>=0} (w + m*a + n*b)^{-s}.
+def riemann_zeta(s) -> complex:
+    return hurwitz_zeta(s, 1.0)
+
+
+def barnes_zeta(s, w, E: Ellipsoid) -> complex:
+    """Continuation of sum_{m,n>=0} (w + m*a + n*b)^{-s}, for Re(s) > -S_MAX.
 
     Computed as a^{-s} * [head sum of Hurwitz values at (w + n*b)/a plus an
     Euler-Maclaurin tail in n]; d/dn of the Hurwitz kernel shifts s by one,
@@ -138,42 +137,29 @@ def barnes_zeta(s, w, E: Ellipsoid, depth: float = S_MAX_DEFAULT) -> complex:
     w = float(w)
     if w <= 0:
         raise ValueError("barnes_zeta requires w > 0")
-    if min(abs(s - 1), abs(s - 2)) < POLE_GUARD:
-        raise PoleProximity(f"barnes_zeta poles at s=1,2 (s={s})")
-    if s.real <= -depth:
-        raise DepthExceeded(f"Re(s)={s.real} beyond continuation depth {depth}")
+    _guard(s, "barnes_zeta", (1, 2))
     a, b = float(E.a), float(E.b)
     beta = b / a
     x_min = (max(16.0, 0.5 * abs(s.imag) + 8.0)) * max(1.0, beta)
     N = max(24, math.ceil((x_min * a - w) / b))
-    head = 0.0 + 0.0j
+    total = 0.0 + 0.0j
     for n in range(N):
-        head += hurwitz_zeta(s, (w + n * b) / a, depth=depth + 1)
+        total += _eta(s, (w + n * b) / a)
     xN = (w + N * b) / a
-    tail = hurwitz_zeta(s - 1, xN, depth=depth + 1) / (beta * (s - 1))
-    tail += 0.5 * hurwitz_zeta(s, xN, depth=depth + 1)
-    poch = s
+    total += _eta(s - 1, xN) / (beta * (s - 2)) + 0.5 * _eta(s, xN)
+    poch = s - 1  # (s - 1) (s)_{2k-2}
     bpow = beta
     for k in range(1, _EM_TERMS + 1):
-        sigma = s + 2 * k - 1
-        if abs(sigma - 1) < 1e-4:
-            # (s)_{2k-1} vanishes with sigma - 1, cancelling the Hurwitz pole;
-            # use the Laurent expansion (sigma-1) zeta(sigma, x) = 1 - (sigma-1) psi(x) + ...
-            reduced = 1.0 + 0.0j
-            for i in range(2 * k - 2):
-                reduced *= s + i
-            term = reduced * (1.0 - (sigma - 1) * _digamma_large(xN))
-        else:
-            term = poch * hurwitz_zeta(sigma, xN, depth=depth + 1)
-        tail += _B2K_FACT[k] * bpow * term
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
+        total += _B2K_FACT[k] * bpow * poch * _eta(s + 2 * k - 1, xN)
+        poch *= (s + 2 * k - 2) * (s + 2 * k - 1)
         bpow *= beta * beta
-    return a ** (-s) * (head + tail)
+    return a ** (-s) * total / (s - 1)
 
 
-def _distinct_zeta(s: complex, E: Ellipsoid, depth: float) -> complex:
+def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
     """Sum over distinct spectrum values: A' Hurwitz values, one per residue
     class of the semigroup <A', B'> modulo A'."""
+    _guard(s, "distinct zeta", (1,))
     S = E.scaled()
     g = math.gcd(S.A, S.B)
     Ap, Bp = sorted((S.A // g, S.B // g))
@@ -181,24 +167,22 @@ def _distinct_zeta(s: complex, E: Ellipsoid, depth: float) -> complex:
         raise DepthExceeded(
             f"distinct zeta needs {Ap} Hurwitz terms, above the limit {_DISTINCT_TERMS_LIMIT}"
         )
-    total = riemann_zeta(s, depth=depth)
+    total = _eta(s, 1.0)
     for n in range(1, Ap):
-        total += hurwitz_zeta(s, n * Bp / Ap, depth=depth)
-    return (g / S.den * Ap) ** (-s) * total
+        total += _eta(s, n * Bp / Ap)
+    return (g / S.den * Ap) ** (-s) * total / (s - 1)
 
 
-def ech_zeta(
-    s, E: Ellipsoid, conv: ZetaConvention = ZetaConvention.FULL, depth: float = S_MAX_DEFAULT
-) -> complex:
+def ech_zeta(s, E: Ellipsoid, conv: ZetaConvention = ZetaConvention.FULL) -> complex:
     """Spectrum zeta function of E(a, b) under the chosen convention, by the
-    closed forms in the module docstring."""
+    closed forms in the module docstring, for Re(s) > -S_MAX."""
     s = complex(s)
     if conv is ZetaConvention.DISTINCT:
-        return _distinct_zeta(s, E, depth)
-    lattice = barnes_zeta(s, E.a, E, depth=depth)
+        return _distinct_zeta(s, E)
+    lattice = barnes_zeta(s, E.a, E)
     if conv is ZetaConvention.INTERIOR:
-        return lattice - float(E.a) ** (-s) * riemann_zeta(s, depth=depth)
-    return lattice + float(E.b) ** (-s) * riemann_zeta(s, depth=depth)
+        return lattice - float(E.a) ** (-s) * riemann_zeta(s)
+    return lattice + float(E.b) ** (-s) * riemann_zeta(s)
 
 
 def direct_zeta_sum(
@@ -277,20 +261,21 @@ def laurent_at(
     if n_points < 32:
         raise ValueError("n_points must be at least 32")
 
-    def coeffs(n: int) -> tuple[complex, complex, float]:
-        res = 0.0 + 0.0j
-        const = 0.0 + 0.0j
-        f_max = 0.0
-        for t in range(n):
-            z = radius * cmath.exp(2j * math.pi * t / n)
-            fv = f(s0 + z)
-            res += fv * z
-            const += fv
-            f_max = max(f_max, abs(fv))
-        return res / n, const / n, f_max
-
-    r1, c1, _ = coeffs(n_points)
-    r2, c2, f_max = coeffs(2 * n_points)
+    # The n-point rule is the even-indexed half of the 2n-point one: the angle
+    # 2 pi (2t) / (2n) rounds exactly as 2 pi t / n, so one pass gives both.
+    n2 = 2 * n_points
+    r1 = c1 = r2 = c2 = 0.0 + 0.0j
+    f_max = 0.0
+    for t in range(n2):
+        z = radius * cmath.exp(2j * math.pi * t / n2)
+        fv = f(s0 + z)
+        r2 += fv * z
+        c2 += fv
+        if t % 2 == 0:
+            r1 += fv * z
+            c1 += fv
+        f_max = max(f_max, abs(fv))
+    r1, c1, r2, c2 = r1 / n_points, c1 / n_points, r2 / n2, c2 / n2
     delta = max(abs(r1 - r2), abs(c1 - c2))
     if delta > 10 * tol * max(1.0, abs(r2), abs(c2)):
         raise NonConvergent(f"quadrature did not stabilize (delta={delta:.2e})")

@@ -86,7 +86,6 @@ class TestHurwitz:
     def test_depth_guard(self):
         with pytest.raises(DepthExceeded):
             hurwitz_zeta(-4.5, 1.0)
-        assert hurwitz_zeta(-4.5, 1.0, depth=8.0)
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
@@ -150,6 +149,10 @@ class TestBarnes:
             barnes_zeta(2.0 + 1e-9, 1.0, E)
         with pytest.raises(PoleProximity):
             barnes_zeta(1.0, 1.0, E)
+
+    def test_depth_guard(self):
+        with pytest.raises(DepthExceeded):
+            barnes_zeta(-4.5, 1.0, Ellipsoid(1, 2))
 
     def test_rejects_nonpositive_offset(self):
         with pytest.raises(ValueError):
@@ -235,6 +238,36 @@ class TestEchZeta:
                 got_f = ech_zeta(s, E, ZetaConvention.FULL)
                 assert abs(got_i - ref_i) <= 1e-8 * max(1.0, abs(ref_i)), s
                 assert abs(got_f - ref_f) <= 1e-8 * max(1.0, abs(ref_f)), s
+
+    @pytest.mark.parametrize("a,b", [(F(1), F(2)), (F(2), F(3)), (F(1, 2), F(3, 2))])
+    def test_near_zero_matches_hurwitz_oracle(self, a, b):
+        # Re s = 0 puts the k = 1 Barnes tail term at the Hurwitz pole, where
+        # (s)_1 cancels it; the cancellation must cost no accuracy.
+        E = Ellipsoid(a, b)
+        for s in (5e-5, -5e-5, complex(9e-5, 2e-5), 1e-6):
+            s = complex(s)
+            ref_i = interior_zeta_hurwitz(s, a, b)
+            ref_f = ref_i + (float(a) ** -s + float(b) ** -s) * complex(mpmath.zeta(s))
+            got_i = ech_zeta(s, E, ZetaConvention.INTERIOR)
+            got_f = ech_zeta(s, E, ZetaConvention.FULL)
+            assert abs(got_i - ref_i) <= 1e-10 * max(1.0, abs(ref_i)), s
+            assert abs(got_f - ref_f) <= 1e-10 * max(1.0, abs(ref_f)), s
+
+    @pytest.mark.parametrize("a,b", [(F(1), F(2)), (F(2), F(3)), (F(1, 2), F(3, 2))])
+    def test_edge_of_region_matches_hurwitz_oracle(self, a, b):
+        # the Barnes tail evaluates the kernel at Re s - 1 < -4.9, past the
+        # region the public functions accept
+        E = Ellipsoid(a, b)
+        for s in (complex(-3.9, 0.5), -3.95, complex(-3.99, 3.0)):
+            s = complex(s)
+            ref = interior_zeta_hurwitz(s, a, b)
+            got = ech_zeta(s, E, ZetaConvention.INTERIOR)
+            assert abs(got - ref) <= 1e-6 * max(1.0, abs(ref)), s
+
+    @pytest.mark.parametrize("conv", list(ZetaConvention))
+    def test_depth_guard(self, conv):
+        with pytest.raises(DepthExceeded):
+            ech_zeta(complex(-4.5, 1.0), Ellipsoid(F(3, 2), F(5, 7)), conv)
 
     def test_barnes_calls_per_convention(self, monkeypatch):
         calls = []
