@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import time
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -256,6 +257,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    def test_huge_imaginary_part_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["zeta", "-a", "1", "-b", "2", "-s=3,1e300"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "Im(s)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["zeta", "residues"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5", "x"])

@@ -86,10 +86,25 @@ class TestHurwitz:
     def test_depth_guard(self):
         with pytest.raises(DepthExceeded):
             hurwitz_zeta(-4.5, 1.0)
+        with pytest.raises(DepthExceeded):
+            hurwitz_zeta(complex(0.5, 1.0001e4), 1.0)
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "s,x", [(2.0, math.inf), (2.0, math.nan), (math.nan, 1.0), (complex(2.0, math.inf), 1.0)]
+    )
+    def test_rejects_non_finite(self, s, x):
+        with pytest.raises(ValueError):
+            hurwitz_zeta(s, x)
+
+    def test_huge_x_underflows_to_finite(self):
+        # the kernel's X ** (-s - 1) = 1e100 ** -4 underflows; Python's integer
+        # complex power turns that into nan
+        ref = complex(mpmath.zeta(3, 1e100))
+        assert abs(hurwitz_zeta(3, 1e100) - ref) <= 1e-14 * abs(ref)
 
 
 class TestRiemann:
@@ -127,11 +142,18 @@ class TestBarnes:
 
     def test_against_double_sum(self):
         rng = random.Random(20260823)
-        for _ in range(20):
-            a = F(rng.randint(1, 8), rng.randint(1, 4))
-            b = F(rng.randint(1, 8), rng.randint(1, 4))
-            w = rng.uniform(0.2, 3.0)
-            s = complex(rng.uniform(2.6, 4.0), rng.uniform(-3.0, 3.0))
+        cases = [
+            (F(rng.randint(1, 8), rng.randint(1, 4)), F(rng.randint(1, 8), rng.randint(1, 4)),
+             rng.uniform(0.2, 3.0), complex(rng.uniform(2.6, 4.0), rng.uniform(-3.0, 3.0)))
+            for _ in range(20)
+        ]
+        # w >= cutoff * max(a, b): the head is empty and the tail is the whole sum
+        cases += [
+            (F(1), F(2), 100.0, complex(3.5, 1.0)),
+            (F(2), F(3), 500.0, complex(3.2, -2.0)),
+            (F(1), F(30), 1000.0, complex(4.0, 0.5)),
+        ]
+        for a, b, w, s in cases:
             E = Ellipsoid(a, b)
             ref, tol = double_sum_barnes(s, w, float(a), float(b), cutoff=4000.0)
             got = barnes_zeta(s, w, E)
@@ -141,7 +163,7 @@ class TestBarnes:
         s = complex(1.3, -2.0)
         v1 = barnes_zeta(s, 0.9, Ellipsoid(F(2, 3), F(7, 5)))
         v2 = barnes_zeta(s, 0.9, Ellipsoid(F(7, 5), F(2, 3)))
-        assert abs(v1 - v2) < 1e-10 * max(1.0, abs(v1))
+        assert v1 == v2
 
     def test_pole_guards(self):
         E = Ellipsoid(1, 2)
@@ -153,10 +175,49 @@ class TestBarnes:
     def test_depth_guard(self):
         with pytest.raises(DepthExceeded):
             barnes_zeta(-4.5, 1.0, Ellipsoid(1, 2))
+        with pytest.raises(DepthExceeded):
+            barnes_zeta(complex(3.0, 1e300), 1.0, Ellipsoid(1, 2))
 
     def test_rejects_nonpositive_offset(self):
         with pytest.raises(ValueError):
             barnes_zeta(3.0, 0.0, Ellipsoid(1, 1))
+
+    @pytest.mark.parametrize(
+        "s,w", [(3.0, math.inf), (3.0, math.nan), (complex(3.0, math.nan), 1.0)]
+    )
+    def test_rejects_non_finite(self, s, w):
+        with pytest.raises(ValueError):
+            barnes_zeta(s, w, Ellipsoid(1, 2))
+
+    @pytest.mark.parametrize(
+        "a,b", [(F(1), F(30)), (F(2), F(3)), (F(3, 2), F(5, 7)), (F(1, 2), F(3, 2))]
+    )
+    def test_cost_and_value_independent_of_axis_order(self, a, b, monkeypatch):
+        calls = [0]
+        eta = echspec.zeta._eta
+
+        def counting(s, x):
+            calls[0] += 1
+            return eta(s, x)
+
+        monkeypatch.setattr(echspec.zeta, "_eta", counting)
+        lo = min(a, b)
+        points = [complex(-3.9, 0.5), complex(-2.9, 0.5), -1.3, complex(0.5, 10.0)]
+        points += [complex(2.5, -16.0), complex(3.0, 1.0), 6.0]
+        for s in points:
+            for w in (lo, lo / 3):
+                got = []
+                for E in (Ellipsoid(a, b), Ellipsoid(b, a)):
+                    calls[0] = 0
+                    got.append((barnes_zeta(s, w, E), calls[0]))
+                assert got[0] == got[1], (s, w)
+                assert got[0][1] <= 30, (s, w)
+            for conv in ZetaConvention:
+                assert ech_zeta(s, Ellipsoid(a, b), conv) == ech_zeta(s, Ellipsoid(b, a), conv)
+        # an offset past cutoff * max(a, b) leaves only the tail's 14 kernel calls
+        calls[0] = 0
+        barnes_zeta(3.0, 16 * max(a, b) + 1, Ellipsoid(a, b))
+        assert calls[0] == 14
 
 
 class TestEchZeta:
@@ -268,6 +329,17 @@ class TestEchZeta:
     def test_depth_guard(self, conv):
         with pytest.raises(DepthExceeded):
             ech_zeta(complex(-4.5, 1.0), Ellipsoid(F(3, 2), F(5, 7)), conv)
+        with pytest.raises(DepthExceeded):
+            ech_zeta(complex(3.0, 1e300), Ellipsoid(F(3, 2), F(5, 7)), conv)
+
+    @pytest.mark.parametrize("a,b", [(F(1), F(10**10)), (F(10**10), F(1))])
+    def test_wide_ellipsoid_at_integer_s(self, a, b):
+        # the terms with n >= 1 are below 1e-299, so FULL is zeta(30) to double
+        # precision; the Barnes head and tail raise 1e10-sized shifts to
+        # integer powers that underflow
+        ref = complex(mpmath.zeta(30))
+        got = ech_zeta(30, Ellipsoid(a, b), ZetaConvention.FULL)
+        assert abs(got - ref) <= 1e-15 * abs(ref)
 
     def test_barnes_calls_per_convention(self, monkeypatch):
         calls = []
