@@ -3,7 +3,9 @@
 Subcommands: capacities | weyl | dk | zeta | residues | envelope.
 Data goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
 Exact rationals are always emitted as integer numerator/denominator pairs,
-never as decimals.
+never as decimals. main builds its parser once per process. residues costs
+one Barnes and one Riemann value per contour point: INTERIOR and FULL share
+them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache, lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
@@ -27,7 +30,7 @@ from .asymptotics import (
 )
 from .envelope import EnvelopeConstants, capacity_envelope
 from .spectrum import EchspecError, Ellipsoid, scaled_spectrum
-from .zeta import ZetaConvention, ech_zeta, laurent_at
+from .zeta import ZetaConvention, ech_zeta, ech_zeta_pair, laurent_at
 
 
 class CLIError(EchspecError):
@@ -245,15 +248,18 @@ def cmd_zeta(cfg) -> int:
 def cmd_residues(cfg) -> int:
     E = _ellipsoid(cfg)
     a, b = float(E.a), float(E.b)
+    # INTERIOR and FULL visit the same points: each point's Barnes and
+    # Riemann values are computed once, and the memo ends with this call.
+    pair = lru_cache(maxsize=None)(lambda s: ech_zeta_pair(s, E))
     rows = []
-    for conv in (ZetaConvention.INTERIOR, ZetaConvention.FULL):
-        f = lambda s, c=conv: ech_zeta(s, E, c)
+    for i, conv in enumerate((ZetaConvention.INTERIOR, ZetaConvention.FULL)):
+        f = lambda s, i=i: pair(s)[i]
         for s0 in (1.0, 2.0):
             lau = laurent_at(f, s0, radius=0.3, n_points=64, tol=cfg.tol)
             res, const = lau.residue, lau.constant
             numbers = (s0, res.real, res.imag, const.real, const.imag, lau.quad_err)
             rows.append((conv.value, *map(_fmt, numbers)))
-        val0 = ech_zeta(0.0, E, conv)
+        val0 = f(0.0)
         rows.append((conv.value, *map(_fmt, (0.0, 0.0, 0.0, val0.real, val0.imag, 0.0))))
     summary = {
         "expected_res_s2": _fmt(1.0 / (a * b)),
@@ -298,6 +304,7 @@ def cmd_envelope(cfg) -> int:
 # ------------------------------------------------------------------ main
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; main reuses one per process."""
     p = argparse.ArgumentParser(prog="echspec", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
@@ -352,10 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was: each call gets a new namespace
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        cfg = parser.parse_args(argv)
+        cfg = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -97,9 +97,14 @@ def _cutoff(s: complex) -> float:
 def _pow(x: float, p: complex) -> complex:
     """x ** p for x > 0. CPython raises x to an integer complex power of size
     <= 100 by repeated multiplication, which gives nan where the power
-    underflows; exp(p log x) gives the finite value there."""
-    v = x ** p
-    return v if v == v else cmath.exp(p * math.log(x))
+    underflows; exp(p log x) gives the finite value there. A power beyond the
+    float range raises ValueError, not CPython's OverflowError, or its
+    ZeroDivisionError where a negative integer power's inverse underflows."""
+    try:
+        v = x ** p
+        return v if v == v else cmath.exp(p * math.log(x))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"{x!r} ** {p} overflows a float") from None
 
 
 def _eta(s: complex, x: float) -> complex:
@@ -165,10 +170,23 @@ def barnes_zeta(s, w, E: Ellipsoid) -> complex:
     xN = (w + N * b) / a
     total += _eta(s - 1, xN) / (beta * (s - 2)) + 0.5 * _eta(s, xN)
     coef = beta * (s - 1)  # beta^{2k-1} (s - 1) (s)_{2k-2}
+    r = beta / xN
+    scaled = r * (s - 1)  # coef / xN^{2k-1}
     for k in range(1, _EM_TERMS + 1):
-        total += _B2K_FACT[k] * coef * _eta(s + 2 * k - 1, xN)
+        sk = s + 2 * k - 1
+        if cmath.isfinite(coef):
+            total += _B2K_FACT[k] * coef * _eta(sk, xN)
+        else:
+            # coef overflows only where beta (|s| + 24) > 2.6e13, so xN >= 16 beta
+            # makes _eta(sk, xN) = xN^(1-sk) (1 + (sk-1)/(2 xN)) to 1e-14 or
+            # better for |s| <= 1e4; this form cannot make inf * 0
+            total += _B2K_FACT[k] * scaled * (1 + (sk - 1) / (2 * xN)) * _pow(xN, 1 - s)
         coef *= beta * beta * (s + 2 * k - 2) * (s + 2 * k - 1)
-    return _pow(a, -s) * total / (s - 1)
+        scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
+    val = _pow(a, -s) * total / (s - 1)
+    if not cmath.isfinite(val):
+        raise ValueError(f"barnes_zeta overflows a float at s={s} on axes {a}, {b}")
+    return val
 
 
 def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
@@ -188,15 +206,23 @@ def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
     return _pow(g / S.den * Ap, -s) * total / (s - 1)
 
 
+def ech_zeta_pair(s, E: Ellipsoid) -> tuple[complex, complex]:
+    """(INTERIOR, FULL) spectrum zeta values of E(a, b) at s, by the closed
+    forms in the module docstring, from one Barnes and one Riemann value, for
+    Re(s) > -S_MAX."""
+    s = complex(s)
+    lo, hi = sorted((float(E.a), float(E.b)))
+    Z, zeta = barnes_zeta(s, lo, E), riemann_zeta(s)
+    return Z + -_pow(lo, -s) * zeta, Z + _pow(hi, -s) * zeta
+
+
 def ech_zeta(s, E: Ellipsoid, conv: ZetaConvention = ZetaConvention.FULL) -> complex:
     """Spectrum zeta function of E(a, b) under the chosen convention, by the
     closed forms in the module docstring, for Re(s) > -S_MAX."""
-    s = complex(s)
     if conv is ZetaConvention.DISTINCT:
-        return _distinct_zeta(s, E)
-    lo, hi = sorted((float(E.a), float(E.b)))
-    axis = -_pow(lo, -s) if conv is ZetaConvention.INTERIOR else _pow(hi, -s)
-    return barnes_zeta(s, lo, E) + axis * riemann_zeta(s)
+        return _distinct_zeta(complex(s), E)
+    interior, full = ech_zeta_pair(s, E)
+    return full if conv is ZetaConvention.FULL else interior
 
 
 def direct_zeta_sum(

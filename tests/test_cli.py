@@ -12,6 +12,7 @@ import echspec.cli
 from echspec import EchspecError
 from echspec.cli import (
     CLIError,
+    build_parser,
     main,
     parse_complex,
     parse_range,
@@ -20,26 +21,36 @@ from echspec.cli import (
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# SHA-256 of stdout for (command, b, range, format) on E(1, b), and on
-# E(2, 3) in the b = 3 rows. The pins hold the output byte for byte: any
-# change to them is a change of the CLI's output format.
+# SHA-256 of stdout for (command, a, b, range, format); residues takes no
+# range. The pins hold the output byte for byte: any change to them is a
+# change of the CLI's output format. The residues rows of INTERIOR and FULL
+# share their Barnes and Riemann values, and the pins hold them to the digits
+# of separate ech_zeta calls.
 PINNED_SHA256 = {
-    ("capacities", "832040/514229", "0..1500", "csv"): "6a6510a6435dff755f67cfe793ad49809682ed6972ada4daafcbe30568d7ee75",
-    ("capacities", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",
-    ("capacities", "832040/514229", "1000000..1000500", "csv"): "deaf2b6333bc330c2b426191a3c2b8fbcd37fb94d9c318aaa6784b87e99069ac",
-    ("capacities", "832040/514229", "1000000..1000500", "json"): "d482195ae8d4e33c7dc996bb51dc0825e6ebb0408cda190a4cac07bbc9875cb1",
-    ("dk", "832040/514229", "0..1500", "csv"): "069abdf58ad1c89da1f60661fcad82b857c45731b749f4ba3274c21b911a0390",
-    ("dk", "832040/514229", "0..1500", "json"): "bc20e0790c88a20fd10f89c2f3dd57895657a8306f5104e2b4b3e07ac993edbf",
-    ("dk", "832040/514229", "1000000..1000500", "csv"): "7051f9e5c95cf30537ad6e6d1487b34e87803c1acea3384aa9984ad4ef2fedd8",
-    ("dk", "832040/514229", "1000000..1000500", "json"): "e8843d9703b845f74b0d955d54c7390e72888351886fe84847076570074faa19",
-    ("capacities", "3", "0..1500", "csv"): "88200fcff1fe82ae3a466a9432a09431fa852254a34cf5bff766f45d4cfa23da",
-    ("capacities", "3", "0..1500", "json"): "8cf28de4fc91fbd199f0f042a21644d095dd2a6006a76775c886da8ef490c80d",
-    ("capacities", "3", "1000000..1000500", "csv"): "6cf4b152635aef2e25d76e32771541538ce0f9ab7beedfae1d217c1c0335bfd4",
-    ("capacities", "3", "1000000..1000500", "json"): "ff25d4344d23a01f5e0cecdf25eb8a53a4018fcf8b2be0710c09c2cbb3c2d971",
-    ("dk", "3", "0..1500", "csv"): "22af63701298781cb4e5ca3a45923a5649932d73cb1a04ae0c672c91832d559b",
-    ("dk", "3", "0..1500", "json"): "a3d1c686326bbbd0e7fafba2ad65c7dac6fb3594f6324c5da3a49f17208cba4a",
-    ("dk", "3", "1000000..1000500", "csv"): "5604942d9731f8eb0cf6c96bdce96a8e85d92c4f48b555e36819812471ddf2a2",
-    ("dk", "3", "1000000..1000500", "json"): "056f7b095e3ae6e8c0ae0cbd4257b9eb4706320f7419ad34fff7b69b2aff6bfc",
+    ("capacities", "1", "832040/514229", "0..1500", "csv"): "6a6510a6435dff755f67cfe793ad49809682ed6972ada4daafcbe30568d7ee75",
+    ("capacities", "1", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",
+    ("capacities", "1", "832040/514229", "1000000..1000500", "csv"): "deaf2b6333bc330c2b426191a3c2b8fbcd37fb94d9c318aaa6784b87e99069ac",
+    ("capacities", "1", "832040/514229", "1000000..1000500", "json"): "d482195ae8d4e33c7dc996bb51dc0825e6ebb0408cda190a4cac07bbc9875cb1",
+    ("dk", "1", "832040/514229", "0..1500", "csv"): "069abdf58ad1c89da1f60661fcad82b857c45731b749f4ba3274c21b911a0390",
+    ("dk", "1", "832040/514229", "0..1500", "json"): "bc20e0790c88a20fd10f89c2f3dd57895657a8306f5104e2b4b3e07ac993edbf",
+    ("dk", "1", "832040/514229", "1000000..1000500", "csv"): "7051f9e5c95cf30537ad6e6d1487b34e87803c1acea3384aa9984ad4ef2fedd8",
+    ("dk", "1", "832040/514229", "1000000..1000500", "json"): "e8843d9703b845f74b0d955d54c7390e72888351886fe84847076570074faa19",
+    ("capacities", "2", "3", "0..1500", "csv"): "88200fcff1fe82ae3a466a9432a09431fa852254a34cf5bff766f45d4cfa23da",
+    ("capacities", "2", "3", "0..1500", "json"): "8cf28de4fc91fbd199f0f042a21644d095dd2a6006a76775c886da8ef490c80d",
+    ("capacities", "2", "3", "1000000..1000500", "csv"): "6cf4b152635aef2e25d76e32771541538ce0f9ab7beedfae1d217c1c0335bfd4",
+    ("capacities", "2", "3", "1000000..1000500", "json"): "ff25d4344d23a01f5e0cecdf25eb8a53a4018fcf8b2be0710c09c2cbb3c2d971",
+    ("dk", "2", "3", "0..1500", "csv"): "22af63701298781cb4e5ca3a45923a5649932d73cb1a04ae0c672c91832d559b",
+    ("dk", "2", "3", "0..1500", "json"): "a3d1c686326bbbd0e7fafba2ad65c7dac6fb3594f6324c5da3a49f17208cba4a",
+    ("dk", "2", "3", "1000000..1000500", "csv"): "5604942d9731f8eb0cf6c96bdce96a8e85d92c4f48b555e36819812471ddf2a2",
+    ("dk", "2", "3", "1000000..1000500", "json"): "056f7b095e3ae6e8c0ae0cbd4257b9eb4706320f7419ad34fff7b69b2aff6bfc",
+    ("residues", "1", "2", "", "csv"): "985728065fade14993d90df40279bc65851ccd3a131233efe5ea58c06073303f",
+    ("residues", "1", "2", "", "json"): "6759b340cfb52a31c2d72aa731fe65151c870da89671fa1ecfc35d77ce5396e1",
+    ("residues", "2", "3", "", "csv"): "adf24115c21b76954836e5de8560a60171ff800e6bb8b1ddc9f77cd807492004",
+    ("residues", "2", "3", "", "json"): "b0a296fd7eacf0caae2764a01c19fc847ea2668ea508d132241ae6b323aecd36",
+    ("residues", "1/2", "3/2", "", "csv"): "1098c837c442b8230e3ffdbaf280ca42280727c19469f8c29b3a1d2314e8a71b",
+    ("residues", "1/2", "3/2", "", "json"): "e3e19df2a4e5a5d15c8853516e87abded85a4e6cad5043fd2199c1eb531a8de3",
+    ("residues", "1", "832040/514229", "", "csv"): "da731e10cce79257d3e40bb1a793317b7e9acb7eaaedcc56097509e19e97a49e",
+    ("residues", "1", "832040/514229", "", "json"): "670921d60ddf43f2810a85e249acd7540de3d4bf9f1cddd4dd251bb6770df7bc",
 }
 
 
@@ -123,9 +134,9 @@ class TestDeterminism:
 class TestByteIdentity:
     @pytest.mark.parametrize("key", sorted(PINNED_SHA256))
     def test_pinned_stdout(self, key, capsys):
-        cmd, b, rng, fmt = key
-        a = "2" if b == "3" else "1"
-        assert main([cmd, "-a", a, "-b", b, "-k", rng, "--format", fmt]) == 0
+        cmd, a, b, rng, fmt = key
+        argv = [cmd, "-a", a, "-b", b] + ["-k", rng] * bool(rng) + ["--format", fmt]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[key]
 
@@ -145,6 +156,55 @@ class TestByteIdentity:
         assert main(argv + ["--format", "json"]) == 0
         out = capsys.readouterr().out
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+class TestRepeatedCalls:
+    """main reuses one parser in a process; what a parse makes stays with its call."""
+
+    ZETA = ["zeta", "-a", "1", "-b", "2"]
+    DK = ["dk", "-a", "1", "-b", "1", "-k", "1..400"]
+
+    @staticmethod
+    def fresh(argv, capsys) -> str:
+        cfg = build_parser().parse_args(argv)
+        assert cfg.func(cfg) == 0
+        return capsys.readouterr().out
+
+    def run(self, argv, capsys) -> str:
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        self.run(self.ZETA + ["-s", "3"], capsys)
+        built = []
+        monkeypatch.setattr(echspec.cli, "build_parser", lambda: built.append(1))
+        for argv in (self.ZETA + ["-s", "3"], self.DK, ["residues", "-a", "1", "-b", "2"]):
+            self.run(argv, capsys)
+        assert built == []
+
+    def test_repeated_option_does_not_accumulate(self, capsys):
+        two = self.run(self.ZETA + ["-s", "3", "-s", "4"], capsys)
+        assert len(two.splitlines()) == 3
+        one = self.run(self.ZETA + ["-s", "5"], capsys)
+        assert len(one.splitlines()) == 2
+        assert one == self.fresh(self.ZETA + ["-s", "5"], capsys)
+
+    def test_defaults_do_not_leak(self, capsys):
+        self.run(self.ZETA + ["-s", "3", "--format", "json", "--tol", "1e-3"], capsys)
+        self.run(self.DK + ["--windows", "2", "--format", "json"], capsys)
+        for argv in (self.ZETA + ["-s", "3"], self.DK):
+            out = self.run(argv, capsys)
+            assert not out.startswith("{")
+            assert out == self.fresh(argv, capsys)
+        assert self.run(self.ZETA + ["-s", "3"], capsys).splitlines()[1].endswith(",1e-10")
+
+    def test_usage_error_leaves_next_call_alone(self, capsys):
+        argv = self.ZETA + ["-s", "3"]
+        before = self.run(argv, capsys)
+        assert main(argv + ["--format", "json", "--bogus"]) == 2
+        assert capsys.readouterr().out == ""
+        after = self.run(argv, capsys)
+        assert before == after == self.fresh(argv, capsys)
 
 
 class TestDkFitOmitted:
@@ -257,6 +317,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    def test_overflowing_axis_power(self, capsys):
+        # a^-s = 1e600 on a = 1e-200, past the float range
+        assert main(["zeta", "-a", "1/1" + "0" * 200, "-b", "1", "-s", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: 1e-200 ** (-3-0j) overflows a float"]
 
     def test_huge_imaginary_part_fails_fast(self, capsys):
         t0 = time.perf_counter()

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+import echspec.cli
 import echspec.zeta
 from echspec import (
     DepthExceeded,
@@ -332,24 +333,54 @@ class TestEchZeta:
         with pytest.raises(DepthExceeded):
             ech_zeta(complex(3.0, 1e300), Ellipsoid(F(3, 2), F(5, 7)), conv)
 
-    @pytest.mark.parametrize("a,b", [(F(1), F(10**10)), (F(10**10), F(1))])
+    @pytest.mark.parametrize(
+        "a,b",
+        [(F(1), F(10**10)), (F(10**10), F(1))]
+        + [(F(1), F(10**e)) for e in (12, 14, 20)]
+        + [(F(10**e), F(1)) for e in (12, 14, 20)],
+    )
     def test_wide_ellipsoid_at_integer_s(self, a, b):
         # the terms with n >= 1 are below 1e-299, so FULL is zeta(30) to double
         # precision; the Barnes head and tail raise 1e10-sized shifts to
-        # integer powers that underflow
+        # integer powers that underflow, and from b/a = 1e12 the tail
+        # coefficient overflows where its kernel value underflows
         ref = complex(mpmath.zeta(30))
         got = ech_zeta(30, Ellipsoid(a, b), ZetaConvention.FULL)
         assert abs(got - ref) <= 1e-15 * abs(ref)
 
-    def test_barnes_calls_per_convention(self, monkeypatch):
+    @pytest.mark.parametrize("s,e", [(0.5, 20), (complex(0.5, 15), 60)])
+    def test_huge_axis_ratio_left_of_the_poles(self, s, e):
+        # FULL on E(1, b) is zeta(s) + sum_n zeta(s, n b), whose expansion in
+        # 1/b is exact to double precision after its b^-s term for b >= 1e20.
+        # The Barnes tail coefficient overflows there, before its kernel
+        # values underflow, and the terms it leaves reach 1e-6 of the value.
+        b = mpmath.mpf(10) ** e
+        ms = mpmath.mpc(s)
+        ref = mpmath.zeta(ms) + b ** (1 - ms) * mpmath.zeta(ms - 1) / (ms - 1) + b**-ms * mpmath.zeta(ms) / 2
+        got = ech_zeta(s, Ellipsoid(1, 10**e), ZetaConvention.FULL)
+        assert abs(got - complex(ref)) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("conv", [ZetaConvention.INTERIOR, ZetaConvention.FULL])
+    @pytest.mark.parametrize(
+        "s,a,b",
+        [
+            (3, F(1, 10**200), F(1)),  # the axis power a^-s = 1e600
+            (3.08, F(1, 10**100), F(1, 10**100)),  # a^-s finite, the Barnes value not
+        ],
+    )
+    def test_overflow_raises(self, s, a, b, conv):
+        with pytest.raises(ValueError, match="overflows a float"):
+            ech_zeta(s, Ellipsoid(a, b), conv)
+
+    @staticmethod
+    def count_barnes_calls(monkeypatch) -> list:
         calls = []
         barnes = echspec.zeta.barnes_zeta
+        monkeypatch.setattr(echspec.zeta, "barnes_zeta", lambda *a: calls.append(a) or barnes(*a))
+        return calls
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return barnes(*args, **kwargs)
-
-        monkeypatch.setattr(echspec.zeta, "barnes_zeta", counting)
+    def test_barnes_calls_per_convention(self, monkeypatch):
+        calls = self.count_barnes_calls(monkeypatch)
         E = Ellipsoid(F(3, 2), F(5, 7))
         for conv, want in [
             (ZetaConvention.INTERIOR, 1),
@@ -359,6 +390,17 @@ class TestEchZeta:
             calls.clear()
             ech_zeta(complex(0.7, 2.0), E, conv)
             assert len(calls) == want, conv
+
+    def test_residues_share_barnes_values(self, monkeypatch, capsys):
+        # INTERIOR and FULL share one Barnes value at each of the 2 x 128
+        # contour points and at s = 0; separate calls would make 514. The
+        # memo ends with the call, so a repeat pays again.
+        calls = self.count_barnes_calls(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            assert echspec.cli.main(["residues", "-a", "3/2", "-b", "5/7"]) == 0
+            capsys.readouterr()
+            assert len(calls) == 2 * 128 + 1
 
     def test_distinct_square_is_riemann(self):
         # all attained values of E(1,1) are the positive integers
