@@ -135,6 +135,8 @@ def _sup_below(pred, r_base: float) -> float:
             raise NonConvergent(f"no falsifying radius below {_BRACKET_LIMIT:.1e}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: pred(lo) holds and pred(hi) fails for good
         if pred(mid):
             lo = mid
         else:

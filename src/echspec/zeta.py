@@ -2,16 +2,17 @@
 functions, with Laurent-coefficient extraction at the poles.
 
 Every Hurwitz value comes from one Euler-Maclaurin kernel, the entire
-function _eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1; each caller
-divides its sum of _eta values by (s - 1) once. The Barnes double zeta sorts
-its axes, a <= b, and is a sum of N = ceil(cutoff - w/b) of them, the head
-up to the shift xN >= cutoff * b/a, plus an Euler-Maclaurin tail in the
-larger axis, whose k-th term (s)_{2k-1} zeta(s+2k-1, xN) is
-(s)_{2k-2} _eta(s+2k-1, xN); cutoff is the kernel's own shift point. So
-both axis orders cost the same and agree bit for bit. The public functions
-reject non-finite input, the poles, and points outside the region
-Re s > -S_MAX, |Im s| <= IM_MAX once, at entry. The spectrum zeta comes in
-three conventions, one closed form each, with a <= b sorted and
+function _eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one
+s and many shifts x, and forms the correction coefficients of s once per
+call; each caller divides its sum of _eta values by (s - 1) once. The Barnes
+double zeta sorts its axes, a <= b, and is a sum of N = ceil(cutoff - w/b)
+of them, the head up to the shift xN >= cutoff * b/a, in one kernel call,
+plus an Euler-Maclaurin tail in the larger axis, whose k-th term (s)_{2k-1}
+zeta(s+2k-1, xN) is (s)_{2k-2} _eta(s+2k-1, xN); cutoff is the kernel's own
+shift point. So both axis orders cost the same and agree bit for bit. The
+public functions reject non-finite input, the poles, and points outside the
+region Re s > -S_MAX, |Im s| <= IM_MAX once, at entry. The spectrum zeta
+comes in three conventions, one closed form each, with a <= b sorted and
 Z(s) = barnes_zeta(s, a), the sum over m >= 1, n >= 0:
 
   INTERIOR  sum over m, n >= 1          Z(s) - a^-s zeta(s)
@@ -107,23 +108,31 @@ def _pow(x: float, p: complex) -> complex:
         raise ValueError(f"{x!r} ** {p} overflows a float") from None
 
 
-def _eta(s: complex, x: float) -> complex:
-    """(s - 1) zeta(s, x) by Euler-Maclaurin summation from x + N >= _cutoff(s):
-    entire in s, equal to 1 at s = 1. The one Hurwitz kernel; checks nothing."""
-    N = max(0, math.ceil(_cutoff(s) - x))
-    head = 0.0 + 0.0j
-    for n in range(N):
-        head += (x + n) ** (-s)
-    X = x + N
-    # form the cancelling part first; the corrections are small beside it
-    val = (s - 1) * (head + 0.5 * _pow(X, -s)) + _pow(X, 1 - s)
-    poch = (s - 1) * s  # (s - 1) (s)_{2k-1}
-    xpow = _pow(X, -s - 1)
+def _eta(s: complex, xs):
+    """(s - 1) zeta(s, x) for each shift x in xs, by Euler-Maclaurin summation
+    from x + N >= _cutoff(s): entire in s, equal to 1 at s = 1. The one Hurwitz
+    kernel; it forms the correction coefficients of s once, and checks nothing."""
+    cut, ms = _cutoff(s), -s
+    coefs, poch = [], (s - 1) * s  # B_2k/(2k)! (s - 1) (s)_{2k-1}
     for k in range(1, _EM_TERMS + 1):
-        val += _B2K_FACT[k] * poch * xpow
+        coefs.append(_B2K_FACT[k] * poch)
         poch *= (s + 2 * k - 1) * (s + 2 * k)
-        xpow /= X * X
-    return val
+    for x in xs:
+        N = max(0, math.ceil(cut - x))
+        head = 0.0 + 0.0j
+        try:
+            for n in range(N):
+                head += (x + n) ** ms
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"{x + n!r} ** {ms} overflows a float") from None
+        X = x + N
+        # form the cancelling part first; the corrections are small beside it
+        val = (s - 1) * (head + 0.5 * _pow(X, ms)) + _pow(X, 1 - s)
+        xpow, X2 = _pow(X, ms - 1), X * X
+        for c in coefs:
+            val += c * xpow
+            xpow /= X2
+        yield val
 
 
 def _guard(s: complex, name: str, poles: tuple[int, ...], x: float = 1.0) -> None:
@@ -144,7 +153,7 @@ def hurwitz_zeta(s, x: float) -> complex:
     s = complex(s)
     x = float(x)
     _guard(s, "hurwitz_zeta", (1,), x)
-    return _eta(s, x) / (s - 1)
+    return next(_eta(s, (x,))) / (s - 1)
 
 
 def riemann_zeta(s) -> complex:
@@ -165,17 +174,17 @@ def barnes_zeta(s, w, E: Ellipsoid) -> complex:
     beta = b / a
     N = max(0, math.ceil(_cutoff(s) - w / b))
     total = 0.0 + 0.0j
-    for n in range(N):
-        total += _eta(s, (w + n * b) / a)
+    for v in _eta(s, ((w + n * b) / a for n in range(N))):
+        total += v
     xN = (w + N * b) / a
-    total += _eta(s - 1, xN) / (beta * (s - 2)) + 0.5 * _eta(s, xN)
+    total += next(_eta(s - 1, (xN,))) / (beta * (s - 2)) + 0.5 * next(_eta(s, (xN,)))
     coef = beta * (s - 1)  # beta^{2k-1} (s - 1) (s)_{2k-2}
     r = beta / xN
     scaled = r * (s - 1)  # coef / xN^{2k-1}
     for k in range(1, _EM_TERMS + 1):
         sk = s + 2 * k - 1
         if cmath.isfinite(coef):
-            total += _B2K_FACT[k] * coef * _eta(sk, xN)
+            total += _B2K_FACT[k] * coef * next(_eta(sk, (xN,)))
         else:
             # coef overflows only where beta (|s| + 24) > 2.6e13, so xN >= 16 beta
             # makes _eta(sk, xN) = xN^(1-sk) (1 + (sk-1)/(2 xN)) to 1e-14 or
@@ -200,9 +209,10 @@ def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
         raise DepthExceeded(
             f"distinct zeta needs {Ap} Hurwitz terms, above the limit {_DISTINCT_TERMS_LIMIT}"
         )
-    total = _eta(s, 1.0)
-    for n in range(1, Ap):
-        total += _eta(s, n * Bp / Ap)
+    values = _eta(s, (n * Bp / Ap if n else 1.0 for n in range(Ap)))
+    total = next(values)
+    for v in values:
+        total += v
     return _pow(g / S.den * Ap, -s) * total / (s - 1)
 
 

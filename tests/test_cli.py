@@ -22,10 +22,11 @@ from echspec.cli import (
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # SHA-256 of stdout for (command, a, b, range, format); residues takes no
-# range. The pins hold the output byte for byte: any change to them is a
-# change of the CLI's output format. The residues rows of INTERIOR and FULL
-# share their Barnes and Riemann values, and the pins hold them to the digits
-# of separate ech_zeta calls.
+# range, and zeta takes a convention in its place and runs at ZETA_POINTS.
+# The pins hold the output byte for byte: any change to them is a change of
+# the CLI's output format. The residues rows of INTERIOR and FULL share their
+# Barnes and Riemann values, and the pins hold them to the digits of separate
+# ech_zeta calls.
 PINNED_SHA256 = {
     ("capacities", "1", "832040/514229", "0..1500", "csv"): "6a6510a6435dff755f67cfe793ad49809682ed6972ada4daafcbe30568d7ee75",
     ("capacities", "1", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",
@@ -51,7 +52,14 @@ PINNED_SHA256 = {
     ("residues", "1/2", "3/2", "", "json"): "e3e19df2a4e5a5d15c8853516e87abded85a4e6cad5043fd2199c1eb531a8de3",
     ("residues", "1", "832040/514229", "", "csv"): "da731e10cce79257d3e40bb1a793317b7e9acb7eaaedcc56097509e19e97a49e",
     ("residues", "1", "832040/514229", "", "json"): "670921d60ddf43f2810a85e249acd7540de3d4bf9f1cddd4dd251bb6770df7bc",
+    ("zeta", "2", "3", "interior", "csv"): "2d4a92fc972e6ceade031e99a9cf972e8ac7e7473a8e1ad00d8220f50f62b865",
+    ("zeta", "2", "3", "interior", "json"): "a7a6ec86ddf874671d22fb911444f107224e9db4ebd202eeef07951c43984975",
+    ("zeta", "2", "3", "full", "csv"): "6099b163b04f43041793cac16fcaae16509923b786fd167ed38f7a49b3321f63",
+    ("zeta", "2", "3", "full", "json"): "6acecec28d16e0187a6e386d796ecd2100ca1faae82e3d0cbc89c2837d874004",
+    ("zeta", "2", "3", "distinct", "csv"): "f9b0c286b3638708f2dd2c448ea59c6b37440317dd8c033108bb75b3a6b10bed",
+    ("zeta", "2", "3", "distinct", "json"): "f283e98aded0a8b917663cee7c8f61f295774e5106750b90db2fd3865767b36f",
 }
+ZETA_POINTS = ["-s", "3", "-s", "0.5", "-s=-1.5,2", "-s=-3.9,0.5", "-s=2.5,-16", "-s", "30", "-s=1.5,-1000"]
 
 
 class TestParsers:
@@ -134,8 +142,9 @@ class TestDeterminism:
 class TestByteIdentity:
     @pytest.mark.parametrize("key", sorted(PINNED_SHA256))
     def test_pinned_stdout(self, key, capsys):
-        cmd, a, b, rng, fmt = key
-        argv = [cmd, "-a", a, "-b", b] + ["-k", rng] * bool(rng) + ["--format", fmt]
+        cmd, a, b, arg, fmt = key
+        extra = ["--convention", arg] + ZETA_POINTS if cmd == "zeta" else ["-k", arg] * bool(arg)
+        argv = [cmd, "-a", a, "-b", b] + extra + ["--format", fmt]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[key]

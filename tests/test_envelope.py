@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import echspec.envelope
 from echspec import (
     EnvelopeConstants,
     F_bounds,
@@ -33,6 +35,23 @@ def bisect_larger_root(j, k, hi=1e12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def full_sup_below(pred, r_base):
+    """sup{r >= r_base : pred(r)} by doubling and then all 200 bisection
+    steps, with the number of predicate calls made before the bisection."""
+    if not pred(r_base):
+        return r_base, 1
+    lo, hi, calls = r_base, max(2.0 * r_base, 1.0), 2
+    while pred(hi):
+        lo, hi, calls = hi, 2.0 * hi, calls + 1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, calls
 
 
 class TestR1:
@@ -142,6 +161,18 @@ class TestR2:
     def test_rejects_negative_j(self):
         with pytest.raises(ValueError):
             r2_threshold(-1.0, EnvelopeConstants())
+
+    def test_sup_below_stops_at_adjacent_floats(self):
+        rng = random.Random(10)
+        for _ in range(1000):
+            base = 10 ** rng.uniform(-0.3, 6)
+            t = base * 10 ** rng.uniform(-0.5, 3)
+            for pred in (lambda r: r <= t, lambda r: r < t, lambda r: r * r * r <= t * t * t):
+                ref, bracket_calls = full_sup_below(pred, base)
+                calls = []
+                got = echspec.envelope._sup_below(lambda r: calls.append(r) or pred(r), base)
+                assert got == ref, (base, t)
+                assert len(calls) - bracket_calls <= 64, (base, t)
 
 
 class TestCapacityEnvelope:

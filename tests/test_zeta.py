@@ -107,6 +107,15 @@ class TestHurwitz:
         ref = complex(mpmath.zeta(3, 1e100))
         assert abs(hurwitz_zeta(3, 1e100) - ref) <= 1e-14 * abs(ref)
 
+    @pytest.mark.parametrize("s", [3, 3.5])
+    def test_tiny_x_head_overflow_raises(self, s):
+        # the head's (x + n) ** -s = 1e600 or more: CPython raises
+        # ZeroDivisionError for the integer power, OverflowError otherwise
+        with pytest.raises(ValueError, match="overflows a float"):
+            hurwitz_zeta(s, 1e-200)
+        with pytest.raises(ValueError, match="overflows a float"):
+            barnes_zeta(s, 1e-200, Ellipsoid(1, 2))
+
 
 class TestRiemann:
     @pytest.mark.parametrize(
@@ -194,12 +203,13 @@ class TestBarnes:
         "a,b", [(F(1), F(30)), (F(2), F(3)), (F(3, 2), F(5, 7)), (F(1, 2), F(3, 2))]
     )
     def test_cost_and_value_independent_of_axis_order(self, a, b, monkeypatch):
-        calls = [0]
+        calls = [0]  # shifts the kernel evaluates
         eta = echspec.zeta._eta
 
-        def counting(s, x):
-            calls[0] += 1
-            return eta(s, x)
+        def counting(s, xs):
+            xs = list(xs)
+            calls[0] += len(xs)
+            return eta(s, xs)
 
         monkeypatch.setattr(echspec.zeta, "_eta", counting)
         lo = min(a, b)
@@ -215,7 +225,7 @@ class TestBarnes:
                 assert got[0][1] <= 30, (s, w)
             for conv in ZetaConvention:
                 assert ech_zeta(s, Ellipsoid(a, b), conv) == ech_zeta(s, Ellipsoid(b, a), conv)
-        # an offset past cutoff * max(a, b) leaves only the tail's 14 kernel calls
+        # an offset past cutoff * max(a, b) leaves only the tail's 14 shifts
         calls[0] = 0
         barnes_zeta(3.0, 16 * max(a, b) + 1, Ellipsoid(a, b))
         assert calls[0] == 14
@@ -277,6 +287,17 @@ class TestEchZeta:
         direct, tail = direct_zeta_sum(E, 3.0, 200000, ZetaConvention.DISTINCT)
         got = ech_zeta(3.0, E, ZetaConvention.DISTINCT)
         assert abs(got - direct) <= tail + 1e-9
+
+    def test_one_kernel_call_per_sum(self, monkeypatch):
+        # the A' DISTINCT shifts and the Barnes head each go to the kernel in
+        # one call, lazily; the Barnes integral, half and tail terms make 14 more
+        seen = []
+        eta = echspec.zeta._eta
+        monkeypatch.setattr(echspec.zeta, "_eta", lambda s, xs: seen.append(xs) or eta(s, xs))
+        ech_zeta(3.0, Ellipsoid(1, F(6765, 4181)), ZetaConvention.DISTINCT)
+        barnes_zeta(3.0, 2.0, Ellipsoid(2, 3))
+        assert len(seen) == 1 + 15
+        assert not isinstance(seen[0], (list, tuple)) and not isinstance(seen[1], (list, tuple))
 
     def test_distinct_term_limit_fails_fast(self):
         t0 = time.perf_counter()
