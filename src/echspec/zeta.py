@@ -1,5 +1,6 @@
 """Meromorphic continuation of Hurwitz, Riemann, Barnes, and spectrum zeta
-functions, with Laurent-coefficient extraction at the poles.
+functions, and their Laurent data at the poles: exact residues, and constants
+from one forward-mode pass of Jet numbers through the same kernel.
 
 Every Hurwitz value comes from one Euler-Maclaurin kernel, the entire
 function _eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .spectrum import EchspecError, Ellipsoid, NonConvergent, scaled_spectrum
+from .spectrum import EchspecError, Ellipsoid, NonConvergent
 
 S_MAX = 4.0
 # A Barnes value costs O(|Im s|^2) kernel terms: on E(1,2) at s = 0.5 + 1e4 i
@@ -108,6 +109,55 @@ def _pow(x: float, p: complex) -> complex:
         raise ValueError(f"{x!r} ** {p} overflows a float") from None
 
 
+class Jet:
+    """A value and its derivative in s, for forward-mode passes through the
+    kernel: s = Jet(s0, 1) makes _eta(s, xs) yield Jets of (s - 1) zeta(s, x)
+    and its s-derivative at s0. Real s0 only: x ** s is x ** s0 by libm."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        return Jet(self.v + o.v, self.d + o.d) if isinstance(o, Jet) else Jet(self.v + o, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.v, -self.d)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, Jet):
+            return Jet(self.v * o.v, self.d * o.v + self.v * o.d)
+        return Jet(self.v * o, self.d * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Jet):
+            q = self.v / o.v
+            return Jet(q, (self.d - q * o.d) / o.v)
+        return Jet(self.v / o, self.d / o)
+
+    def __rpow__(self, x):  # x ** self for x > 0
+        p = x ** self.v
+        return Jet(p, p * math.log(x) * self.d)
+
+    def __complex__(self):  # what cmath.isfinite tests: nan unless both parts are finite
+        return complex(self.v + 0.0 * self.d)
+
+    @property
+    def imag(self):
+        return self.v.imag
+
+
 def _eta(s: complex, xs):
     """(s - 1) zeta(s, x) for each shift x in xs, by Euler-Maclaurin summation
     from x + N >= _cutoff(s): entire in s, equal to 1 at s = 1. The one Hurwitz
@@ -160,6 +210,34 @@ def riemann_zeta(s) -> complex:
     return hurwitz_zeta(s, 1.0)
 
 
+def _barnes_pieces(s, w: float, a: float, b: float):
+    """(head, integral, half, tail) of the Barnes sum for sorted axes a <= b,
+    which is a^-s [head + integral / (beta (s - 2)) + half + tail] / (s - 1):
+    the head and tail lazily yield their terms, and integral = _eta(s - 1, xN)
+    comes without its pole factor. Floats and Jets run the same pieces."""
+    N = max(0, math.ceil(_cutoff(s) - w / b))
+    xN = (w + N * b) / a
+    head = _eta(s, ((w + n * b) / a for n in range(N)))
+    return head, next(_eta(s - 1, (xN,))), 0.5 * next(_eta(s, (xN,))), _barnes_tail(s, b / a, xN)
+
+
+def _barnes_tail(s, beta: float, xN: float):
+    coef = beta * (s - 1)  # beta^{2k-1} (s - 1) (s)_{2k-2}
+    r = beta / xN
+    scaled = r * (s - 1)  # coef / xN^{2k-1}
+    for k in range(1, _EM_TERMS + 1):
+        sk = s + 2 * k - 1
+        if cmath.isfinite(coef):
+            yield _B2K_FACT[k] * coef * next(_eta(sk, (xN,)))
+        else:
+            # coef overflows only where beta (|s| + 24) > 2.6e13, so xN >= 16 beta
+            # makes _eta(sk, xN) = xN^(1-sk) (1 + (sk-1)/(2 xN)) to 1e-14 or
+            # better for |s| <= 1e4; this form cannot make inf * 0
+            yield _B2K_FACT[k] * scaled * (1 + (sk - 1) / (2 * xN)) * _pow(xN, 1 - s)
+        coef *= beta * beta * (s + 2 * k - 2) * (s + 2 * k - 1)
+        scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
+
+
 def barnes_zeta(s, w, E: Ellipsoid) -> complex:
     """Continuation of sum_{m,n>=0} (w + m*a + n*b)^{-s}, for Re(s) > -S_MAX.
 
@@ -171,27 +249,13 @@ def barnes_zeta(s, w, E: Ellipsoid) -> complex:
     w = float(w)
     _guard(s, "barnes_zeta", (1, 2), w)
     a, b = sorted((float(E.a), float(E.b)))
-    beta = b / a
-    N = max(0, math.ceil(_cutoff(s) - w / b))
+    head, integral, half, tail = _barnes_pieces(s, w, a, b)
     total = 0.0 + 0.0j
-    for v in _eta(s, ((w + n * b) / a for n in range(N))):
+    for v in head:
         total += v
-    xN = (w + N * b) / a
-    total += next(_eta(s - 1, (xN,))) / (beta * (s - 2)) + 0.5 * next(_eta(s, (xN,)))
-    coef = beta * (s - 1)  # beta^{2k-1} (s - 1) (s)_{2k-2}
-    r = beta / xN
-    scaled = r * (s - 1)  # coef / xN^{2k-1}
-    for k in range(1, _EM_TERMS + 1):
-        sk = s + 2 * k - 1
-        if cmath.isfinite(coef):
-            total += _B2K_FACT[k] * coef * next(_eta(sk, (xN,)))
-        else:
-            # coef overflows only where beta (|s| + 24) > 2.6e13, so xN >= 16 beta
-            # makes _eta(sk, xN) = xN^(1-sk) (1 + (sk-1)/(2 xN)) to 1e-14 or
-            # better for |s| <= 1e4; this form cannot make inf * 0
-            total += _B2K_FACT[k] * scaled * (1 + (sk - 1) / (2 * xN)) * _pow(xN, 1 - s)
-        coef *= beta * beta * (s + 2 * k - 2) * (s + 2 * k - 1)
-        scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
+    total += integral / (b / a * (s - 2)) + half
+    for v in tail:
+        total += v
     val = _pow(a, -s) * total / (s - 1)
     if not cmath.isfinite(val):
         raise ValueError(f"barnes_zeta overflows a float at s={s} on axes {a}, {b}")
@@ -235,63 +299,44 @@ def ech_zeta(s, E: Ellipsoid, conv: ZetaConvention = ZetaConvention.FULL) -> com
     return full if conv is ZetaConvention.FULL else interior
 
 
-def direct_zeta_sum(
-    E: Ellipsoid,
-    s,
-    j_max: int,
-    conv: ZetaConvention = ZetaConvention.FULL,
-    margin: float = 0.25,
-) -> tuple[complex, float]:
-    """Partial sum of c_j^{-s} over the actual spectrum plus a rigorous tail
-    bound from c_j >= sqrt(ab*j) - (a+b)/2 and integral comparison.
+def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpansion, ...]:
+    """(INTERIOR, FULL) Laurent data of the spectrum zeta of E(a, b) at its
+    poles s0 = 1 and 2, and at s0 = 0 the values, as constants of residue 0.
 
-    The defining-series oracle for the continued evaluations; requires
-    Re(s) > 2 + margin.
-    """
-    s = complex(s)
-    if j_max < 1:
-        raise ValueError("j_max must be positive")
-    sigma = s.real
-    if sigma <= 2 + margin:
-        raise ValueError(f"direct_zeta_sum requires Re(s) > {2 + margin}")
-    S = E.scaled()
-    vals = scaled_spectrum(S, 0, j_max)
-    den = float(S.den)
-    terms = [(v / den) ** (-s) for v in vals if v > 0]
-    total = _pairwise_sum(terms)
-    a, b = float(E.a), float(E.b)
-    alpha = math.sqrt(a * b)
-    beta = 0.5 * (a + b)
-    vJ = alpha * math.sqrt(j_max + 1) - beta
-    if vJ <= 0:
-        raise ValueError("j_max too small for the tail bound to apply")
-    tail = (2.0 / alpha**2) * (
-        vJ ** (2 - sigma) / (sigma - 2) + beta * vJ ** (1 - sigma) / (sigma - 1)
-    )
-    if conv is ZetaConvention.FULL:
-        return total, tail
-    c_max = vals[-1] / den
-    if conv is ZetaConvention.INTERIOR:
-        for axis in (a, b):
-            m_hi = int(c_max / axis)
-            total -= _pairwise_sum([(m * axis) ** (-s) for m in range(1, m_hi + 1)])
-        return total, tail
-    # DISTINCT: drop repeated scaled values
-    terms = [(v / den) ** (-s) for u, v in zip([None] + vals[:-1], vals) if v > 0 and v != u]
-    return _pairwise_sum(terms), tail
-
-
-def _pairwise_sum(terms: list[complex]) -> complex:
-    """Deterministic pairwise reduction; stable independent of chunking."""
-    if not terms:
-        return 0.0 + 0.0j
-    work = list(terms)
-    while len(work) > 1:
-        nxt = [work[i] + work[i + 1] for i in range(0, len(work) - 1, 2)]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
+    The residues and the values at 0 are exact rationals: 1/(ab) at s = 2,
+    -(a+b)/(2ab) for INTERIOR and +(a+b)/(2ab) for FULL at s = 1, and
+    1/4 + (a/b + b/a)/12 for INTERIOR at 0, one less for FULL; there quad_err
+    is the rounding of the float, 2^-53 max(1, |v|). A constant is the
+    derivative of (s - s0) f(s) at s0, from one pass of Jet(s0, 1) through the
+    Barnes pieces and the Riemann kernel value, with the pole factors taken
+    out by hand. Its quad_err is 64 * 2^-52 times the sum of |value| +
+    |derivative| over the parts the pass adds: a rounding bound, which covers
+    the printed residue too, as the values of the parts sum to it; the
+    kernel's truncation is far below it. A bound above tol * max(1, |constant|)
+    raises NonConvergent."""
+    a, b = sorted((E.a, E.b))
+    if s0 == 0:
+        zero = Fraction(1, 4) + (a / b + b / a) / 12
+        rows = [(0, float(v), 2.0**-53 * max(1, abs(v))) for v in (zero, zero - 1)]
+    elif s0 in (1, 2):
+        fa, fb, s = float(a), float(b), Jet(float(s0), 1.0)
+        head, integral, half, tail = _barnes_pieces(s, fa, fa, fb)
+        # c = (s - s0)/(s - 1) takes a^-s zeta(s) and the pieces of a^-s (s - 1) Z(s)
+        # to their shares of (s - s0) f(s); the integral's 1/(s - 2) is folded in
+        c, pole = (1.0, s - 2) if s0 == 1 else ((s - 2) / (s - 1), s - 1)
+        A = _pow(fa, -s)
+        parts = [A * c * p for p in (*head, half, *tail)] + [A * integral / (fb / fa * pole)]
+        Z, mag = sum(parts), sum(abs(p.v) + abs(p.d) for p in parts)
+        zeta = c * next(_eta(s, (1.0,)))
+        res = 1 / (a * b) if s0 == 2 else (a + b) / (2 * a * b)
+        axes = ((res if s0 == 2 else -res, -(A * zeta)), (res, _pow(fb, -s) * zeta))
+        rows = [(r, (Z + t).d, 2.0**-46 * (mag + abs(t.v) + abs(t.d))) for r, t in axes]
+    else:
+        raise ValueError(f"ech_laurent_pair takes s0 = 0, 1 or 2, not {s0!r}")
+    for _, const, err in rows:
+        if not err <= tol * max(1.0, abs(const)):  # nan fails too
+            raise NonConvergent(f"rounding bound {err:.2e} at s={s0} exceeds tol={tol:g}")
+    return tuple(LaurentExpansion(complex(s0), complex(r), complex(k), e) for r, k, e in rows)
 
 
 def laurent_at(

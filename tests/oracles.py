@@ -1,11 +1,17 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here enumerates or sums naively; none of it shares code with the
-fast paths it checks.
+Everything here enumerates or sums naively, or evaluates closed forms in
+exact or mpmath arithmetic; none of it shares code with the fast paths it
+checks. It uses two package functions: the exact bernoulli, and
+scaled_spectrum, which direct_zeta_sum sums over to check the zeta
+functions (tests/test_spectrum.py checks it against brute_spectrum).
 """
 
+import math
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
+
+from echspec import Ellipsoid, ZetaConvention, bernoulli, scaled_spectrum
 
 
 def naive_floor_sum(n, p, q, m):
@@ -116,6 +122,14 @@ def interior_zeta_hurwitz(s: complex, a: Fraction, b: Fraction) -> complex:
     the sum is (a*p)^-s sum_{i<pq} [zeta(s-1, h_i) + (r(i) - h_i) zeta(s, h_i)]."""
     import mpmath
 
+    with mpmath.workdps(40):
+        return complex(_interior_zeta_mp(mpmath.mpc(s), a, b))
+
+
+def _interior_zeta_mp(s, a: Fraction, b: Fraction):
+    """interior_zeta_hurwitz at the working precision, as an mpmath number."""
+    import mpmath
+
     ratio = b / a
     p, q = ratio.numerator, ratio.denominator
     r = [0] * (p * q)
@@ -123,10 +137,112 @@ def interior_zeta_hurwitz(s: complex, a: Fraction, b: Fraction) -> complex:
         for n in range(q):
             if m * q + n * p < p * q:
                 r[m * q + n * p] += 1
-    with mpmath.workdps(40):
-        s = mpmath.mpc(s)
-        total = mpmath.mpf(0)
-        for i in range(p * q):
-            h = mpmath.mpf(i + p + q) / (p * q)
-            total += mpmath.zeta(s - 1, h) + (r[i] - h) * mpmath.zeta(s, h)
-        return complex((mpmath.mpf(a.numerator) / a.denominator * p) ** (-s) * total)
+    total = mpmath.mpf(0)
+    for i in range(p * q):
+        h = mpmath.mpf(i + p + q) / (p * q)
+        total += mpmath.zeta(s - 1, h) + (r[i] - h) * mpmath.zeta(s, h)
+    return (mpmath.mpf(a.numerator) / a.denominator * p) ** (-s) * total
+
+
+def laurent_constant(s0: int, a: Fraction, b: Fraction, conv: ZetaConvention) -> float:
+    """Constant term of the INTERIOR or FULL spectrum zeta at its simple pole
+    s0 = 1 or 2, as the symmetric limit (f(s0 + h) + f(s0 - h)) / 2, whose
+    error is O(h^2) = 1e-40; at 60 digits the pole terms, of size 1/h = 1e20,
+    cancel and leave 40, of which the float keeps 17. FULL adds the axis
+    terms (a^-s + b^-s) zeta(s) of interior_zeta_hurwitz."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        h = mpmath.mpf("1e-20")
+        fa, fb = (mpmath.mpf(x.numerator) / x.denominator for x in (a, b))
+
+        def f(s):
+            v = _interior_zeta_mp(s, a, b)
+            return v if conv is ZetaConvention.INTERIOR else v + (fa**-s + fb**-s) * mpmath.zeta(s)
+
+        return float((f(s0 + h) + f(s0 - h)) / 2)
+
+
+def direct_zeta_sum(
+    E: Ellipsoid,
+    s,
+    j_max: int,
+    conv: ZetaConvention = ZetaConvention.FULL,
+    margin: float = 0.25,
+) -> tuple[complex, float]:
+    """Partial sum of c_j^{-s} over the actual spectrum plus a rigorous tail
+    bound from c_j >= sqrt(ab*j) - (a+b)/2 and integral comparison.
+
+    The defining-series oracle for the continued evaluations; requires
+    Re(s) > 2 + margin.
+    """
+    s = complex(s)
+    if j_max < 1:
+        raise ValueError("j_max must be positive")
+    sigma = s.real
+    if sigma <= 2 + margin:
+        raise ValueError(f"direct_zeta_sum requires Re(s) > {2 + margin}")
+    S = E.scaled()
+    vals = scaled_spectrum(S, 0, j_max)
+    den = float(S.den)
+    terms = [(v / den) ** (-s) for v in vals if v > 0]
+    total = _pairwise_sum(terms)
+    a, b = float(E.a), float(E.b)
+    alpha = math.sqrt(a * b)
+    beta = 0.5 * (a + b)
+    vJ = alpha * math.sqrt(j_max + 1) - beta
+    if vJ <= 0:
+        raise ValueError("j_max too small for the tail bound to apply")
+    tail = (2.0 / alpha**2) * (
+        vJ ** (2 - sigma) / (sigma - 2) + beta * vJ ** (1 - sigma) / (sigma - 1)
+    )
+    if conv is ZetaConvention.FULL:
+        return total, tail
+    c_max = vals[-1] / den
+    if conv is ZetaConvention.INTERIOR:
+        for axis in (a, b):
+            m_hi = int(c_max / axis)
+            total -= _pairwise_sum([(m * axis) ** (-s) for m in range(1, m_hi + 1)])
+        return total, tail
+    # DISTINCT: drop repeated scaled values
+    terms = [(v / den) ** (-s) for u, v in zip([None] + vals[:-1], vals) if v > 0 and v != u]
+    return _pairwise_sum(terms), tail
+
+
+def _pairwise_sum(terms: list[complex]) -> complex:
+    """Deterministic pairwise reduction; stable independent of chunking."""
+    if not terms:
+        return 0.0 + 0.0j
+    work = list(terms)
+    while len(work) > 1:
+        nxt = [work[i] + work[i + 1] for i in range(0, len(work) - 1, 2)]
+        if len(work) % 2:
+            nxt.append(work[-1])
+        work = nxt
+    return work[0]
+
+
+def barnes_zeta_at_negative_integer(k: int, w: Fraction, a: Fraction, b: Fraction) -> Fraction:
+    """Exact zeta_2(-k, w | a, b) = k!/(k+2)! B_{2,k+2}(w | a, b), for k >= 0,
+    where t^2 e^{wt} / ((e^{at} - 1)(e^{bt} - 1)) = sum_n B_{2,n}(w) t^n/n!.
+    Each factor t/(e^{ct} - 1) is (1/c) sum_i B_i (ct)^i/i!, so B_{2,n} is the
+    trinomial sum of B_i a^i B_j b^j w^l n!/(i! j! l!) over i + j + l = n,
+    over ab."""
+    n = k + 2
+    total = Fraction(0)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            l = n - i - j
+            total += (factorial(n) // (factorial(i) * factorial(j) * factorial(l))
+                      * bernoulli(i) * a**i * bernoulli(j) * b**j * w**l)
+    return Fraction(factorial(k), factorial(k + 2)) * total / (a * b)
+
+
+def ech_zeta_at_negative_integer(k: int, a: Fraction, b: Fraction, conv: ZetaConvention) -> Fraction:
+    """Exact INTERIOR or FULL spectrum zeta of E(a, b) at s = -k: INTERIOR is
+    zeta_2(-k, a + b | a, b), and FULL adds the two axes, (a^k + b^k) zeta(-k)
+    with zeta(-k) = (-1)^k B_{k+1}/(k + 1)."""
+    interior = barnes_zeta_at_negative_integer(k, a + b, a, b)
+    if conv is ZetaConvention.INTERIOR:
+        return interior
+    return interior + (a**k + b**k) * (-1) ** k * bernoulli(k + 1) / (k + 1)

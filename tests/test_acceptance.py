@@ -21,7 +21,6 @@ from echspec import (
     capacity_envelope,
     count_leq,
     d_sequence,
-    direct_zeta_sum,
     ech_zeta,
     exponent_fit,
     barnes_zeta,
@@ -35,7 +34,7 @@ from echspec import (
     weyl_fit,
 )
 
-from oracles import brute_spectrum
+from oracles import brute_spectrum, direct_zeta_sum
 
 TEST_ELLIPSOIDS = [
     Ellipsoid(1, 1),

@@ -24,9 +24,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # SHA-256 of stdout for (command, a, b, range, format); residues takes no
 # range, and zeta takes a convention in its place and runs at ZETA_POINTS.
 # The pins hold the output byte for byte: any change to them is a change of
-# the CLI's output format. The residues rows of INTERIOR and FULL share their
-# Barnes and Riemann values, and the pins hold them to the digits of separate
-# ech_zeta calls.
+# the CLI's output format. The residues rows print exact residues and values
+# at s = 0, and Laurent constants from one Jet pass per pole.
 PINNED_SHA256 = {
     ("capacities", "1", "832040/514229", "0..1500", "csv"): "6a6510a6435dff755f67cfe793ad49809682ed6972ada4daafcbe30568d7ee75",
     ("capacities", "1", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",
@@ -44,14 +43,14 @@ PINNED_SHA256 = {
     ("dk", "2", "3", "0..1500", "json"): "a3d1c686326bbbd0e7fafba2ad65c7dac6fb3594f6324c5da3a49f17208cba4a",
     ("dk", "2", "3", "1000000..1000500", "csv"): "5604942d9731f8eb0cf6c96bdce96a8e85d92c4f48b555e36819812471ddf2a2",
     ("dk", "2", "3", "1000000..1000500", "json"): "056f7b095e3ae6e8c0ae0cbd4257b9eb4706320f7419ad34fff7b69b2aff6bfc",
-    ("residues", "1", "2", "", "csv"): "985728065fade14993d90df40279bc65851ccd3a131233efe5ea58c06073303f",
-    ("residues", "1", "2", "", "json"): "6759b340cfb52a31c2d72aa731fe65151c870da89671fa1ecfc35d77ce5396e1",
-    ("residues", "2", "3", "", "csv"): "adf24115c21b76954836e5de8560a60171ff800e6bb8b1ddc9f77cd807492004",
-    ("residues", "2", "3", "", "json"): "b0a296fd7eacf0caae2764a01c19fc847ea2668ea508d132241ae6b323aecd36",
-    ("residues", "1/2", "3/2", "", "csv"): "1098c837c442b8230e3ffdbaf280ca42280727c19469f8c29b3a1d2314e8a71b",
-    ("residues", "1/2", "3/2", "", "json"): "e3e19df2a4e5a5d15c8853516e87abded85a4e6cad5043fd2199c1eb531a8de3",
-    ("residues", "1", "832040/514229", "", "csv"): "da731e10cce79257d3e40bb1a793317b7e9acb7eaaedcc56097509e19e97a49e",
-    ("residues", "1", "832040/514229", "", "json"): "670921d60ddf43f2810a85e249acd7540de3d4bf9f1cddd4dd251bb6770df7bc",
+    ("residues", "1", "2", "", "csv"): "66a249b2aa212045730f12eac936ad7ca95e2999fabbe552f534d6a1c92e891d",
+    ("residues", "1", "2", "", "json"): "c3bb6b615d202a3589f35a110a4d3bee142d33b2c4d31c674c867daaebdfdecf",
+    ("residues", "2", "3", "", "csv"): "f992d54dfeb3a881be41be3dea45bd3f25c6035d6f1d37cfc64742cd6939dae4",
+    ("residues", "2", "3", "", "json"): "9a0679e21bad44ac8f1954c71593499c734c3d475af51b5256a66cc1a3b84266",
+    ("residues", "1/2", "3/2", "", "csv"): "8cb5100058d104a1269135763d32bb34fb94ad02de358c49d7fb3eca5735e48b",
+    ("residues", "1/2", "3/2", "", "json"): "f332072155a31dfb36dd1b5a487fdc6bf8e45d9e178f5e6cc2d19afe15ac7086",
+    ("residues", "1", "832040/514229", "", "csv"): "ec6356d14eb60c8cb4314fd87ab6d6c42079f625e55ede1508a6800ab34eeb99",
+    ("residues", "1", "832040/514229", "", "json"): "c55a2da5c46c29fb7d225412d7bec0744173eb69b12a5fb9b9dc4ec9b5858965",
     ("zeta", "2", "3", "interior", "csv"): "2d4a92fc972e6ceade031e99a9cf972e8ac7e7473a8e1ad00d8220f50f62b865",
     ("zeta", "2", "3", "interior", "json"): "a7a6ec86ddf874671d22fb911444f107224e9db4ebd202eeef07951c43984975",
     ("zeta", "2", "3", "full", "csv"): "6099b163b04f43041793cac16fcaae16509923b786fd167ed38f7a49b3321f63",
@@ -346,6 +345,16 @@ class TestExitCodes:
         argv = [command, "-a", "1", "-b", "2", "--tol", tol] + ["-s", "3"] * (command == "zeta")
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    def test_residues_tol_is_the_accepted_error(self, capsys):
+        # the default prints every row; a bound above --tol is an error, not a row
+        assert main(["residues", "-a", "1", "-b", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:7]
+        assert max(float(r.split(",")[6]) for r in rows) <= 1e-10
+        assert main(["residues", "-a", "1", "-b", "2", "--tol", "1e-20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rounding bound") and "exceeds tol=1e-20" in captured.err
 
     @pytest.mark.parametrize("flag", ["--vol", "--c2", "--q", "--c3"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

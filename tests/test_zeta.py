@@ -17,14 +17,21 @@ from echspec import (
     ZetaConvention,
     barnes_zeta,
     bernoulli,
-    direct_zeta_sum,
+    ech_laurent_pair,
     ech_zeta,
     hurwitz_zeta,
     laurent_at,
     riemann_zeta,
 )
 
-from oracles import distinct_zeta_gaps, double_sum_barnes, interior_zeta_hurwitz
+from oracles import (
+    direct_zeta_sum,
+    distinct_zeta_gaps,
+    double_sum_barnes,
+    ech_zeta_at_negative_integer,
+    interior_zeta_hurwitz,
+    laurent_constant,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -412,16 +419,28 @@ class TestEchZeta:
             ech_zeta(complex(0.7, 2.0), E, conv)
             assert len(calls) == want, conv
 
-    def test_residues_share_barnes_values(self, monkeypatch, capsys):
-        # INTERIOR and FULL share one Barnes value at each of the 2 x 128
-        # contour points and at s = 0; separate calls would make 514. The
-        # memo ends with the call, so a repeat pays again.
+    def test_residues_cost(self, monkeypatch, capsys):
+        # residues prints exact residues and values at 0 and takes each constant
+        # from one Jet pass: no Barnes value and no contour. On E(3/2, 5/7) a
+        # pass evaluates the 16 head shifts, the integral, half and 12 tail
+        # terms, and the Riemann value: 31 shifts per pole, 62 in all.
         calls = self.count_barnes_calls(monkeypatch)
+        contours = []
+        monkeypatch.setattr(echspec.zeta, "laurent_at", lambda *a, **k: contours.append(a))
+        shifts = [0]
+        eta = echspec.zeta._eta
+
+        def counting(s, xs):
+            xs = list(xs)
+            shifts[0] += len(xs)
+            return eta(s, xs)
+
+        monkeypatch.setattr(echspec.zeta, "_eta", counting)
         for _ in range(2):
-            calls.clear()
+            shifts[0] = 0
             assert echspec.cli.main(["residues", "-a", "3/2", "-b", "5/7"]) == 0
             capsys.readouterr()
-            assert len(calls) == 2 * 128 + 1
+            assert (len(calls), len(contours), shifts[0]) == (0, 0, 2 * 31)
 
     def test_distinct_square_is_riemann(self):
         # all attained values of E(1,1) are the positive integers
@@ -507,3 +526,124 @@ class TestLaurent:
             laurent_at(cmath.exp, 0.0, radius=-1.0)
         with pytest.raises(ValueError):
             laurent_at(cmath.exp, 0.0, n_points=8)
+
+
+MPMATH_ELLIPSOIDS = [(F(1), F(2)), (F(2), F(3)), (F(1, 2), F(3, 2)), (F(3, 2), F(5, 7))]
+CONVENTIONS = (ZetaConvention.INTERIOR, ZetaConvention.FULL)
+
+
+class TestLaurentPair:
+    @pytest.mark.parametrize("a,b", MPMATH_ELLIPSOIDS)
+    @pytest.mark.parametrize("s0", [1, 2])
+    def test_constant_within_bound_of_mpmath(self, a, b, s0):
+        for lau, conv in zip(ech_laurent_pair(s0, Ellipsoid(a, b)), CONVENTIONS):
+            ref = laurent_constant(s0, a, b, conv)
+            assert abs(lau.constant - ref) <= lau.quad_err, conv
+
+    @pytest.mark.parametrize("a,b", MPMATH_ELLIPSOIDS + [(F(1), F(832040, 514229))])
+    def test_exact_residues_and_values_at_zero(self, a, b):
+        zero = F(1, 4) + (a / b + b / a) / 12
+        res1 = (a + b) / (2 * a * b)
+        want = {0: ((0, zero), (0, zero - 1)), 1: ((-res1, None), (res1, None)), 2: ((1 / (a * b), None),) * 2}
+        for s0, rows in want.items():
+            for lau, (res, value) in zip(ech_laurent_pair(s0, Ellipsoid(a, b)), rows):
+                assert lau.center == s0 and lau.residue == float(res)
+                if value is not None:
+                    assert lau.constant == float(value)
+                    assert lau.quad_err == 2.0**-53 * max(1.0, abs(float(value)))
+                assert lau.quad_err >= 2.0**-53 * max(1.0, abs(float(res)))
+
+    @pytest.mark.parametrize(
+        "a,b",
+        MPMATH_ELLIPSOIDS
+        + [(F(1), F(832040, 514229)), (F(1), F(10**12)), (F(10**12), F(1))],
+    )
+    @pytest.mark.parametrize("s0", [1, 2])
+    def test_agrees_with_contour(self, a, b, s0):
+        # laurent_at, the contour quadrature, is the independent cross-check
+        E = Ellipsoid(a, b)
+        for lau, conv in zip(ech_laurent_pair(s0, E), CONVENTIONS):
+            ref = laurent_at(lambda s: ech_zeta(s, E, conv), s0, radius=0.3, n_points=64, tol=1e-10)
+            assert abs(lau.constant - ref.constant) <= lau.quad_err + ref.quad_err, conv
+
+    def test_bound_covers_a_thin_ellipsoid(self):
+        # On E(1, 10^12) the head derivatives add up to about 400, and the jet
+        # constant at 1 is off by 3.3e-12. The reference is FULL's expansion in
+        # 1/b, whose next term is O(b^-4), and INTERIOR is FULL - (1 + b^-s) zeta(s).
+        with mpmath.workdps(50):
+            b = mpmath.mpf(10) ** 12
+
+            def full(s):
+                return (mpmath.zeta(s) + b ** (1 - s) * mpmath.zeta(s - 1) / (s - 1)
+                        + b**-s * mpmath.zeta(s) / 2 + s * b ** (-s - 1) * mpmath.zeta(s + 1) / 12)
+
+            fs = [lambda s: full(s) - (1 + b**-s) * mpmath.zeta(s), full]
+            h = mpmath.mpf("1e-20")
+            for s0 in (1, 2):
+                for E in (Ellipsoid(1, 10**12), Ellipsoid(10**12, 1)):
+                    for lau, f in zip(ech_laurent_pair(s0, E), fs):
+                        ref = float((f(s0 + h) + f(s0 - h)) / 2)
+                        assert abs(lau.constant - ref) <= lau.quad_err, (s0, E)
+
+    def test_both_axis_orders_agree(self):
+        for s0 in (0, 1, 2):
+            assert ech_laurent_pair(s0, Ellipsoid(F(3, 2), F(5, 7))) == ech_laurent_pair(
+                s0, Ellipsoid(F(5, 7), F(3, 2))
+            )
+
+    @pytest.mark.parametrize("s0", [-1, 0.5, 3])
+    def test_rejects_other_points(self, s0):
+        with pytest.raises(ValueError, match="s0 = 0, 1 or 2"):
+            ech_laurent_pair(s0, Ellipsoid(1, 2))
+
+    @pytest.mark.parametrize("s0", [0, 1, 2])
+    def test_bound_above_tol_raises(self, s0):
+        E = Ellipsoid(1, 2)
+        lau = ech_laurent_pair(s0, E)[0]
+        assert lau == ech_laurent_pair(s0, E, tol=lau.quad_err)[0]
+        with pytest.raises(NonConvergent, match="rounding bound"):
+            ech_laurent_pair(s0, E, tol=lau.quad_err / 2)
+
+
+# Measured error of ech_zeta at s = -k, k = 0..3, against the exact oracle: the
+# larger of INTERIOR and FULL, rounded up. It grows with k because the Barnes
+# head and integral term cancel from about xN^(2 + k) down to the value.
+# Direction 1 of ROADMAP.md replaces these measurements with reported bounds.
+NEGATIVE_INTEGER_ERRORS = {
+    (F(1), F(2)): (1.9e-14, 6.0e-16, 4.6e-12, 1.7e-10),
+    (F(2), F(3)): (1.3e-14, 1.6e-13, 5.0e-12, 1.6e-11),
+    (F(1, 2), F(3, 2)): (6.4e-15, 1.6e-13, 7.6e-13, 3.9e-12),
+    (F(1), F(832040, 514229)): (1.9e-14, 2.6e-13, 7.4e-12, 7.0e-11),
+}
+
+
+class TestExactAtNegativeIntegers:
+    @pytest.mark.parametrize("a,b", sorted(NEGATIVE_INTEGER_ERRORS))
+    def test_residues_values_at_zero_are_the_oracle(self, a, b, capsys):
+        assert echspec.cli.main(["residues", "-a", str(a), "-b", str(b)]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:] if ln[0] != "#"]
+        at_zero = {r[0]: float(r[4]) for r in rows if r[1] == "0"}
+        for conv in CONVENTIONS:
+            assert at_zero[conv.value] == float(ech_zeta_at_negative_integer(0, a, b, conv))
+
+    @pytest.mark.parametrize("a,b", sorted(NEGATIVE_INTEGER_ERRORS))
+    def test_ech_zeta_within_three_times_measured_error(self, a, b):
+        for k, measured in enumerate(NEGATIVE_INTEGER_ERRORS[a, b]):
+            for conv in CONVENTIONS:
+                want = float(ech_zeta_at_negative_integer(k, a, b, conv))
+                assert abs(ech_zeta(-k, Ellipsoid(a, b), conv) - want) <= 3 * measured, (k, conv)
+
+    def test_oracle_closed_forms(self):
+        a, b = F(1), F(2)
+        assert ech_zeta_at_negative_integer(3, a, b, ZetaConvention.FULL) == F(3, 80)
+        for a, b in NEGATIVE_INTEGER_ERRORS:
+            zero = F(1, 4) + (a / b + b / a) / 12
+            assert ech_zeta_at_negative_integer(0, a, b, ZetaConvention.INTERIOR) == zero
+            assert ech_zeta_at_negative_integer(0, a, b, ZetaConvention.FULL) == zero - 1
+        # on E(1, 10^12) the value at 0 is 83333333333.58333...; the float path
+        # gives 83333333333.5677 there, and residues prints the exact value
+        E = Ellipsoid(1, 10**12)
+        big = ech_zeta_at_negative_integer(0, E.a, E.b, ZetaConvention.INTERIOR)
+        assert big == F(1, 4) + (F(10**12) + F(1, 10**12)) / 12
+        assert abs(ech_zeta(0, E, ZetaConvention.INTERIOR) - float(big)) > 0.01
+        assert ech_laurent_pair(0, E)[0].constant == float(big)
