@@ -3,7 +3,8 @@ d_j = c_j - sqrt(vol * 2j), Weyl counting samples, and power-law fits.
 
 The square root is taken with 60 fractional bits via integer isqrt, so the
 recorded defect carries a certified rounding bound well below the scales
-at which the O(1) limits are distinguished.
+at which the O(1) limits are distinguished. Power laws come from one centred
+math.fsum least-squares line in log-log coordinates, with no numpy.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .spectrum import (
     Ellipsoid,
@@ -97,32 +96,38 @@ def weyl_count(E: Ellipsoid, R) -> WeylSample:
     )
 
 
+def _line_fit(pts: list[tuple[float, float]]) -> tuple[float, float, float]:
+    """(slope, intercept, rms residual) of the least-squares line through the
+    points (x, y): centred two-pass math.fsum sums about the rounded means, less
+    the products of the deviation sums, so narrow x ranges (16 indices near
+    1e11) stay exact to rounding. Equal xs give a nan slope."""
+    n = len(pts)
+    x0, y0 = (math.fsum(c) / n for c in zip(*pts))
+    dx, dy = [x - x0 for x, _ in pts], [y - y0 for _, y in pts]
+    sx, sy = math.fsum(dx), math.fsum(dy)
+    sxx = math.fsum(u * u for u in dx) - sx * sx / n
+    sxy = math.fsum(u * v for u, v in zip(dx, dy)) - sx * sy / n
+    slope = sxy / sxx if sxx else math.nan
+    resid = [v - slope * u for u, v in zip(dx, dy)]
+    return slope, y0 - slope * x0, math.hypot(*resid) / math.sqrt(n)
+
+
 def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     """Least-squares leading coefficient C of N(R) ~ C*R^2 over the samples
-    (classes convention), plus the remainder exponent from regressing
-    log|N - C*R^2| on log R."""
+    (classes convention), exact then rounded, and the remainder exponent: the
+    fsum line fit of log|N - C*R^2| > 1e-9 on log R (0.0 if under two are)."""
     R_list = [as_rational(R) for R in R_list]
     if len(R_list) < 3:
         raise ValueError("weyl_fit requires at least 3 samples")
     if any(R_list[i] >= R_list[i + 1] for i in range(len(R_list) - 1)):
         raise ValueError("weyl_fit requires strictly increasing R")
-    R = np.array([float(r) for r in R_list])
-    N = np.array([float(count_leq(E, r)) for r in R_list])
-    R2 = R * R
-    C = float(np.dot(N, R2) / np.dot(R2, R2))
-    resid = N - C * R2
-    mask = np.abs(resid) > 1e-9
-    if mask.sum() >= 2:
-        slope, _ = np.polyfit(np.log(R[mask]), np.log(np.abs(resid[mask])), 1)
-        exponent = float(slope)
-    else:
-        exponent = 0.0
-    return FitResult(
-        coefficient=C,
-        exponent=exponent,
-        residual=float(np.sqrt(np.mean(resid**2))),
-        window=(0, len(R_list) - 1),
-    )
+    N = [count_leq(E, r) for r in R_list]
+    C = sum(n * r * r for n, r in zip(N, R_list)) / sum(r**4 for r in R_list)
+    resid = [float(n - C * r * r) for n, r in zip(N, R_list)]
+    kept = [(math.log(r), math.log(abs(e))) for r, e in zip(R_list, resid) if abs(e) > 1e-9]
+    exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
+    rms = math.hypot(*resid) / math.sqrt(len(resid))
+    return FitResult(float(C), exponent, rms, (0, len(R_list) - 1))
 
 
 def _window_sups(js, ds, window_count: int) -> list[tuple[int, float]]:
@@ -161,10 +166,10 @@ def window_sups(points: list[DkPoint], window_count: int) -> list[tuple[int, flo
 
 def column_exponent_fit(js, ds, window_count: int) -> FitResult:
     """Growth exponent of |d_j| from the columns js (strictly increasing) and
-    ds: regress log of per-window sups on log of the index attaining them.
-    Flat (O(1)) sequences fit an exponent near zero; a planted power law j^p
-    is recovered exactly. A degenerate window set can give non-finite
-    numbers; no floating-point warning is raised for them."""
+    ds: the centred fsum line fit of log per-window sup on log of the index
+    attaining it. Flat (O(1)) sequences fit an exponent near zero; a planted
+    power law j^p is recovered exactly. A degenerate window set can give
+    non-finite numbers (an overflowing coefficient is inf), with no error."""
     if not js:
         raise ValueError("exponent_fit requires nonempty input")
     if any(j >= k for j, k in zip(js, js[1:])):
@@ -172,17 +177,12 @@ def column_exponent_fit(js, ds, window_count: int) -> FitResult:
     sups = [(j, s) for j, s in _window_sups(js, ds, window_count) if s > 1e-15]
     if len(sups) < 2:
         raise ValueError("exponent_fit requires at least two usable windows")
-    with np.errstate(all="ignore"):
-        x = np.log([j for j, _ in sups])
-        y = np.log([s for _, s in sups])
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        return FitResult(
-            coefficient=float(np.exp(intercept)),
-            exponent=float(slope),
-            residual=float(np.sqrt(np.mean(resid**2))),
-            window=(next(j for j in js if j >= 1), js[-1]),
-        )
+    slope, intercept, rms = _line_fit([(math.log(j), math.log(s)) for j, s in sups])
+    try:
+        coefficient = math.exp(intercept)
+    except OverflowError:
+        coefficient = math.inf
+    return FitResult(coefficient, slope, rms, (next(j for j in js if j >= 1), js[-1]))
 
 
 def exponent_fit(points: list[DkPoint], window_count: int) -> FitResult:

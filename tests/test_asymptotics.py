@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 import warnings
 from fractions import Fraction as F
 
@@ -9,6 +11,7 @@ from echspec import (
     Ellipsoid,
     column_exponent_fit,
     contact_volume,
+    count_leq,
     d_sequence,
     exponent_fit,
     scaled_defects,
@@ -164,7 +167,92 @@ class TestExponentFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = exponent_fit(pts, 12)
-        assert not math.isfinite(fit.coefficient)
+        assert fit.coefficient == math.inf  # exp of an intercept near 4517
+
+
+def _exact_line(pts):
+    """The exact least-squares (slope, intercept) through float points (x, y)."""
+    X, Y = [F(x) for x, _ in pts], [F(y) for _, y in pts]
+    n, sx, sy = len(pts), sum(X), sum(Y)
+    slope = (n * sum(x * y for x, y in zip(X, Y)) - sx * sy) / (n * sum(x * x for x in X) - sx * sx)
+    return slope, (sy - slope * sx) / n
+
+
+def _assert_close(got, exact):
+    assert abs(F(got) - exact) <= F(1e-13) * max(1, abs(exact)), (got, float(exact))
+
+
+class TestFitAccuracy:
+    """Both fits against the exact rational least-squares fit of the same
+    float points, within 1e-13 * max(1, |exact|)."""
+
+    @staticmethod
+    def check_column_fit(js, ds, window_count):
+        fit = column_exponent_fit(js, ds, window_count)
+        pts = [DkPoint(j=j, c=F(0), d=d, d_err=0.0) for j, d in zip(js, ds)]
+        sups = [(j, s) for j, s in window_sups(pts, window_count) if s > 1e-15]
+        slope, intercept = _exact_line([(math.log(j), math.log(s)) for j, s in sups])
+        _assert_close(fit.exponent, slope)
+        if fit.coefficient == 0.0:  # exp underflows
+            assert intercept < math.log(5e-324)
+        elif fit.coefficient == math.inf:  # exp overflows
+            assert intercept > math.log(sys.float_info.max)
+        else:
+            _assert_close(math.log(fit.coefficient), intercept)
+        return len(sups)
+
+    def test_random_column_fits(self):
+        rng = random.Random(20121)
+        sizes = set()
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            if rng.random() < 0.5:  # log-spaced over twelve decades
+                js = sorted({int(10 ** rng.uniform(0, 12)) for _ in range(n)})
+            else:  # a narrow window at a depth up to 1e12
+                j0 = int(10 ** rng.uniform(0, 12))
+                js = sorted(j0 + i for i in rng.sample(range(64), n))
+            ds = [rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 3) for _ in js]
+            if len(js) >= 2:
+                sizes.add(self.check_column_fit(js, ds, 4 * len(js)))
+        assert {2, 3} <= sizes and max(sizes) >= 30
+
+    @pytest.mark.parametrize(
+        "a,b,j0,j1",
+        [
+            (1, F(832040, 514229), 0, 1500),
+            (1, F(832040, 514229), 1_000_000, 1_000_500),
+            (2, 3, 0, 1500),
+            (2, 3, 1_000_000, 1_000_500),
+            (1, F(832040, 514229), 11_203_511, 11_203_519),
+            (1, 30, 10**11, 10**11 + 15),
+        ],
+    )
+    def test_pinned_dk_windows(self, a, b, j0, j1):
+        # The dk windows pinned in tests/test_cli.py::TestByteIdentity, with the
+        # CLI's default of 12 windows, and two narrow deep windows.
+        S = Ellipsoid(a, b).scaled()
+        ds = scaled_defects(S, j0, scaled_spectrum(S, j0, j1))
+        self.check_column_fit(range(j0, j1 + 1), ds, 12)
+
+    def test_random_weyl_fits(self):
+        rng = random.Random(20122)
+        for _ in range(60):
+            E = Ellipsoid(F(rng.randint(1, 9), rng.randint(1, 9)), F(rng.randint(1, 99), 7))
+            radii = (F(rng.randint(1, 10**6), rng.randint(1, 100)) for _ in range(rng.randint(3, 40)))
+            R_list = sorted(set(radii))
+            if len(R_list) < 3:
+                continue
+            fit = weyl_fit(E, R_list)
+            N = [count_leq(E, r) for r in R_list]
+            X = [F(float(r)) ** 2 for r in R_list]
+            _assert_close(fit.coefficient, sum(n * x for n, x in zip(N, X)) / sum(x * x for x in X))
+            C = sum(n * r * r for n, r in zip(N, R_list)) / sum(r**4 for r in R_list)
+            resid = [float(n - C * r * r) for n, r in zip(N, R_list)]
+            pts = [(math.log(r), math.log(abs(e))) for r, e in zip(R_list, resid) if abs(e) > 1e-9]
+            if len(pts) >= 2:
+                _assert_close(fit.exponent, _exact_line(pts)[0])
+            else:
+                assert fit.exponent == 0.0
 
 
 class TestWindowSups:

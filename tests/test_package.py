@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,30 @@ def test_no_private_imports_across_modules():
             if isinstance(node, ast.ImportFrom) and (node.level or "echspec" in (node.module or "")):
                 found |= {(path.stem, a.name) for a in node.names if a.name.startswith("_")}
     assert found == set()
+
+
+def test_package_imports_only_the_standard_library():
+    # numpy and mpmath serve the tests and the benchmark checker, not the package.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {(path.stem, a.name) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add((path.stem, node.module))
+    stdlib = sys.stdlib_module_names
+    assert {(m, name) for m, name in found if name.partition(".")[0] not in stdlib} == set()
+
+
+def test_fresh_import_loads_no_numpy():
+    # In a new interpreter: this process has numpy loaded through tests/oracles.py.
+    code = "import echspec, echspec.cli, sys; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout == "False\n"
