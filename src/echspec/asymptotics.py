@@ -112,10 +112,19 @@ def _line_fit(pts: list[tuple[float, float]]) -> tuple[float, float, float]:
     return slope, y0 - slope * x0, math.hypot(*resid) / math.sqrt(n)
 
 
+def _log(x: Fraction) -> float:
+    """log of a positive rational; past the float range, from its integer parts."""
+    try:
+        return math.log(x)
+    except OverflowError:
+        return math.log(x.numerator) - math.log(x.denominator)
+
+
 def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     """Least-squares leading coefficient C of N(R) ~ C*R^2 over the samples
     (classes convention), exact then rounded, and the remainder exponent: the
-    fsum line fit of log|N - C*R^2| > 1e-9 on log R (0.0 if under two are)."""
+    fsum line fit of log|N - C*R^2| > 1e-9 on log R (0.0 if under two are).
+    The rms residual is inf when a residual is beyond the float range."""
     R_list = [as_rational(R) for R in R_list]
     if len(R_list) < 3:
         raise ValueError("weyl_fit requires at least 3 samples")
@@ -123,10 +132,13 @@ def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
         raise ValueError("weyl_fit requires strictly increasing R")
     N = [count_leq(E, r) for r in R_list]
     C = sum(n * r * r for n, r in zip(N, R_list)) / sum(r**4 for r in R_list)
-    resid = [float(n - C * r * r) for n, r in zip(N, R_list)]
-    kept = [(math.log(r), math.log(abs(e))) for r, e in zip(R_list, resid) if abs(e) > 1e-9]
+    resid = [n - C * r * r for n, r in zip(N, R_list)]
+    kept = [(_log(r), _log(abs(e))) for r, e in zip(R_list, resid) if abs(e) > 1e-9]
     exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
-    rms = math.hypot(*resid) / math.sqrt(len(resid))
+    try:
+        rms = math.hypot(*map(float, resid)) / math.sqrt(len(resid))
+    except OverflowError:
+        rms = math.inf
     return FitResult(float(C), exponent, rms, (0, len(R_list) - 1))
 
 

@@ -269,14 +269,7 @@ def cmd_envelope(cfg) -> int:
     e0, e1 = parse_range(cfg.range)
     if e1 > sys.float_info.max_10_exp:
         raise CLIError(f"10**{e1} overflows a float")
-    k = EnvelopeConstants(
-        q=cfg.q,
-        c0=cfg.c0,
-        c1=cfg.c1,
-        c2=cfg.c2,
-        vol=cfg.vol,
-        c3_override=cfg.c3,
-    )
+    k = EnvelopeConstants(q=cfg.q, c0=cfg.c0, c1=cfg.c1, c2=cfg.c2, vol=cfg.vol)
     rows = []
     n = cfg.per_decade
     js = sorted({10.0 ** (e0 + i / n) for i in range((e1 - e0) * n + 1)})
@@ -345,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c0", type=float, default=EnvelopeConstants.c0)
     sp.add_argument("--c1", type=float, default=EnvelopeConstants.c1)
     sp.add_argument("--c2", type=float, default=EnvelopeConstants.c2)
-    sp.add_argument("--c3", type=float, default=None, help="override the derived c3")
     sp.add_argument("--vol", type=float, default=EnvelopeConstants.vol)
     sp.set_defaults(func=cmd_envelope)
 

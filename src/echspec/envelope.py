@@ -27,11 +27,7 @@ class NoRoot(EchspecError):
 
 
 class TooSmallJ(EchspecError):
-    """j^{4/5} has not yet cleared the validity threshold."""
-
-    def __init__(self, message: str, min_j: float):
-        super().__init__(message)
-        self.min_j = min_j
+    """r3 = j^{4/5} lies below r1, where the F brackets are undefined."""
 
 
 @dataclass(frozen=True)
@@ -41,23 +37,18 @@ class EnvelopeConstants:
     c1: float = 1.0
     c2: float = 1.0
     vol: float = DEFAULT_VOL
-    c3_override: float | None = None  # degenerate checks only; normally derived
 
     def __post_init__(self):
-        finite = (self.q, self.c0, self.c1, self.c2, self.vol, self.c3_override or 0.0)
-        if not all(map(math.isfinite, finite)):
+        if not all(map(math.isfinite, (self.q, self.c0, self.c1, self.c2, self.vol))):
             raise ValueError("envelope constants must be finite")
         if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
             raise ValueError("constants c0, c1, c2 must be nonnegative")
         if self.vol <= 0:
             raise ValueError("vol must be positive")
-        if self.c3_override is not None and self.c3_override < 0:
-            raise ValueError("c3 override must be nonnegative")
 
     @property
     def c3(self) -> float:
-        if self.c3_override is not None:
-            return self.c3_override
+        """1 + 3t + 3t^2 with t = 2 c1/3, so c3 >= 1."""
         t = 2.0 * self.c1 / 3.0
         return 1.0 + 3.0 * t + 3.0 * t * t
 
@@ -147,76 +138,45 @@ def _sup_below(pred, r_base: float) -> float:
 def r2_threshold(j: float, k: EnvelopeConstants) -> float:
     """Largest radius at which any of the validity inequalities still holds:
     the cubic-root smallness condition with rho0, and the three linear-growth
-    comparisons against the F upper brackets."""
+    comparisons against the F upper brackets. Each predicate probes F_bounds
+    once per radius, and every probed radius is at least base >= r1."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    r1 = r1_bar(j, k)
-    base = max(r1, 1e-9)
+    base = max(r1_bar(j, k), 1e-9)
     rho0 = rho_zero()
 
     def f_hi(r: float) -> float:
-        return F_bounds(max(r, r1), j, k)[1]
+        return F_bounds(r, j, k)[1]
 
-    def fp_hi(r: float) -> float:
-        return F_bounds(max(r, r1), j, k)[3]
+    def cubic_root(r: float) -> bool:
+        F = f_hi(r)
+        return F > 0 and k.c1 * F ** (1.0 / 3.0) >= rho0 * r ** (2.0 / 3.0)
 
-    preds = []
+    preds = [
+        lambda r: f_hi(r) / r >= (1.0 / (9.0 * k.c3)) ** 3 * r,
+        lambda r: f_hi(r) / r >= r,
+    ]
     if k.c1 > 0:
-        preds.append(lambda r: f_hi(r) > 0 and k.c1 * f_hi(r) ** (1.0 / 3.0) >= rho0 * r ** (2.0 / 3.0))
-        preds.append(lambda r: fp_hi(r) >= (3.0 / (4.0 * k.c1)) ** 3 * r)
-    if k.c3 > 0:
-        preds.append(lambda r: f_hi(r) / r >= (1.0 / (9.0 * k.c3)) ** 3 * r)
-    preds.append(lambda r: f_hi(r) / r >= r)
+        preds += [cubic_root, lambda r: F_bounds(r, j, k)[3] >= (3.0 / (4.0 * k.c1)) ** 3 * r]
     return max(_sup_below(p, base) for p in preds)
 
 
-def _min_admissible_j(j_hint: float, k: EnvelopeConstants) -> float:
-    """Smallest j with j^{4/5} >= r2_threshold(j, k), by bracketed bisection."""
-
-    def ok(j: float) -> bool:
-        return j ** 0.8 >= r2_threshold(j, k)
-
-    lo = max(j_hint, 1.0)
-    hi = lo
-    while not ok(hi):
-        hi *= 4.0
-        if hi > 1e24:
-            raise NonConvergent("no admissible j below 1e24")
-    while ok(lo / 2.0) and lo > 1.0:
-        lo /= 2.0
-    for _ in range(100):
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def capacity_envelope(j: float, k: EnvelopeConstants, strict: bool = False) -> EnvelopeResult:
+def capacity_envelope(j: float, k: EnvelopeConstants) -> EnvelopeResult:
     """Two-sided capacity envelope at index j with r3 = j^{4/5}.
 
-    With strict=True the validity threshold r2 is enforced and TooSmallJ
-    reports the minimal admissible index; by default results below the
-    threshold are still computed and flagged via `admissible`, since with
-    order-one constants the threshold constant is astronomically larger than
-    any desk-scale index while the envelope scaling is already visible.
+    Raises TooSmallJ when r3 < r1, where the F brackets are undefined.
+    Results below the validity threshold r2 are computed and flagged by
+    `admissible`: with order-one constants that threshold is astronomically
+    larger than any desk-scale index, while the envelope scaling is already
+    visible.
     """
     if j <= 0:
         raise ValueError("j must be positive")
     r1 = r1_bar(j, k)
     r3 = j ** 0.8
     if r3 < r1 or r1 <= 0:
-        raise TooSmallJ(
-            f"r3 = j^0.8 = {r3:.6g} below r1 = {r1:.6g}", min_j=_min_admissible_j(j, k)
-        )
+        raise TooSmallJ(f"r3 = j^0.8 = {r3:.6g} below r1 = {r1:.6g}")
     r2 = r2_threshold(j, k)
-    admissible = r3 >= r2
-    if strict and not admissible:
-        raise TooSmallJ(
-            f"r3 = {r3:.6g} below validity threshold r2 = {r2:.6g}",
-            min_j=_min_admissible_j(j, k),
-        )
     F_lo, F_hi, _, _ = F_bounds(r3, j, k)
     qj = k.q + j
     sr3 = math.sqrt(r3)
@@ -238,5 +198,5 @@ def capacity_envelope(j: float, k: EnvelopeConstants, strict: bool = False) -> E
         e_hi=e_hi,
         c_lo=e_lo / two_pi,
         c_hi=e_hi / two_pi,
-        admissible=admissible,
+        admissible=r3 >= r2,
     )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import shlex
 import time
 import warnings
@@ -23,6 +24,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # SHA-256 of stdout for (command, a, b, range, format); residues takes no
 # range, and zeta takes a convention in its place and runs at ZETA_POINTS.
+# envelope takes no axes, and its range is followed by its options.
 # The pins hold the output byte for byte: any change to them is a change of
 # the CLI's output format. The residues rows print exact residues and values
 # at s = 0, and Laurent constants from one Jet pass per pole. The dk summaries
@@ -59,6 +61,9 @@ PINNED_SHA256 = {
     ("zeta", "2", "3", "full", "json"): "6acecec28d16e0187a6e386d796ecd2100ca1faae82e3d0cbc89c2837d874004",
     ("zeta", "2", "3", "distinct", "csv"): "f9b0c286b3638708f2dd2c448ea59c6b37440317dd8c033108bb75b3a6b10bed",
     ("zeta", "2", "3", "distinct", "json"): "f283e98aded0a8b917663cee7c8f61f295774e5106750b90db2fd3865767b36f",
+    ("envelope", "", "", "2..9 --per-decade 4", "csv"): "35a88ae855506bafe9fdad2f7a169153624df9caa98a00805a93aa7d66456e7f",
+    ("envelope", "", "", "2..9 --per-decade 4", "json"): "a69e344c3d5cfa1de91660abaf19b75925810276dabcd3f336609bbb47067da1",
+    ("envelope", "", "", "2..9 --per-decade 4 --vol 1000 --c1 2 --c2 0.5 --q 3 --c0 0.25", "csv"): "c56dd3766fad7f0966d4f0604fc8f09bc422103d8d046de859e29f0b17bd73cc",
 }
 ZETA_POINTS = ["-s", "3", "-s", "0.5", "-s=-1.5,2", "-s=-3.9,0.5", "-s=2.5,-16", "-s", "30", "-s=1.5,-1000"]
 
@@ -144,8 +149,9 @@ class TestByteIdentity:
     @pytest.mark.parametrize("key", sorted(PINNED_SHA256))
     def test_pinned_stdout(self, key, capsys):
         cmd, a, b, arg, fmt = key
-        extra = ["--convention", arg] + ZETA_POINTS if cmd == "zeta" else ["-k", arg] * bool(arg)
-        argv = [cmd, "-a", a, "-b", b] + extra + ["--format", fmt]
+        axes = ["-a", a, "-b", b] if a else []
+        extra = ["--convention", arg] + ZETA_POINTS if cmd == "zeta" else ["-k"] * bool(arg) + arg.split()
+        argv = [cmd] + axes + extra + ["--format", fmt]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[key]
@@ -254,6 +260,15 @@ class TestOtherCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1] == "10,1,66,11"
 
+    def test_weyl_radii_past_float_range(self, capsys):
+        # the residuals near 1e310 overflow a float; their logs come from the
+        # integer numerator and denominator
+        R = ",".join(f"{m}{'0' * 310}" for m in (1, 2, 3))
+        assert main(["weyl", "-a", "1", "-b", "2", "-R", R]) == 0
+        summary = dict(ln[2:].split("=") for ln in capsys.readouterr().out.splitlines() if ln.startswith("# "))
+        assert float(summary["fit_coefficient"]) == 1 / (2 * 1 * 2)
+        assert math.isfinite(float(summary["fit_remainder_exponent"]))
+
     def test_weyl_fit_summary(self, capsys):
         R = ",".join(str(k) for k in range(50, 401, 50))
         assert main(["weyl", "-a", "1", "-b", "1", "-R", R]) == 0
@@ -358,13 +373,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: rounding bound") and "exceeds tol=1e-20" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--vol", "--c2", "--q", "--c3"])
+    @pytest.mark.parametrize("flag", ["--vol", "--c2", "--q"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_envelope_constant(self, flag, value, capsys):
         assert main(["envelope", "-k", "4..5", flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    def test_c3_is_not_an_option(self, capsys):
+        # c3 is always derived from c1
+        assert main(["envelope", "-k", "4..5", "--c3", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --c3 1" in captured.err
 
     @pytest.mark.parametrize("per_decade", ["0", "-3"])
     def test_per_decade_below_one(self, per_decade, capsys):

@@ -54,6 +54,23 @@ def full_sup_below(pred, r_base):
     return lo, calls
 
 
+def count_F_bounds(monkeypatch) -> list[float]:
+    """Patch the envelope's F_bounds to record the radius of every call."""
+    radii = []
+    inner = echspec.envelope.F_bounds
+
+    def counted(r, j, k):
+        radii.append(r)
+        return inner(r, j, k)
+
+    monkeypatch.setattr(echspec.envelope, "F_bounds", counted)
+    return radii
+
+
+SWEEP_JS = sorted({10.0 ** (3 + i / 4) for i in range(6 * 4 + 1)})  # envelope -k 3..9 --per-decade 4
+NON_DEFAULT = EnvelopeConstants(vol=1000.0, c1=2.0, c2=0.5, q=3.0, c0=0.25)
+
+
 class TestR1:
     def test_degenerate_is_sqrt(self):
         k = EnvelopeConstants(q=0.0, c0=0.0, vol=FOUR_PI_SQ)
@@ -162,6 +179,15 @@ class TestR2:
         with pytest.raises(ValueError):
             r2_threshold(-1.0, EnvelopeConstants())
 
+    @pytest.mark.parametrize("k", [EnvelopeConstants(), NON_DEFAULT])
+    def test_probes_no_radius_below_r1(self, k, monkeypatch):
+        radii = count_F_bounds(monkeypatch)
+        for p in range(3, 10):
+            j = 10.0**p
+            radii.clear()
+            r2_threshold(j, k)
+            assert radii and min(radii) >= r1_bar(j, k)
+
     def test_sup_below_stops_at_adjacent_floats(self):
         rng = random.Random(10)
         for _ in range(1000):
@@ -207,35 +233,49 @@ class TestCapacityEnvelope:
         assert devs[2] < 0.1
 
     def test_strict_mode_raises_below_threshold(self):
-        k = EnvelopeConstants()
-        res = capacity_envelope(1e6, k)
+        # below r2 the result is flagged, not raised
+        res = capacity_envelope(1e6, EnvelopeConstants())
         assert not res.admissible
-        with pytest.raises(TooSmallJ) as ei:
-            capacity_envelope(1e6, k, strict=True)
-        assert ei.value.min_j > 1e6
+        assert res.r2 > res.r3
 
     def test_relative_collapse_without_fluctuations(self):
-        # removing the fluctuation and cubic-remainder constants shrinks the
-        # envelope to the deterministic core
-        k0 = EnvelopeConstants(c2=0.0, c3_override=0.0)
-        res0 = capacity_envelope(1e8, k0)
-        res1 = capacity_envelope(1e8, EnvelopeConstants())
-        width0 = res0.e_hi - res0.e_lo
-        width1 = res1.e_hi - res1.e_lo
-        assert width0 < 0.1 * width1
-        # what remains is exactly the deterministic gap between the two bounds
-        qj = res0.j
-        gap = 0.5 * res0.r1**2 * k0.vol / res0.r3 + qj / res0.r3
-        assert abs(width0 - gap) < 1e-9 * gap
+        # with c2 = 0 the envelope is the deterministic core widened by the
+        # cubic remainder R with the derived c3
+        k = EnvelopeConstants(c2=0.0)
+        j = 1e8
+        res = capacity_envelope(j, k)
+        r1, r3 = res.r1, res.r3
+        e_lo_base = j / r1 - j / r3
+        e_hi_base = 0.5 * r1**2 * k.vol / r3 + j / r1
+        R = 4.0 * k.c3 * (e_hi_base / r3) ** (1.0 / 3.0)
+        lo, hi = sorted([e_lo_base * (1.0 - R), e_hi_base * (1.0 + R)])
+        assert abs(res.e_lo - lo) <= 1e-12 * abs(lo)
+        assert abs(res.e_hi - hi) <= 1e-12 * abs(hi)
+        default = capacity_envelope(j, EnvelopeConstants())
+        assert res.e_hi - res.e_lo < default.e_hi - default.e_lo
 
     def test_too_small_j(self):
         k = EnvelopeConstants()
         with pytest.raises(TooSmallJ):
             capacity_envelope(1e-6, k)
 
+    def test_too_small_j_probes_no_radius(self, monkeypatch):
+        radii = count_F_bounds(monkeypatch)
+        with pytest.raises(TooSmallJ, match="below r1"):
+            capacity_envelope(1.0, EnvelopeConstants(vol=1.0))
+        assert radii == []
+
     def test_rejects_nonpositive_j(self):
         with pytest.raises(ValueError):
             capacity_envelope(0.0, EnvelopeConstants())
+
+    def test_sweep_F_bounds_calls(self, monkeypatch):
+        # one F_bounds call per radius and predicate
+        radii = count_F_bounds(monkeypatch)
+        for j in SWEEP_JS:
+            capacity_envelope(j, EnvelopeConstants())
+        assert len(SWEEP_JS) == 25
+        assert len(radii) == 6913
 
     def test_deterministic(self):
         k = EnvelopeConstants()
@@ -248,7 +288,6 @@ class TestConstants:
     def test_derived_c3(self):
         assert abs(EnvelopeConstants().c3 - 13.0 / 3.0) < 1e-14
         assert EnvelopeConstants(c1=0.0).c3 == 1.0
-        assert EnvelopeConstants(c3_override=0.0).c3 == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -256,7 +295,7 @@ class TestConstants:
         with pytest.raises(ValueError):
             EnvelopeConstants(vol=0.0)
 
-    @pytest.mark.parametrize("name", ["q", "c0", "c1", "c2", "vol", "c3_override"])
+    @pytest.mark.parametrize("name", ["q", "c0", "c1", "c2", "vol"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, name, bad):
         with pytest.raises(ValueError, match="finite"):

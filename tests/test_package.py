@@ -1,5 +1,7 @@
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 import echspec
 from echspec import EchspecError, NonConvergent
+from echspec.cli import build_parser
 from echspec.envelope import _sup_below
 
 SRC = Path(echspec.__file__).resolve().parent
@@ -63,3 +66,17 @@ def test_fresh_import_loads_no_numpy():
         check=True,
     )
     assert run.stdout == "False\n"
+
+
+def test_every_cli_option_is_in_the_readme():
+    # An option the README never names is a knob nobody can find.
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt
+        for p in (parser, *commands.choices.values())
+        for action in p._actions
+        for opt in action.option_strings
+    }
+    assert {opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)} == set()
