@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .spectrum import (
     Ellipsoid,
@@ -19,6 +20,7 @@ from .spectrum import (
     as_rational,
     count_leq,
     distinct_values_leq,
+    map_distinct,
     scaled_spectrum,
 )
 
@@ -26,8 +28,7 @@ _SQRT_BITS = 60
 DEFECT_REL_ERR = 2.0**-50  # d_err = max(1, c) * DEFECT_REL_ERR
 
 
-@dataclass(frozen=True)
-class DkPoint:
+class DkPoint(NamedTuple):
     j: int
     c: Fraction
     d: float
@@ -72,16 +73,15 @@ def scaled_defects(S: ScaledEllipsoid, j0: int, values: list[int]) -> list[float
 
 def d_sequence(E: Ellipsoid, j0: int, j1: int) -> list[DkPoint]:
     """Defect samples d_j = c_j - sqrt(vol * 2j) for j in [j0, j1]: exact
-    c_j and the scaled_defects of the block."""
+    c_j and the scaled_defects of the block. Tied c_j share one Fraction."""
     if j0 > j1:
         raise ValueError("d_sequence requires j0 <= j1")
     S = E.scaled()
     den = S.den
     vals = scaled_spectrum(S, j0, j1)
-    return [
-        DkPoint(j=j, c=Fraction(v, den), d=d, d_err=max(1.0, v / den) * DEFECT_REL_ERR)
-        for j, v, d in zip(range(j0, j1 + 1), vals, scaled_defects(S, j0, vals))
-    ]
+    exact = map_distinct(lambda v: (Fraction(v, den), max(1.0, v / den) * DEFECT_REL_ERR), vals)
+    ds = scaled_defects(S, j0, vals)
+    return [DkPoint(j, c, d, e) for j, (c, e), d in zip(range(j0, j1 + 1), exact, ds)]
 
 
 def weyl_count(E: Ellipsoid, R) -> WeylSample:
@@ -113,11 +113,13 @@ def _line_fit(pts: list[tuple[float, float]]) -> tuple[float, float, float]:
 
 
 def _log(x: Fraction) -> float:
-    """log of a positive rational; past the float range, from its integer parts."""
+    """log of a positive rational; outside the normal float range, from its integer parts."""
     try:
-        return math.log(x)
+        if float(x) >= 2.0**-1022:  # the least normal float
+            return math.log(x)
     except OverflowError:
-        return math.log(x.numerator) - math.log(x.denominator)
+        pass
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
@@ -132,6 +134,10 @@ def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
         raise ValueError("weyl_fit requires strictly increasing R")
     N = [count_leq(E, r) for r in R_list]
     C = sum(n * r * r for n, r in zip(N, R_list)) / sum(r**4 for r in R_list)
+    try:
+        coefficient = float(C)
+    except OverflowError:
+        raise ValueError(f"leading coefficient exp({_log(C):.6g}) overflows a float") from None
     resid = [n - C * r * r for n, r in zip(N, R_list)]
     kept = [(_log(r), _log(abs(e))) for r, e in zip(R_list, resid) if abs(e) > 1e-9]
     exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
@@ -139,7 +145,7 @@ def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
         rms = math.hypot(*map(float, resid)) / math.sqrt(len(resid))
     except OverflowError:
         rms = math.inf
-    return FitResult(float(C), exponent, rms, (0, len(R_list) - 1))
+    return FitResult(coefficient, exponent, rms, (0, len(R_list) - 1))
 
 
 def _window_sups(js, ds, window_count: int) -> list[tuple[int, float]]:

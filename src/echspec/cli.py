@@ -17,7 +17,6 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from .asymptotics import (
@@ -29,7 +28,7 @@ from .asymptotics import (
     weyl_fit,
 )
 from .envelope import EnvelopeConstants, capacity_envelope
-from .spectrum import EchspecError, Ellipsoid, scaled_spectrum
+from .spectrum import EchspecError, Ellipsoid, map_distinct, scaled_spectrum
 from .zeta import ZetaConvention, ech_laurent_pair, ech_zeta
 
 
@@ -154,11 +153,11 @@ def cmd_capacities(cfg) -> int:
         raise CLIError("capacity indices must be nonnegative")
     S = E.scaled()
     den = S.den
-    vals = scaled_spectrum(S, k0, k1)
-    rows = [
-        (k, v // g, den // g, f"{v / den:.17g}")
-        for k, v, g in zip(range(k0, k1 + 1), vals, map(math.gcd, vals, repeat(den)))
-    ]
+    def cells(v: int) -> tuple:  # v/den reduced, and its float
+        g = math.gcd(v, den)
+        return v // g, den // g, f"{v / den:.17g}"
+    cs = map_distinct(cells, scaled_spectrum(S, k0, k1))
+    rows = [(k, p, q, c) for k, (p, q, c) in zip(range(k0, k1 + 1), cs)]
     emit(cfg, ["k", "c_num", "c_den", "c_float"], rows, {}, [])
     return 0
 
@@ -201,10 +200,11 @@ def cmd_dk(cfg) -> int:
     js = range(j0, j1 + 1)
     vals = scaled_spectrum(S, j0, j1)
     ds = scaled_defects(S, j0, vals)
-    rows = [
-        (j, v // g, den // g, f"{d:.17g}", f"{max(1.0, v / den) * DEFECT_REL_ERR:.17g}")
-        for j, v, d, g in zip(js, vals, ds, map(math.gcd, vals, repeat(den)))
-    ]
+    def cells(v: int) -> tuple:  # c = v/den reduced, and its d_err
+        g = math.gcd(v, den)
+        return v // g, den // g, f"{max(1.0, v / den) * DEFECT_REL_ERR:.17g}"
+    cs = map_distinct(cells, vals)
+    rows = [(j, p, q, f"{d:.17g}", err) for j, (p, q, err), d in zip(js, cs, ds)]
     warnings = []
     bound = E.safe_coefficient_bound()
     if bound > 1 and vals[-1] / den / min(float(E.a), float(E.b)) >= bound:

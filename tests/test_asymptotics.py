@@ -20,6 +20,9 @@ from echspec import (
     weyl_fit,
     window_sups,
 )
+from echspec.asymptotics import DEFECT_REL_ERR, _log
+
+from test_spectrum import tied_blocks
 
 
 class TestContactVolume:
@@ -59,6 +62,39 @@ class TestDSequence:
         # on E(1,1) the defect stays within O(1) of zero over a long stretch
         pts = d_sequence(Ellipsoid(1, 1), 1, 5000)
         assert max(abs(p.d) for p in pts) < 2.0
+
+
+class TestTiedDSequence:
+    @pytest.mark.parametrize("E,j0,j1", tied_blocks())
+    def test_fields_match_the_per_row_formula(self, E, j0, j1):
+        S = E.scaled()
+        vals = scaled_spectrum(S, j0, j1)
+        rows = zip(range(j0, j1 + 1), vals, scaled_defects(S, j0, vals))
+        old = [(j, F(v, S.den), d, max(1.0, v / S.den) * DEFECT_REL_ERR) for j, v, d in rows]
+        got = d_sequence(E, j0, j1)
+        assert [(p.j, p.c, p.d, p.d_err) for p in got] == old
+        assert all(type(p.c) is F and type(p.d) is float and type(p.d_err) is float for p in got)
+
+    @pytest.mark.parametrize("E,j0,j1", tied_blocks())
+    def test_ties_share_one_fraction(self, E, j0, j1):
+        got = d_sequence(E, j0, j1)
+        for p, q in zip(got, got[1:]):
+            assert (p[1] is q[1]) == (p.c == q.c)
+
+
+class TestDkPoint:
+    def test_named_tuple_fields(self):
+        assert DkPoint._fields == ("j", "c", "d", "d_err")
+        p = DkPoint(j=3, c=F(2), d=-0.25, d_err=1e-15)
+        assert p == DkPoint(3, F(2), -0.25, 1e-15) == (3, F(2), -0.25, 1e-15)
+        j, c, d, d_err = p
+        assert (j, c, d, d_err) == (p.j, p.c, p.d, p.d_err)
+
+    def test_fields_are_read_only(self):
+        p = DkPoint(j=3, c=F(2), d=-0.25, d_err=1e-15)
+        for name in DkPoint._fields:
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0)
 
 
 class TestScaledDefects:
@@ -122,6 +158,26 @@ class TestWeylFit:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             weyl_fit(Ellipsoid(1, 1), [1, 3, 2])
+
+    def test_radius_below_float_range(self):
+        # log R of R = 1e-400 comes from the integer parts, not math.log(0.0)
+        R_list = [F(1, 10**400), F(1), F(2), F(3)]
+        fit = weyl_fit(Ellipsoid(1, 2), R_list)
+        assert math.isfinite(fit.coefficient) and math.isfinite(fit.exponent)
+
+    def test_coefficient_past_float_range(self):
+        # C = sum(N R^2)/sum(R^4) is about 10^800 when every radius is near 1e-400
+        with pytest.raises(ValueError, match="leading coefficient exp.* overflows a float"):
+            weyl_fit(Ellipsoid(1, 2), [F(m, 10**400) for m in (1, 2, 3)])
+        with pytest.raises(ValueError, match="overflows a float"):
+            weyl_fit(Ellipsoid(F(1, 10**400), 2), [1, 2, 3])
+
+    @pytest.mark.parametrize("x", [F(1, 10**400), F(1, 10**310), F(3, 10**305), F(7, 3), F(10**400, 3)])
+    def test_log_outside_and_inside_the_float_range(self, x):
+        exact = math.log(x.numerator) - math.log(x.denominator)
+        assert _log(x) == pytest.approx(exact, rel=1e-15)
+        if 2.0**-1022 <= x <= sys.float_info.max:
+            assert _log(x) == math.log(x)  # the float path, as before
 
 
 def _planted(j0, j1, power, coeff=1.0):

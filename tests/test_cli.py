@@ -269,6 +269,15 @@ class TestOtherCommands:
         assert float(summary["fit_coefficient"]) == 1 / (2 * 1 * 2)
         assert math.isfinite(float(summary["fit_remainder_exponent"]))
 
+    def test_weyl_radius_below_float_range(self, capsys):
+        # 1e-400 rounds to 0.0 as a float; its log comes from the integer parts
+        R = ",".join(["1/1" + "0" * 400, "1", "2", "3"])
+        assert main(["weyl", "-a", "1", "-b", "2", "-R", R]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1] == f"1,1{'0' * 400},1,1"
+        summary = dict(ln[2:].split("=") for ln in out.splitlines() if ln.startswith("# "))
+        assert all(math.isfinite(float(v)) for v in summary.values())
+
     def test_weyl_fit_summary(self, capsys):
         R = ",".join(str(k) for k in range(50, 401, 50))
         assert main(["weyl", "-a", "1", "-b", "1", "-R", R]) == 0
@@ -349,6 +358,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: 1e-200 ** (-3-0j) overflows a float"]
+
+    @pytest.mark.parametrize(
+        "a,R",
+        [
+            ("1/1" + "0" * 400, "1,2,3"),  # C = 1/(2ab) is about 2.5e399
+            ("1", ",".join(f"{m}/1{'0' * 400}" for m in (1, 2, 3))),  # C is about 1e800
+        ],
+    )
+    def test_weyl_coefficient_past_float_range(self, a, R, capsys):
+        assert main(["weyl", "-a", a, "-b", "2", "-R", R]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: leading coefficient exp(") and line.endswith(") overflows a float")
 
     def test_huge_imaginary_part_fails_fast(self, capsys):
         t0 = time.perf_counter()

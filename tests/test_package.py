@@ -41,6 +41,37 @@ def test_no_private_imports_across_modules():
     assert found == set()
 
 
+def unused_imports(source: str) -> set[str]:
+    """Names a module imports but never loads, other than those its __all__
+    re-exports; `import a.b` binds `a`, and __future__ imports bind nothing."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", "") != "__future__":
+                imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_unused_import_check_sees_what_it_should():
+    source = "from __future__ import annotations\nimport os.path, re\nfrom math import gcd, pi as PI\n"
+    assert unused_imports(source) == {"os", "re", "gcd", "PI"}
+    used = source + "__all__ = ['gcd']\nos.sep, re.sub, PI\n"
+    assert unused_imports(used) == set()
+
+
+def test_no_unused_imports():
+    # No linter runs on the package, so the suite is the guard.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= {(path.stem, name) for name in unused_imports(path.read_text(encoding="utf-8"))}
+    assert found == set()
+
+
 def test_package_imports_only_the_standard_library():
     # numpy and mpmath serve the tests and the benchmark checker, not the package.
     found = set()

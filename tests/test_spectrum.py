@@ -15,6 +15,7 @@ from echspec import (
     scaled_spectrum,
     spectrum_range,
 )
+from echspec.spectrum import map_distinct
 
 from oracles import brute_count_leq, brute_distinct_leq, brute_spectrum, naive_floor_sum
 
@@ -177,6 +178,67 @@ class TestSpectrumRange:
         assert block == spectrum_range(Ellipsoid(b, a), k0, k0 + width)
         for k, c in block:
             assert c == nth_capacity(Ellipsoid(a, b), k)
+
+
+GOLDEN = Ellipsoid(1, F(832040, 514229))
+
+
+def tied_blocks():
+    """(E, k0, k1) blocks whose edges sit inside runs of tied values. On the
+    golden approximant the first tie is c = 832040 = 832040 * 1 =
+    514229 * (832040/514229), a run of two at index about 2.1e11: one block
+    ends on its first copy, one starts on its second."""
+    first = count_leq(GOLDEN, 832040 - F(1, 514229))  # values below 832040
+    return [
+        (Ellipsoid(2, 3), 1_003, 1_998),
+        (Ellipsoid(1, 1), 55 + 2, 210 + 5),  # c = 10 fills 55..65, c = 20 fills 210..230
+        (GOLDEN, first - 40, first),
+        (GOLDEN, first + 1, first + 40),
+    ]
+
+
+# Whether each block of tied_blocks starts inside a run, and ends inside one.
+EDGES_IN_RUNS = [(True, True), (True, True), (False, True), (True, False)]
+
+
+class TestTiedValues:
+    def test_block_edges_cut_runs(self):
+        # the fixture is what it says
+        cuts = [
+            (nth_capacity(E, k0 - 1) == nth_capacity(E, k0), nth_capacity(E, k1) == nth_capacity(E, k1 + 1))
+            for E, k0, k1 in tied_blocks()
+        ]
+        assert cuts == EDGES_IN_RUNS
+        assert nth_capacity(GOLDEN, tied_blocks()[2][2]) == 832040
+
+    @pytest.mark.parametrize("E,k0,k1", tied_blocks())
+    def test_spectrum_range_is_nth_capacity(self, E, k0, k1):
+        block = spectrum_range(E, k0, k1)
+        assert block == [(k, nth_capacity(E, k)) for k in range(k0, k1 + 1)]
+
+    @pytest.mark.parametrize("E,k0,k1", tied_blocks())
+    def test_ties_share_one_fraction(self, E, k0, k1):
+        block = spectrum_range(E, k0, k1)
+        for (_, c), (_, c_next) in zip(block, block[1:]):
+            assert (c is c_next) == (c == c_next)
+        assert len({id(c) for _, c in block}) == len({c for _, c in block})
+
+    @pytest.mark.parametrize("E,k0,k1", tied_blocks())
+    def test_make_runs_once_per_distinct_value(self, E, k0, k1):
+        vals = scaled_spectrum(E.scaled(), k0, k1)
+        calls = []
+
+        def make(v):
+            calls.append(v)
+            return [v]
+
+        out = map_distinct(make, vals)
+        assert calls == sorted(set(vals))
+        assert out == [[v] for v in vals]
+        assert all((x is y) == (v == w) for x, y, v, w in zip(out, out[1:], vals, vals[1:]))
+
+    def test_empty_block(self):
+        assert map_distinct(str, []) == []
 
 
 def _walks(E, k0, k1):
