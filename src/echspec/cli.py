@@ -232,6 +232,7 @@ def cmd_dk(cfg) -> int:
 
 
 def cmd_zeta(cfg) -> int:
+    """The `err` column echoes --tol; it is not an error bound."""
     E = _ellipsoid(cfg)
     if not cfg.s:
         raise CLIError("zeta requires at least one -s")

@@ -1,7 +1,8 @@
 """Deterministic calculator for the capacity envelope cascade: the
-irreducibility threshold r1, the cubic-root constant rho0, the validity
-threshold r2, the sub/supersolution brackets on the energy primitive F, and
-the final two-sided capacity envelope whose width scales like j^{2/5}.
+irreducibility threshold r1, the validity threshold r2, the sub/supersolution
+brackets on the energy primitive F, and the final two-sided capacity envelope
+whose width scales like j^{2/5}. The cubic-root constant rho0 (`rho_zero`)
+sets only a validity condition that P1 of `r2_threshold` implies.
 
 The constants c0, c1, c2, q, vol are structural inputs: only their
 existence, not their values, is determined by the geometry, so defaults are
@@ -136,29 +137,22 @@ def _sup_below(pred, r_base: float) -> float:
 
 
 def r2_threshold(j: float, k: EnvelopeConstants) -> float:
-    """Largest radius at which any of the validity inequalities still holds:
-    the cubic-root smallness condition with rho0, and the three linear-growth
-    comparisons against the F upper brackets. Each predicate probes F_bounds
-    once per radius, and every probed radius is at least base >= r1."""
+    """Largest radius at which P1, F_hi/r >= K r with K = (1/(9 c3))^3, or
+    (when c1 > 0) P4, Fp_hi >= (3/(4 c1))^3 r, still holds; one F_bounds call
+    per radius >= base >= r1. P1 implies the other two validity inequalities
+    at every radius: F_hi/r >= r, as c3 >= 1 makes fl(K r) <= r; and
+    F_hi > 0 with c1 F_hi^(1/3) >= rho0 r^(2/3), i.e. F_hi >= (rho0/c1)^3 r^2,
+    whose ratio to K, (9 rho0 c3/c1)^3 >= 900, no rounding undoes (if K
+    underflows, P1 is F_hi/r >= 0). An implied predicate brackets and bisects
+    to no larger radius, and P1 runs first, raising any NonConvergent theirs
+    would, so dropping them changes no float and no exception."""
     if j < 0:
         raise ValueError("j must be nonnegative")
     base = max(r1_bar(j, k), 1e-9)
-    rho0 = rho_zero()
-
-    def f_hi(r: float) -> float:
-        return F_bounds(r, j, k)[1]
-
-    def cubic_root(r: float) -> bool:
-        F = f_hi(r)
-        return F > 0 and k.c1 * F ** (1.0 / 3.0) >= rho0 * r ** (2.0 / 3.0)
-
-    preds = [
-        lambda r: f_hi(r) / r >= (1.0 / (9.0 * k.c3)) ** 3 * r,
-        lambda r: f_hi(r) / r >= r,
-    ]
+    r2 = _sup_below(lambda r: F_bounds(r, j, k)[1] / r >= (1.0 / (9.0 * k.c3)) ** 3 * r, base)
     if k.c1 > 0:
-        preds += [cubic_root, lambda r: F_bounds(r, j, k)[3] >= (3.0 / (4.0 * k.c1)) ** 3 * r]
-    return max(_sup_below(p, base) for p in preds)
+        r2 = max(r2, _sup_below(lambda r: F_bounds(r, j, k)[3] >= (3.0 / (4.0 * k.c1)) ** 3 * r, base))
+    return r2
 
 
 def capacity_envelope(j: float, k: EnvelopeConstants) -> EnvelopeResult:

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 class EchspecError(Exception):
     """Base class of every echspec error other than an invalid argument,
-    which raises ValueError or TypeError."""
+    which raises ValueError or TypeError, and a value past the float range,
+    which raises ValueError."""
 
 
 class NonConvergent(EchspecError):

@@ -67,6 +67,51 @@ def count_F_bounds(monkeypatch) -> list[float]:
     return radii
 
 
+def four_predicate_r2(j, k):
+    """r2_threshold as it was with all four validity predicates, the maximum
+    of their sups, as the reference for the two-predicate form."""
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    base = max(r1_bar(j, k), 1e-9)
+    rho0 = rho_zero()
+
+    def f_hi(r):
+        return F_bounds(r, j, k)[1]
+
+    def cubic_root(r):
+        F = f_hi(r)
+        return F > 0 and k.c1 * F ** (1.0 / 3.0) >= rho0 * r ** (2.0 / 3.0)
+
+    preds = [
+        lambda r: f_hi(r) / r >= (1.0 / (9.0 * k.c3)) ** 3 * r,
+        lambda r: f_hi(r) / r >= r,
+    ]
+    if k.c1 > 0:
+        preds += [cubic_root, lambda r: F_bounds(r, j, k)[3] >= (3.0 / (4.0 * k.c1)) ** 3 * r]
+    return max(echspec.envelope._sup_below(p, base) for p in preds)
+
+
+def outcome(f, *args):
+    """The float f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_case(rng):
+    """A seeded (j, EnvelopeConstants) pair; each of j, c0, c1, c2 is zero a
+    tenth of the time, q is negative a third of the time, and c1 spans
+    1e-6..1e6."""
+
+    def scale(lo, hi):
+        return 0.0 if rng.random() < 0.1 else 10 ** rng.uniform(lo, hi)
+
+    q = rng.choice([0.0, 10 ** rng.uniform(-3, 3), -(10 ** rng.uniform(-3, 3))])
+    k = EnvelopeConstants(q=q, c0=scale(-3, 3), c1=scale(-6, 6), c2=scale(-3, 3), vol=10 ** rng.uniform(-1, 5))
+    return scale(-2, 12), k
+
+
 SWEEP_JS = sorted({10.0 ** (3 + i / 4) for i in range(6 * 4 + 1)})  # envelope -k 3..9 --per-decade 4
 NON_DEFAULT = EnvelopeConstants(vol=1000.0, c1=2.0, c2=0.5, q=3.0, c0=0.25)
 
@@ -158,7 +203,7 @@ class TestFBounds:
 
 
 class TestR2:
-    def test_dominated_by_quadratic_comparison(self):
+    def test_grows_with_j(self):
         # with order-one constants the threshold grows like sqrt(F) ~ j^{5/8}...
         k = EnvelopeConstants()
         t1 = r2_threshold(1e4, k)
@@ -187,6 +232,46 @@ class TestR2:
             radii.clear()
             r2_threshold(j, k)
             assert radii and min(radii) >= r1_bar(j, k)
+
+    def test_matches_four_predicate_reference(self):
+        # same float, or same exception type and message, as the maximum over
+        # all four validity predicates
+        rng = random.Random(15)
+        cases = [random_case(rng) for _ in range(3000)]
+        cases += [(j, EnvelopeConstants(c1=c1)) for j in (0.0, 1e5) for c1 in (1e-6, 1e6)]
+        errors = 0
+        for j, k in cases:
+            want = outcome(four_predicate_r2, j, k)
+            assert outcome(r2_threshold, j, k) == want, (j, k)
+            errors += isinstance(want, tuple)
+        assert 0 < errors < len(cases) // 2
+        ks = [k for _, k in cases]
+        assert {0.0} <= {j for j, _ in cases} and any(k.q < 0 for k in ks)
+        assert all(any(getattr(k, c) == 0.0 for k in ks) for c in ("c0", "c1", "c2"))
+
+    def test_first_predicate_implied_pointwise(self):
+        # F_hi/r >= r and the rho0 cubic-root condition each imply
+        # F_hi/r >= K r, in the exact float expressions r2 used to probe
+        rng = random.Random(16)
+        rho0 = rho_zero()
+        held = [0, 0]
+        for _ in range(3000):
+            j, k = random_case(rng)
+            try:
+                r1 = r1_bar(j, k)
+            except echspec.EchspecError:
+                continue
+            if r1 <= 0:
+                continue
+            r = max(r1, 1e-9) * 10 ** rng.uniform(0, 12)
+            F = F_bounds(r, j, k)[1]
+            p1 = F / r >= (1.0 / (9.0 * k.c3)) ** 3 * r
+            p2 = F / r >= r
+            p3 = k.c1 > 0 and F > 0 and k.c1 * F ** (1.0 / 3.0) >= rho0 * r ** (2.0 / 3.0)
+            assert p1 or not (p2 or p3), (j, k, r)
+            held[0] += p2
+            held[1] += p3
+        assert min(held) > 100
 
     def test_sup_below_stops_at_adjacent_floats(self):
         rng = random.Random(10)
@@ -232,7 +317,7 @@ class TestCapacityEnvelope:
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 0.1
 
-    def test_strict_mode_raises_below_threshold(self):
+    def test_flags_result_below_threshold_inadmissible(self):
         # below r2 the result is flagged, not raised
         res = capacity_envelope(1e6, EnvelopeConstants())
         assert not res.admissible
@@ -270,12 +355,12 @@ class TestCapacityEnvelope:
             capacity_envelope(0.0, EnvelopeConstants())
 
     def test_sweep_F_bounds_calls(self, monkeypatch):
-        # one F_bounds call per radius and predicate
+        # one F_bounds call per radius for each of r2's two predicates, and one at r3
         radii = count_F_bounds(monkeypatch)
         for j in SWEEP_JS:
             capacity_envelope(j, EnvelopeConstants())
         assert len(SWEEP_JS) == 25
-        assert len(radii) == 6913
+        assert len(radii) == 3664
 
     def test_deterministic(self):
         k = EnvelopeConstants()

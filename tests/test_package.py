@@ -111,3 +111,10 @@ def test_every_cli_option_is_in_the_readme():
         for opt in action.option_strings
     }
     assert {opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)} == set()
+
+
+def test_version_matches_pyproject():
+    # Both are written by hand; diagnostics print echspec.__version__.
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(SRC.parents[1] / "pyproject.toml", "rb") as f:
+        assert echspec.__version__ == tomllib.load(f)["project"]["version"]
