@@ -5,12 +5,14 @@ After clearing denominators every spectrum value is an integer, so
 counting, k-th value extraction, and range extraction are all done in
 exact integer arithmetic: a Euclidean floor-sum kernel gives lattice
 counts under a line in O(log) integer steps, and capacities come out of
-an integer binary search on the scaled value. An index window k0..k1 costs
-two binary searches, for its end values v0 and v1, plus
-min(v1/max(A, B), (v1 - v0)/gcd(A, B)) steps: walking the lattice lines
-up to v1, or counting the multiplicity of each value in [v0, v1]. The Fraction
-edge converts once per distinct value (map_distinct): u Fractions for n rows,
-u = 63 for 20,000 rows of E(2, 3) and 1,413 for E(1, 1) 1..10^6.
+an exact integer search on the scaled value guided by the count's area
+model (2-3 counts per value from k = 10^11 on an approximant, at most about
+twice a bisection's). An index window k0..k1 costs two such searches, for
+its end values v0 and v1, plus min(v1/max(A, B), (v1 - v0)/gcd(A, B))
+steps: walking the lattice lines up to v1, or counting the multiplicity
+of each value in [v0, v1]. The Fraction edge converts once per distinct
+value (map_distinct): u Fractions for n rows, u = 63 for 20,000 rows of
+E(2, 3) and 1,413 for E(1, 1) 1..10^6.
 """
 
 from __future__ import annotations
@@ -129,21 +131,34 @@ def _nth_scaled(S: ScaledEllipsoid, k: int) -> int:
         raise ValueError("index k must be nonnegative")
     # The unit squares of the lattice points under v cover the triangle under
     # v and fit in the triangle under v + A + B, so v^2 <= 2AB*count(v) and
-    # count(v) <= (v + A + B)^2/(2AB): the answer is within A + B of r.
-    r = math.isqrt(2 * S.A * S.B * (k + 1))
-    lo, hi = max(0, r - S.A - S.B), r + S.A + S.B
+    # count(v) <= (v + A + B)^2/(2AB): as count(v_k - 1) <= k, the answer
+    # lies in [r - A - B, r + 1], and count(lo - 1) < t <= count(hi) holds.
+    A, B, t = S.A, S.B, k + 1
+    AB, h = A * B, (A + B) // 2
+    r = math.isqrt(2 * AB * t)
+    lo, hi = max(0, r - A - B), r + 1
+    # Probe where the model count(v) ~ ((v + h)^2 - h^2)/(2AB) reaches t - 1/2,
+    # then step along its slope (v + h)/AB. Any probe in [lo, hi) keeps the
+    # answer exact; bisect instead when the probe is outside, or when bisection
+    # could not then finish within 2*bit_length of the first width in all.
+    budget = 2 * (hi - lo).bit_length()
+    v = math.isqrt(AB * (2 * t - 1) + h * h) - h
     while lo < hi:
-        mid = (lo + hi) // 2
-        if _count_scaled(S.A, S.B, mid) >= k + 1:
-            hi = mid
+        if not lo <= v < hi or budget <= (hi - lo).bit_length():
+            v = (lo + hi) // 2
+        budget -= 1
+        c = _count_scaled(A, B, v)
+        if c >= t:
+            hi = v
         else:
-            lo = mid + 1
+            lo = v + 1
+        v += (2 * (t - c) - 1) * AB // (2 * (v + h)) or 1
     return lo
 
 
 def nth_capacity(E: Ellipsoid, k: int) -> Fraction:
     """The k-th element (0-indexed, with multiplicity) of the sorted multiset
-    {m*a + n*b}. Binary search on the scaled integer value, never on floats."""
+    {m*a + n*b}. Exact search on the scaled integer value, never on floats."""
     S = E.scaled()
     return Fraction(_nth_scaled(S, k), S.den)
 
@@ -151,7 +166,7 @@ def nth_capacity(E: Ellipsoid, k: int) -> Fraction:
 def scaled_spectrum(S: ScaledEllipsoid, k0: int, k1: int) -> list[int]:
     """Scaled spectrum values v_k = den * c_k for indices k0..k1 inclusive,
     as plain Python ints; the integer currency the rest of the package
-    builds on. Cost: two binary searches for v0 = v_k0 and v1 = v_k1, then
+    builds on. Cost: two searches for v0 = v_k0 and v1 = v_k1, then
     min(v1/max(A, B), (v1 - v0)/g) steps with g = gcd(A, B)."""
     if k0 < 0:
         raise ValueError("index k0 must be nonnegative")
@@ -194,7 +209,7 @@ def map_distinct(make, values: list[int]) -> list:
 
 def spectrum_range(E: Ellipsoid, k0: int, k1: int) -> list[tuple[int, Fraction]]:
     """Spectrum values for the index block [k0, k1], element-wise equal to
-    repeated nth_capacity, at the cost of scaled_spectrum: two binary searches
+    repeated nth_capacity, at the cost of scaled_spectrum: two searches
     plus min(v1/max(A, B), (v1 - v0)/gcd(A, B)) steps. Ties share a Fraction."""
     S = E.scaled()
     cs = map_distinct(lambda v: Fraction(v, S.den), scaled_spectrum(S, k0, k1))

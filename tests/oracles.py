@@ -2,16 +2,18 @@
 
 Everything here enumerates or sums naively, or evaluates closed forms in
 exact or mpmath arithmetic; none of it shares code with the fast paths it
-checks. It uses two package functions: the exact bernoulli, and
+checks. It uses three package functions: the exact bernoulli;
 scaled_spectrum, which direct_zeta_sum sums over to check the zeta
-functions (tests/test_spectrum.py checks it against brute_spectrum).
+functions (tests/test_spectrum.py checks it against brute_spectrum); and
+count_leq, the exact lattice count that bisect_nth_capacity searches over
+(checked against brute_count_leq).
 """
 
 import math
 from fractions import Fraction
 from math import factorial, gcd
 
-from echspec import Ellipsoid, ZetaConvention, bernoulli, scaled_spectrum
+from echspec import Ellipsoid, ZetaConvention, bernoulli, count_leq, scaled_spectrum
 
 
 def naive_floor_sum(n, p, q, m):
@@ -35,6 +37,22 @@ def brute_spectrum(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
             vals.sort()
             return vals[:count]
         cutoff *= 2
+
+
+def bisect_nth_capacity(E: Ellipsoid, k: int) -> Fraction:
+    """The k-th spectrum value (0-indexed, with multiplicity) by plain bisection
+    over the public count_leq: the least v = den * c in r - A - B .. r + A + B,
+    r = isqrt(2AB(k + 1)), with at least k + 1 lattice values <= v/den."""
+    S = E.scaled()
+    r = math.isqrt(2 * S.A * S.B * (k + 1))
+    lo, hi = max(0, r - S.A - S.B), r + S.A + S.B
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count_leq(E, Fraction(mid, S.den)) >= k + 1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo, S.den)
 
 
 def brute_count_leq(a: Fraction, b: Fraction, t: Fraction) -> int:

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction as F
 from math import gcd
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import echspec.spectrum
 from echspec import (
     Ellipsoid,
     count_leq,
@@ -17,7 +19,13 @@ from echspec import (
 )
 from echspec.spectrum import map_distinct
 
-from oracles import brute_count_leq, brute_distinct_leq, brute_spectrum, naive_floor_sum
+from oracles import (
+    bisect_nth_capacity,
+    brute_count_leq,
+    brute_distinct_leq,
+    brute_spectrum,
+    naive_floor_sum,
+)
 
 
 class TestFloorSum:
@@ -90,7 +98,17 @@ class TestNthCapacity:
             nth_capacity(Ellipsoid(1, 1), -1)
 
     @pytest.mark.parametrize(
-        "a,b", [(F(1), F(1)), (F(1), F(2)), (F(3), F(7)), (F(2, 3), F(5, 7))]
+        "a,b",
+        [
+            (F(1), F(1)),
+            (F(1), F(2)),
+            (F(3), F(7)),
+            (F(2, 3), F(5, 7)),
+            (F(7, 3), F(5, 11)),
+            (F(1), F(832040, 514229)),
+            (F(1), F(665857, 470832)),
+            (F(1), F(1000000007, 1000000000)),
+        ],
     )
     def test_matches_brute_force(self, a, b):
         E = Ellipsoid(a, b)
@@ -136,6 +154,92 @@ class TestNthCapacity:
         assert count_leq(E, c) >= k + 1
 
 
+GOLDEN = Ellipsoid(1, F(832040, 514229))
+SEARCH_ELLIPSOIDS = {
+    "golden": GOLDEN,
+    "silver": Ellipsoid(1, F(665857, 470832)),
+    "E1_1e12": Ellipsoid(1, 10**12),
+    "E1e12_1": Ellipsoid(10**12, 1),
+    "near_one": Ellipsoid(1, F(1000000007, 1000000000)),
+    "E7/3_5/11": Ellipsoid(F(7, 3), F(5, 11)),
+}
+# 61 log-spaced indices from 1 to 10^15
+LOG_KS = sorted({int(10 ** (e / 4)) for e in range(61)})
+
+
+def record_counts(monkeypatch) -> list[int]:
+    """Patch the spectrum's _count_scaled to record the threshold of every call."""
+    thresholds = []
+    inner = echspec.spectrum._count_scaled
+
+    def counted(A, B, v):
+        thresholds.append(v)
+        return inner(A, B, v)
+
+    monkeypatch.setattr(echspec.spectrum, "_count_scaled", counted)
+    return thresholds
+
+
+class TestModelGuidedSearch:
+    @pytest.mark.parametrize("E", SEARCH_ELLIPSOIDS.values(), ids=SEARCH_ELLIPSOIDS)
+    def test_matches_bisection(self, E):
+        for k in [*range(301), *LOG_KS]:
+            assert nth_capacity(E, k) == bisect_nth_capacity(E, k)
+
+    @given(
+        A=st.integers(1, 10**12),
+        B=st.integers(1, 10**12),
+        den=st.integers(1, 10**6),
+        k=st.integers(0, 10**15),
+    )
+    @example(A=1, B=1, den=1, k=0)
+    @example(A=10**12, B=10**12 - 1, den=1, k=10**15)
+    @settings(max_examples=150, deadline=None)
+    def test_random_axes_match_bisection(self, A, B, den, k):
+        E, Es = Ellipsoid(F(A, den), F(B, den)), Ellipsoid(F(B, den), F(A, den))
+        c = nth_capacity(E, k)
+        assert c == bisect_nth_capacity(E, k) == nth_capacity(Es, k)
+        # the k-th value lies in the proven bracket [r - A - B, r + 1]
+        S = E.scaled()
+        r = math.isqrt(2 * S.A * S.B * (k + 1))
+        assert r - S.A - S.B <= c * S.den <= r + 1
+
+
+class TestSearchCost:
+    @pytest.mark.parametrize("E", SEARCH_ELLIPSOIDS.values(), ids=SEARCH_ELLIPSOIDS)
+    def test_at_most_twice_bisection(self, E, monkeypatch):
+        thresholds = record_counts(monkeypatch)
+        S = E.scaled()
+        for k in [*range(50), *LOG_KS]:
+            thresholds.clear()
+            nth_capacity(E, k)
+            r = math.isqrt(2 * S.A * S.B * (k + 1))
+            width = r + 1 - max(0, r - S.A - S.B)  # of the bracket [r - A - B, r + 1]
+            assert len(thresholds) <= 2 * (width - 1).bit_length() + 2  # 2 ceil(log2 width) + 2
+
+    @pytest.mark.parametrize(
+        "a,b", [(1, F(832040, 514229)), (1, 10**12), (F(7, 3), F(5, 11)), (2, 3)]
+    )
+    def test_axis_order_makes_the_same_counts(self, a, b, monkeypatch):
+        thresholds = record_counts(monkeypatch)
+        for k in [*range(50), *LOG_KS]:
+            nth_capacity(Ellipsoid(a, b), k)
+            forward = thresholds[:]
+            thresholds.clear()
+            nth_capacity(Ellipsoid(b, a), k)
+            assert thresholds == forward
+            thresholds.clear()
+
+    def test_golden_deep_count_pin(self, monkeypatch):
+        # 51 log-spaced indices from 10^6 to 10^11 on the golden approximant;
+        # bisection over the old bracket [r - A - B, r + A + B] made 1090.
+        # Moves only when the search changes on purpose.
+        thresholds = record_counts(monkeypatch)
+        for i in range(51):
+            nth_capacity(GOLDEN, int(10 ** (6 + i / 10)))
+        assert len(thresholds) == 335
+
+
 class TestSpectrumRange:
     def test_triangular_prefix(self):
         assert [c for _, c in spectrum_range(Ellipsoid(1, 1), 0, 5)] == [0, 1, 1, 2, 2, 2]
@@ -178,9 +282,6 @@ class TestSpectrumRange:
         assert block == spectrum_range(Ellipsoid(b, a), k0, k0 + width)
         for k, c in block:
             assert c == nth_capacity(Ellipsoid(a, b), k)
-
-
-GOLDEN = Ellipsoid(1, F(832040, 514229))
 
 
 def tied_blocks():
@@ -247,9 +348,6 @@ def _walks(E, k0, k1):
     S = E.scaled()
     v0, v1 = (nth_capacity(E, k) * S.den for k in (k0, k1))
     return v1 // max(S.A, S.B) <= (v1 - v0) // gcd(S.A, S.B)
-
-
-GOLDEN = Ellipsoid(1, F(832040, 514229))
 
 
 class TestWindows:
