@@ -5,7 +5,7 @@ Data goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
 Exact rationals are always emitted as integer numerator/denominator pairs,
 never as decimals. main builds its parser once per process. residues prints
 exact residues and values at s = 0, and takes each Laurent constant from one
-forward-mode (Jet) pass, with no contour and no Barnes value.
+complex-step pass, with no contour and no Barnes value.
 """
 
 from __future__ import annotations

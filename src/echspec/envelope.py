@@ -145,7 +145,8 @@ def r2_threshold(j: float, k: EnvelopeConstants) -> float:
     whose ratio to K, (9 rho0 c3/c1)^3 >= 900, no rounding undoes (if K
     underflows, P1 is F_hi/r >= 0). An implied predicate brackets and bisects
     to no larger radius, and P1 runs first, raising any NonConvergent theirs
-    would, so dropping them changes no float and no exception."""
+    would, so dropping them changes no float and no exception. P4 stays: at
+    j = 1e12, vol = 1e-5 < 2K, c2 = 1e5, P1 fails at r1 and P4 holds to 232 r1."""
     if j < 0:
         raise ValueError("j must be nonnegative")
     base = max(r1_bar(j, k), 1e-9)

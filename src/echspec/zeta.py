@@ -1,6 +1,6 @@
 """Meromorphic continuation of Hurwitz, Riemann, Barnes, and spectrum zeta
 functions, and their Laurent data at the poles: exact residues, and constants
-from one forward-mode pass of Jet numbers through the same kernel.
+from one complex-step pass through the same kernel.
 
 Every Hurwitz value comes from one Euler-Maclaurin kernel, the entire
 function _eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one
@@ -43,6 +43,9 @@ IM_MAX = 1e4
 POLE_GUARD = 1e-6
 _EM_TERMS = 12
 _DISTINCT_TERMS_LIMIT = 1_000_000  # bound on A', the Hurwitz terms of DISTINCT
+# Complex step of the Laurent pass, a power of two, so scaling by it is exact
+# and its square terms lie about 2^-200 below every value
+_STEP = 2.0**-100
 
 
 class PoleProximity(EchspecError):
@@ -109,55 +112,6 @@ def _pow(x: float, p: complex) -> complex:
         raise ValueError(f"{x!r} ** {p} overflows a float") from None
 
 
-class Jet:
-    """A value and its derivative in s, for forward-mode passes through the
-    kernel: s = Jet(s0, 1) makes _eta(s, xs) yield Jets of (s - 1) zeta(s, x)
-    and its s-derivative at s0. Real s0 only: x ** s is x ** s0 by libm."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d):
-        self.v, self.d = v, d
-
-    def __add__(self, o):
-        return Jet(self.v + o.v, self.d + o.d) if isinstance(o, Jet) else Jet(self.v + o, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.v, -self.d)
-
-    def __sub__(self, o):
-        return self + -o
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __mul__(self, o):
-        if isinstance(o, Jet):
-            return Jet(self.v * o.v, self.d * o.v + self.v * o.d)
-        return Jet(self.v * o, self.d * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Jet):
-            q = self.v / o.v
-            return Jet(q, (self.d - q * o.d) / o.v)
-        return Jet(self.v / o, self.d / o)
-
-    def __rpow__(self, x):  # x ** self for x > 0
-        p = x ** self.v
-        return Jet(p, p * math.log(x) * self.d)
-
-    def __complex__(self):  # what cmath.isfinite tests: nan unless both parts are finite
-        return complex(self.v + 0.0 * self.d)
-
-    @property
-    def imag(self):
-        return self.v.imag
-
-
 def _eta(s: complex, xs):
     """(s - 1) zeta(s, x) for each shift x in xs, by Euler-Maclaurin summation
     from x + N >= _cutoff(s): entire in s, equal to 1 at s = 1. The one Hurwitz
@@ -214,7 +168,7 @@ def _barnes_pieces(s, w: float, a: float, b: float):
     """(head, integral, half, tail) of the Barnes sum for sorted axes a <= b,
     which is a^-s [head + integral / (beta (s - 2)) + half + tail] / (s - 1):
     the head and tail lazily yield their terms, and integral = _eta(s - 1, xN)
-    comes without its pole factor. Floats and Jets run the same pieces."""
+    comes without its pole factor."""
     N = max(0, math.ceil(_cutoff(s) - w / b))
     xN = (w + N * b) / a
     head = _eta(s, ((w + n * b) / a for n in range(N)))
@@ -227,12 +181,14 @@ def _barnes_tail(s, beta: float, xN: float):
     scaled = r * (s - 1)  # coef / xN^{2k-1}
     for k in range(1, _EM_TERMS + 1):
         sk = s + 2 * k - 1
-        if cmath.isfinite(coef):
+        if xN < 2.0**60 and cmath.isfinite(coef):
             yield _B2K_FACT[k] * coef * next(_eta(sk, (xN,)))
         else:
-            # coef overflows only where beta (|s| + 24) > 2.6e13, so xN >= 16 beta
-            # makes _eta(sk, xN) = xN^(1-sk) (1 + (sk-1)/(2 xN)) to 1e-14 or
-            # better for |s| <= 1e4; this form cannot make inf * 0
+            # From xN = 2^60, _eta(sk, xN) = xN^(1-sk) (1 + (sk-1)/(2 xN)) to rounding
+            # for |s| <= 1e10. coef overflows only where beta (|s| + 24) > 2.6e13, so
+            # xN >= 16 beta makes it so to 1e-14 for |s| <= 1e4. This form cannot make
+            # inf * 0, nor drop a term whose kernel value underflows while coef stays
+            # finite, as in the Laurent pass, where coef is 2^-100 times a derivative
             yield _B2K_FACT[k] * scaled * (1 + (sk - 1) / (2 * xN)) * _pow(xN, 1 - s)
         coef *= beta * beta * (s + 2 * k - 2) * (s + 2 * k - 1)
         scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
@@ -307,34 +263,40 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
     -(a+b)/(2ab) for INTERIOR and +(a+b)/(2ab) for FULL at s = 1, and
     1/4 + (a/b + b/a)/12 for INTERIOR at 0, one less for FULL; there quad_err
     is the rounding of the float, 2^-53 max(1, |v|). A constant is the
-    derivative of (s - s0) f(s) at s0, from one pass of Jet(s0, 1) through the
-    Barnes pieces and the Riemann kernel value, with the pole factors taken
-    out by hand. Its quad_err is 64 * 2^-52 times the sum of |value| +
-    |derivative| over the parts the pass adds: a rounding bound, which covers
-    the printed residue too, as the values of the parts sum to it; the
-    kernel's truncation is far below it. A bound above tol * max(1, |constant|)
-    raises NonConvergent."""
+    derivative of (s - s0) f(s) at s0, from one pass of s = s0 + i 2^-100
+    through the Barnes pieces and the Riemann kernel value, with the pole
+    factors taken out by hand: a part's real part is its value, and its
+    imaginary part over 2^-100 its derivative. Its quad_err is 64 * 2^-52
+    times the sum of |value| + |derivative| over the parts the pass adds: a
+    rounding bound, which covers the printed residue too, as the values of the
+    parts sum to it; the kernel's truncation is far below it. A constant that
+    is not finite or a bound above tol * max(1, |constant|) raises
+    NonConvergent."""
     a, b = sorted((E.a, E.b))
     if s0 == 0:
         zero = Fraction(1, 4) + (a / b + b / a) / 12
         rows = [(0, float(v), 2.0**-53 * max(1, abs(v))) for v in (zero, zero - 1)]
     elif s0 in (1, 2):
-        fa, fb, s = float(a), float(b), Jet(float(s0), 1.0)
-        head, integral, half, tail = _barnes_pieces(s, fa, fa, fb)
-        # c = (s - s0)/(s - 1) takes a^-s zeta(s) and the pieces of a^-s (s - 1) Z(s)
-        # to their shares of (s - s0) f(s); the integral's 1/(s - 2) is folded in
-        c, pole = (1.0, s - 2) if s0 == 1 else ((s - 2) / (s - 1), s - 1)
-        A = _pow(fa, -s)
-        parts = [A * c * p for p in (*head, half, *tail)] + [A * integral / (fb / fa * pole)]
-        Z, mag = sum(parts), sum(abs(p.v) + abs(p.d) for p in parts)
-        zeta = c * next(_eta(s, (1.0,)))
-        res = 1 / (a * b) if s0 == 2 else (a + b) / (2 * a * b)
-        axes = ((res if s0 == 2 else -res, -(A * zeta)), (res, _pow(fb, -s) * zeta))
-        rows = [(r, (Z + t).d, 2.0**-46 * (mag + abs(t.v) + abs(t.d))) for r, t in axes]
+        fa, fb, s = float(a), float(b), complex(s0, _STEP)
+        try:
+            head, integral, half, tail = _barnes_pieces(s, fa, fa, fb)
+            # c = (s - s0)/(s - 1) takes a^-s zeta(s) and the pieces of a^-s (s - 1) Z(s)
+            # to their shares of (s - s0) f(s); the integral's 1/(s - 2) is folded in
+            c, pole = (1.0, s - 2) if s0 == 1 else ((s - 2) / (s - 1), s - 1)
+            A = _pow(fa, -s)
+            parts = [A * c * p for p in (*head, half, *tail)] + [A * integral / (fb / fa * pole)]
+            zeta = c * next(_eta(s, (1.0,)))
+            res = 1 / (a * b) if s0 == 2 else (a + b) / (2 * a * b)
+            axes = ((res if s0 == 2 else -res, -(A * zeta)), (res, _pow(fb, -s) * zeta))
+        except ValueError:  # the inner message would show the step
+            raise ValueError(f"Laurent pass overflows a float at s={s0} on E({fa}, {fb})") from None
+        Z, mag = sum(parts), sum(abs(p.real) + abs(p.imag / _STEP) for p in parts)
+        rows = [(r, (Z + t).imag / _STEP, 2.0**-46 * (mag + abs(t.real) + abs(t.imag / _STEP)))
+                for r, t in axes]
     else:
         raise ValueError(f"ech_laurent_pair takes s0 = 0, 1 or 2, not {s0!r}")
     for _, const, err in rows:
-        if not err <= tol * max(1.0, abs(const)):  # nan fails too
+        if not (math.isfinite(const) and err <= tol * max(1.0, abs(const))):  # nan fails too
             raise NonConvergent(f"rounding bound {err:.2e} at s={s0} exceeds tol={tol:g}")
     return tuple(LaurentExpansion(complex(s0), complex(r), complex(k), e) for r, k, e in rows)
 

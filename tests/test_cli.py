@@ -27,9 +27,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # envelope takes no axes, and its range is followed by its options.
 # The pins hold the output byte for byte: any change to them is a change of
 # the CLI's output format. The residues rows print exact residues and values
-# at s = 0, and Laurent constants from one Jet pass per pole. The dk summaries
-# are the centred fsum line fit, within 1e-13 of the exact least-squares fit
-# (tests/test_asymptotics.py::TestFitAccuracy).
+# at s = 0, and Laurent constants from one complex-step pass per pole. The dk
+# summaries are the centred fsum line fit, within 1e-13 of the exact
+# least-squares fit (tests/test_asymptotics.py::TestFitAccuracy).
 PINNED_SHA256 = {
     ("capacities", "1", "832040/514229", "0..1500", "csv"): "6a6510a6435dff755f67cfe793ad49809682ed6972ada4daafcbe30568d7ee75",
     ("capacities", "1", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",

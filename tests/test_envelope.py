@@ -249,6 +249,15 @@ class TestR2:
         assert {0.0} <= {j for j, _ in cases} and any(k.q < 0 for k in ks)
         assert all(any(getattr(k, c) == 0.0 for k in ks) for c in ("c0", "c1", "c2"))
 
+    def test_fourth_predicate_not_redundant(self):
+        # vol = 1e-5 is below 2K, K = (1/(9 c3))^3 ~ 1.69e-5, so P1 fails at
+        # the base radius and alone would give r2 = r1; P4 sets r2 here
+        j, k = 1e12, EnvelopeConstants(vol=1e-5, c2=1e5)
+        r1 = r1_bar(j, k)
+        assert F_bounds(r1, j, k)[1] / r1 < (1.0 / (9.0 * k.c3)) ** 3 * r1
+        assert r2_threshold(j, k) > 200 * r1
+        assert not capacity_envelope(j, k).admissible
+
     def test_first_predicate_implied_pointwise(self):
         # F_hi/r >= r and the rho0 cubic-root condition each imply
         # F_hi/r >= K r, in the exact float expressions r2 used to probe

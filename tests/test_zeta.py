@@ -421,7 +421,7 @@ class TestEchZeta:
 
     def test_residues_cost(self, monkeypatch, capsys):
         # residues prints exact residues and values at 0 and takes each constant
-        # from one Jet pass: no Barnes value and no contour. On E(3/2, 5/7) a
+        # from one complex-step pass: no Barnes value and no contour. On E(3/2, 5/7) a
         # pass evaluates the 16 head shifts, the integral, half and 12 tail
         # terms, and the Riemann value: 31 shifts per pole, 62 in all.
         calls = self.count_barnes_calls(monkeypatch)
@@ -530,10 +530,12 @@ class TestLaurent:
 
 MPMATH_ELLIPSOIDS = [(F(1), F(2)), (F(2), F(3)), (F(1, 2), F(3, 2)), (F(3, 2), F(5, 7))]
 CONVENTIONS = (ZetaConvention.INTERIOR, ZetaConvention.FULL)
+# ellipsoids on which the complex step moves the last bits of a constant
+STEP_MOVED = [(F(1), F(10, 3)), (F(3), F(10)), (F(3, 2), F(5))]
 
 
 class TestLaurentPair:
-    @pytest.mark.parametrize("a,b", MPMATH_ELLIPSOIDS)
+    @pytest.mark.parametrize("a,b", MPMATH_ELLIPSOIDS + STEP_MOVED)
     @pytest.mark.parametrize("s0", [1, 2])
     def test_constant_within_bound_of_mpmath(self, a, b, s0):
         for lau, conv in zip(ech_laurent_pair(s0, Ellipsoid(a, b)), CONVENTIONS):
@@ -567,23 +569,49 @@ class TestLaurentPair:
             assert abs(lau.constant - ref.constant) <= lau.quad_err + ref.quad_err, conv
 
     def test_bound_covers_a_thin_ellipsoid(self):
-        # On E(1, 10^12) the head derivatives add up to about 400, and the jet
+        # On E(1, 10^12) the head derivatives add up to about 400, and the
         # constant at 1 is off by 3.3e-12. The reference is FULL's expansion in
-        # 1/b, whose next term is O(b^-4), and INTERIOR is FULL - (1 + b^-s) zeta(s).
-        with mpmath.workdps(50):
-            b = mpmath.mpf(10) ** 12
+        # 1/B, B = b/a, whose next term is O(B^-4), times a^-s, and INTERIOR is
+        # FULL - (a^-s + b^-s) zeta(s). On E(10^-153, 1) a derivative passes the
+        # float range midway through the pass, but not its 2^-100 multiple; on
+        # E(10^110, 249/170) the Barnes tail's kernel values underflow.
+        cases = [(s0, E) for s0 in (1, 2) for E in (Ellipsoid(1, 10**12), Ellipsoid(10**12, 1))]
+        cases += [(1, Ellipsoid(F(1, 10**e), 1)) for e in (150, 153)]
+        cases += [(1, Ellipsoid(10**110, F(249, 170)))]
+        for s0, E in cases:
+            lo, hi = sorted((E.a, E.b))
+            with mpmath.workdps(60 + len(str(hi // lo))):
+                a, b = (mpmath.mpf(x.numerator) / x.denominator for x in (lo, hi))
+                B = b / a
 
-            def full(s):
-                return (mpmath.zeta(s) + b ** (1 - s) * mpmath.zeta(s - 1) / (s - 1)
-                        + b**-s * mpmath.zeta(s) / 2 + s * b ** (-s - 1) * mpmath.zeta(s + 1) / 12)
+                def full(s):
+                    return a**-s * (
+                        mpmath.zeta(s) + B ** (1 - s) * mpmath.zeta(s - 1) / (s - 1)
+                        + B**-s * mpmath.zeta(s) / 2 + s * B ** (-s - 1) * mpmath.zeta(s + 1) / 12
+                    )
 
-            fs = [lambda s: full(s) - (1 + b**-s) * mpmath.zeta(s), full]
-            h = mpmath.mpf("1e-20")
-            for s0 in (1, 2):
-                for E in (Ellipsoid(1, 10**12), Ellipsoid(10**12, 1)):
-                    for lau, f in zip(ech_laurent_pair(s0, E), fs):
-                        ref = float((f(s0 + h) + f(s0 - h)) / 2)
-                        assert abs(lau.constant - ref) <= lau.quad_err, (s0, E)
+                fs = [lambda s: full(s) - (a**-s + b**-s) * mpmath.zeta(s), full]
+                h = mpmath.mpf("1e-20")
+                for lau, f in zip(ech_laurent_pair(s0, E), fs):
+                    ref = float((f(s0 + h) + f(s0 - h)) / 2)
+                    assert abs(lau.constant - ref) <= lau.quad_err, (s0, E)
+
+    @pytest.mark.parametrize("e", [154, 160])
+    def test_thinner_ellipsoid_raises(self, e):
+        # the derivative parts overflow and their sum is inf or nan; the
+        # constant near E(10^-160, 1), about -9.19e159, fits a float
+        with pytest.raises(NonConvergent):
+            ech_laurent_pair(1, Ellipsoid(F(1, 10**e), 1))
+
+    def test_overflow_message_is_stable(self):
+        E = Ellipsoid(F(1, 10**160), 1)
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="overflows a float") as info:
+                ech_laurent_pair(2, E)
+            messages.add(str(info.value))
+        (msg,) = messages
+        assert "object at" not in msg and repr(2.0**-100) not in msg
 
     def test_both_axis_orders_agree(self):
         for s0 in (0, 1, 2):
