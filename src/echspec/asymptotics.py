@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .spectrum import (
     Ellipsoid,
-    ScaledEllipsoid,
     as_rational,
     count_leq,
     distinct_values_leq,
@@ -56,7 +55,7 @@ def contact_volume(E: Ellipsoid) -> Fraction:
     return E.a * E.b
 
 
-def scaled_defects(S: ScaledEllipsoid, j0: int, values: list[int]) -> list[float]:
+def scaled_defects(E: Ellipsoid, j0: int, values: list[int]) -> list[float]:
     """Defects d_j = (v - sqrt(2jAB))/den for the scaled capacities
     values[i] = v of index j = j0 + i.
 
@@ -65,8 +64,8 @@ def scaled_defects(S: ScaledEllipsoid, j0: int, values: list[int]) -> list[float
     max(1, v/den) * DEFECT_REL_ERR of the exact defect.
     """
     bits = _SQRT_BITS
-    root_arg = (2 * S.A * S.B) << (2 * bits)
-    den = S.den << bits
+    root_arg = (2 * E.A * E.B) << (2 * bits)
+    den = E.den << bits
     isqrt = math.isqrt
     return [((v << bits) - isqrt(root_arg * j)) / den for j, v in enumerate(values, j0)]
 
@@ -76,11 +75,10 @@ def d_sequence(E: Ellipsoid, j0: int, j1: int) -> list[DkPoint]:
     c_j and the scaled_defects of the block. Tied c_j share one Fraction."""
     if j0 > j1:
         raise ValueError("d_sequence requires j0 <= j1")
-    S = E.scaled()
-    den = S.den
-    vals = scaled_spectrum(S, j0, j1)
+    den = E.den
+    vals = scaled_spectrum(E, j0, j1)
     exact = map_distinct(lambda v: (Fraction(v, den), max(1.0, v / den) * DEFECT_REL_ERR), vals)
-    ds = scaled_defects(S, j0, vals)
+    ds = scaled_defects(E, j0, vals)
     return [DkPoint(j, c, d, e) for j, (c, e), d in zip(range(j0, j1 + 1), exact, ds)]
 
 
@@ -125,13 +123,15 @@ def _log(x: Fraction) -> float:
 def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     """Least-squares leading coefficient C of N(R) ~ C*R^2 over the samples
     (classes convention), exact then rounded, and the remainder exponent: the
-    fsum line fit of log|N - C*R^2| > 1e-9 on log R (0.0 if under two are).
+    fsum line fit of log|N - C*R^2| > 1e-9 on log R > 0 (0.0 if under two are).
     The rms residual is inf when a residual is beyond the float range."""
     R_list = [as_rational(R) for R in R_list]
     if len(R_list) < 3:
         raise ValueError("weyl_fit requires at least 3 samples")
     if any(R_list[i] >= R_list[i + 1] for i in range(len(R_list) - 1)):
         raise ValueError("weyl_fit requires strictly increasing R")
+    if R_list[0] < 0:
+        raise ValueError("weyl_fit requires R >= 0")
     N = [count_leq(E, r) for r in R_list]
     C = sum(n * r * r for n, r in zip(N, R_list)) / sum(r**4 for r in R_list)
     try:
@@ -139,7 +139,7 @@ def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     except OverflowError:
         raise ValueError(f"leading coefficient exp({_log(C):.6g}) overflows a float") from None
     resid = [n - C * r * r for n, r in zip(N, R_list)]
-    kept = [(_log(r), _log(abs(e))) for r, e in zip(R_list, resid) if abs(e) > 1e-9]
+    kept = [(_log(r), _log(abs(e))) for r, e in zip(R_list, resid) if r > 0 and abs(e) > 1e-9]
     exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
     try:
         rms = math.hypot(*map(float, resid)) / math.sqrt(len(resid))

@@ -151,12 +151,11 @@ def cmd_capacities(cfg) -> int:
     k0, k1 = parse_range(cfg.range)
     if k0 < 0:
         raise CLIError("capacity indices must be nonnegative")
-    S = E.scaled()
-    den = S.den
+    den = E.den
     def cells(v: int) -> tuple:  # v/den reduced, and its float
         g = math.gcd(v, den)
         return v // g, den // g, f"{v / den:.17g}"
-    cs = map_distinct(cells, scaled_spectrum(S, k0, k1))
+    cs = map_distinct(cells, scaled_spectrum(E, k0, k1))
     rows = [(k, p, q, c) for k, (p, q, c) in zip(range(k0, k1 + 1), cs)]
     emit(cfg, ["k", "c_num", "c_den", "c_float"], rows, {}, [])
     return 0
@@ -176,11 +175,16 @@ def cmd_weyl(cfg) -> int:
     if len(R_list) >= 3 and all(R_list[i] < R_list[i + 1] for i in range(len(R_list) - 1)):
         fit = weyl_fit(E, R_list)
         vol = contact_volume(E)
+        try:
+            fvol = float(vol)
+        except OverflowError:
+            log = math.log(vol.numerator) - math.log(vol.denominator)
+            raise ValueError(f"contact volume exp({log:.6g}) overflows a float") from None
         summary = {
             "fit_coefficient": _fmt(fit.coefficient),
             "fit_remainder_exponent": _fmt(fit.exponent),
-            "coefficient_over_inv_2ab": _fmt(fit.coefficient * 2.0 * float(vol)),
-            "coefficient_over_inv_vol": _fmt(fit.coefficient * float(vol)),
+            "coefficient_over_inv_2ab": _fmt(fit.coefficient * 2.0 * fvol),
+            "coefficient_over_inv_vol": _fmt(fit.coefficient * fvol),
         }
         warnings.append(
             "leading coefficient tracks 1/(2ab); the two-periodicity count "
@@ -195,11 +199,10 @@ def cmd_dk(cfg) -> int:
     j0, j1 = parse_range(cfg.range)
     if j0 < 0:
         raise CLIError("grading indices must be nonnegative")
-    S = E.scaled()
-    den = S.den
+    den = E.den
     js = range(j0, j1 + 1)
-    vals = scaled_spectrum(S, j0, j1)
-    ds = scaled_defects(S, j0, vals)
+    vals = scaled_spectrum(E, j0, j1)
+    ds = scaled_defects(E, j0, vals)
     def cells(v: int) -> tuple:  # c = v/den reduced, and its d_err
         g = math.gcd(v, den)
         return v // g, den // g, f"{max(1.0, v / den) * DEFECT_REL_ERR:.17g}"
@@ -207,7 +210,7 @@ def cmd_dk(cfg) -> int:
     rows = [(j, p, q, f"{d:.17g}", err) for j, (p, q, err), d in zip(js, cs, ds)]
     warnings = []
     bound = E.safe_coefficient_bound()
-    if bound > 1 and vals[-1] / den / min(float(E.a), float(E.b)) >= bound:
+    if bound > 1 and vals[-1] // min(E.A, E.B) >= bound:  # the largest m with m*min(a, b) <= c
         warnings.append(
             "lattice coefficients reach the approximant denominator; "
             "ties may be artifacts of the rational approximation"

@@ -18,7 +18,7 @@ E(2, 3) and 1,413 for E(1, 1) 1..10^6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -42,40 +42,25 @@ def as_rational(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ScaledEllipsoid:
-    """Integer form of E(a, b): a = A/den, b = B/den with den = lcm of denominators."""
-
-    A: int
-    B: int
-    den: int
-
-    def __post_init__(self):
-        if self.A <= 0 or self.B <= 0 or self.den <= 0:
-            raise ValueError("scaled ellipsoid requires positive integers")
-
-
-@dataclass(frozen=True)
 class Ellipsoid:
+    """E(a, b) with exact rational axes, and their integer form a = A/den,
+    b = B/den with den the lcm of the denominators: the one currency of the
+    exact algorithms. A, B and den take no part in repr, == or hash."""
+
     a: Fraction
     b: Fraction
+    A: int = field(init=False, repr=False, compare=False)
+    B: int = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, a, b):
-        a = as_rational(a)
-        b = as_rational(b)
+        a, b = as_rational(a), as_rational(b)
         if a <= 0 or b <= 0:
             raise ValueError("ellipsoid axes must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def scaled(self) -> ScaledEllipsoid:
-        den = self.a.denominator * self.b.denominator // math.gcd(
-            self.a.denominator, self.b.denominator
-        )
-        return ScaledEllipsoid(
-            A=self.a.numerator * (den // self.a.denominator),
-            B=self.b.numerator * (den // self.b.denominator),
-            den=den,
-        )
+        den = math.lcm(a.denominator, b.denominator)
+        A, B = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        for name, value in (("a", a), ("b", b), ("A", A), ("B", B), ("den", den)):
+            object.__setattr__(self, name, value)
 
     def safe_coefficient_bound(self) -> int:
         """Largest lattice coefficient below which a high-denominator rational
@@ -113,19 +98,18 @@ def _count_scaled(A: int, B: int, v: int) -> int:
     return floor_sum(M + 1, A, v - M * A, B) + M + 1
 
 
-def _scaled_threshold(S: ScaledEllipsoid, t: Fraction) -> int:
+def _scaled_threshold(E: Ellipsoid, t: Fraction) -> int:
     """Largest integer v with v/den <= t; m*A + n*B <= t*den iff m*A + n*B <= v."""
-    return (t.numerator * S.den) // t.denominator
+    return (t.numerator * E.den) // t.denominator
 
 
 def count_leq(E: Ellipsoid, t) -> int:
     """Number of lattice points (m, n) >= 0 with m*a + n*b <= t, exactly."""
     t = as_rational(t)
-    S = E.scaled()
-    return _count_scaled(S.A, S.B, _scaled_threshold(S, t))
+    return _count_scaled(E.A, E.B, _scaled_threshold(E, t))
 
 
-def _nth_scaled(S: ScaledEllipsoid, k: int) -> int:
+def _nth_scaled(E: Ellipsoid, k: int) -> int:
     """Scaled value of the k-th (0-indexed, with multiplicity) spectrum element."""
     if k < 0:
         raise ValueError("index k must be nonnegative")
@@ -133,7 +117,7 @@ def _nth_scaled(S: ScaledEllipsoid, k: int) -> int:
     # v and fit in the triangle under v + A + B, so v^2 <= 2AB*count(v) and
     # count(v) <= (v + A + B)^2/(2AB): as count(v_k - 1) <= k, the answer
     # lies in [r - A - B, r + 1], and count(lo - 1) < t <= count(hi) holds.
-    A, B, t = S.A, S.B, k + 1
+    A, B, t = E.A, E.B, k + 1
     AB, h = A * B, (A + B) // 2
     r = math.isqrt(2 * AB * t)
     lo, hi = max(0, r - A - B), r + 1
@@ -159,11 +143,10 @@ def _nth_scaled(S: ScaledEllipsoid, k: int) -> int:
 def nth_capacity(E: Ellipsoid, k: int) -> Fraction:
     """The k-th element (0-indexed, with multiplicity) of the sorted multiset
     {m*a + n*b}. Exact search on the scaled integer value, never on floats."""
-    S = E.scaled()
-    return Fraction(_nth_scaled(S, k), S.den)
+    return Fraction(_nth_scaled(E, k), E.den)
 
 
-def scaled_spectrum(S: ScaledEllipsoid, k0: int, k1: int) -> list[int]:
+def scaled_spectrum(E: Ellipsoid, k0: int, k1: int) -> list[int]:
     """Scaled spectrum values v_k = den * c_k for indices k0..k1 inclusive,
     as plain Python ints; the integer currency the rest of the package
     builds on. Cost: two searches for v0 = v_k0 and v1 = v_k1, then
@@ -172,11 +155,11 @@ def scaled_spectrum(S: ScaledEllipsoid, k0: int, k1: int) -> list[int]:
         raise ValueError("index k0 must be nonnegative")
     if k0 > k1:
         raise ValueError("scaled_spectrum requires k0 <= k1")
-    v0 = _nth_scaled(S, k0)
-    v1 = _nth_scaled(S, k1)
-    skip = k0 - _count_scaled(S.A, S.B, v0 - 1)  # copies of v0 before index k0
+    v0 = _nth_scaled(E, k0)
+    v1 = _nth_scaled(E, k1)
+    skip = k0 - _count_scaled(E.A, E.B, v0 - 1)  # copies of v0 before index k0
     n = k1 - k0 + 1
-    small, big = sorted((S.A, S.B))
+    small, big = sorted((E.A, E.B))
     g = math.gcd(small, big)
     vals: list[int] = []
     if v1 // big <= (v1 - v0) // g:
@@ -211,8 +194,7 @@ def spectrum_range(E: Ellipsoid, k0: int, k1: int) -> list[tuple[int, Fraction]]
     """Spectrum values for the index block [k0, k1], element-wise equal to
     repeated nth_capacity, at the cost of scaled_spectrum: two searches
     plus min(v1/max(A, B), (v1 - v0)/gcd(A, B)) steps. Ties share a Fraction."""
-    S = E.scaled()
-    cs = map_distinct(lambda v: Fraction(v, S.den), scaled_spectrum(S, k0, k1))
+    cs = map_distinct(lambda v: Fraction(v, E.den), scaled_spectrum(E, k0, k1))
     return list(zip(range(k0, k1 + 1), cs))
 
 
@@ -223,13 +205,12 @@ def distinct_values_leq(E: Ellipsoid, t) -> int:
     of t/g has a unique minimal representation, which reduces the count to
     one floor-sum."""
     t = as_rational(t)
-    S = E.scaled()
-    T = _scaled_threshold(S, t)
+    T = _scaled_threshold(E, t)
     if T < 0:
         return 0
-    g = math.gcd(S.A, S.B)
+    g = math.gcd(E.A, E.B)
     X = T // g
-    Ap, Bp = S.A // g, S.B // g
+    Ap, Bp = E.A // g, E.B // g
     if Ap > Bp:
         Ap, Bp = Bp, Ap
     M = min(Ap - 1, X // Bp)

@@ -53,7 +53,8 @@ class PoleProximity(EchspecError):
 
 
 class DepthExceeded(EchspecError):
-    """Evaluation point outside the region Re s > -4, |Im s| <= 1e4."""
+    """Evaluation point outside the region Re s > -4, |Im s| <= 1e4, or a
+    DISTINCT value that needs more than 10^6 Hurwitz terms (A' > 10^6)."""
 
 
 class ZetaConvention(enum.Enum):
@@ -151,6 +152,22 @@ def _guard(s: complex, name: str, poles: tuple[int, ...], x: float = 1.0) -> Non
         raise DepthExceeded(f"|Im(s)|={abs(s.imag)} above the limit {IM_MAX}")
 
 
+def _float_axes(E: Ellipsoid) -> tuple[float, float]:
+    """The axes of E as floats, sorted; an axis past the float range, or one
+    that rounds to 0.0, raises ValueError naming it."""
+    axes = []
+    for name, x in (("a", E.a), ("b", E.b)):
+        try:
+            f = float(x)
+        except OverflowError:
+            f = math.inf
+        if not 0.0 < f < math.inf:
+            log = math.log(x.numerator) - math.log(x.denominator)
+            raise ValueError(f"axis {name} = exp({log:.6g}) is outside the float range")
+        axes.append(f)
+    return min(axes), max(axes)
+
+
 def hurwitz_zeta(s, x: float) -> complex:
     """Continuation of sum_{n>=0} (x+n)^{-s}, for Re(s) > -S_MAX away from the
     pole at s = 1."""
@@ -204,7 +221,7 @@ def barnes_zeta(s, w, E: Ellipsoid) -> complex:
     s = complex(s)
     w = float(w)
     _guard(s, "barnes_zeta", (1, 2), w)
-    a, b = sorted((float(E.a), float(E.b)))
+    a, b = _float_axes(E)
     head, integral, half, tail = _barnes_pieces(s, w, a, b)
     total = 0.0 + 0.0j
     for v in head:
@@ -222,9 +239,8 @@ def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
     """Sum over distinct spectrum values: A' Hurwitz values, one per residue
     class of the semigroup <A', B'> modulo A'."""
     _guard(s, "distinct zeta", (1,))
-    S = E.scaled()
-    g = math.gcd(S.A, S.B)
-    Ap, Bp = sorted((S.A // g, S.B // g))
+    g = math.gcd(E.A, E.B)
+    Ap, Bp = sorted((E.A // g, E.B // g))
     if Ap > _DISTINCT_TERMS_LIMIT:
         raise DepthExceeded(
             f"distinct zeta needs {Ap} Hurwitz terms, above the limit {_DISTINCT_TERMS_LIMIT}"
@@ -233,7 +249,7 @@ def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
     total = next(values)
     for v in values:
         total += v
-    return _pow(g / S.den * Ap, -s) * total / (s - 1)
+    return _pow(g / E.den * Ap, -s) * total / (s - 1)
 
 
 def ech_zeta_pair(s, E: Ellipsoid) -> tuple[complex, complex]:
@@ -241,7 +257,7 @@ def ech_zeta_pair(s, E: Ellipsoid) -> tuple[complex, complex]:
     forms in the module docstring, from one Barnes and one Riemann value, for
     Re(s) > -S_MAX."""
     s = complex(s)
-    lo, hi = sorted((float(E.a), float(E.b)))
+    lo, hi = _float_axes(E)
     Z, zeta = barnes_zeta(s, lo, E), riemann_zeta(s)
     return Z + -_pow(lo, -s) * zeta, Z + _pow(hi, -s) * zeta
 
@@ -277,7 +293,7 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
         zero = Fraction(1, 4) + (a / b + b / a) / 12
         rows = [(0, float(v), 2.0**-53 * max(1, abs(v))) for v in (zero, zero - 1)]
     elif s0 in (1, 2):
-        fa, fb, s = float(a), float(b), complex(s0, _STEP)
+        (fa, fb), s = _float_axes(E), complex(s0, _STEP)
         try:
             head, integral, half, tail = _barnes_pieces(s, fa, fa, fb)
             # c = (s - s0)/(s - 1) takes a^-s zeta(s) and the pieces of a^-s (s - 1) Z(s)

@@ -43,7 +43,7 @@ def bisect_nth_capacity(E: Ellipsoid, k: int) -> Fraction:
     """The k-th spectrum value (0-indexed, with multiplicity) by plain bisection
     over the public count_leq: the least v = den * c in r - A - B .. r + A + B,
     r = isqrt(2AB(k + 1)), with at least k + 1 lattice values <= v/den."""
-    S = E.scaled()
+    S = E
     r = math.isqrt(2 * S.A * S.B * (k + 1))
     lo, hi = max(0, r - S.A - S.B), r + S.A + S.B
     while lo < hi:
@@ -200,7 +200,7 @@ def direct_zeta_sum(
     sigma = s.real
     if sigma <= 2 + margin:
         raise ValueError(f"direct_zeta_sum requires Re(s) > {2 + margin}")
-    S = E.scaled()
+    S = E
     vals = scaled_spectrum(S, 0, j_max)
     den = float(S.den)
     terms = [(v / den) ** (-s) for v in vals if v > 0]

@@ -67,7 +67,7 @@ class TestDSequence:
 class TestTiedDSequence:
     @pytest.mark.parametrize("E,j0,j1", tied_blocks())
     def test_fields_match_the_per_row_formula(self, E, j0, j1):
-        S = E.scaled()
+        S = E
         vals = scaled_spectrum(S, j0, j1)
         rows = zip(range(j0, j1 + 1), vals, scaled_defects(S, j0, vals))
         old = [(j, F(v, S.den), d, max(1.0, v / S.den) * DEFECT_REL_ERR) for j, v, d in rows]
@@ -109,7 +109,7 @@ class TestScaledDefects:
     )
     def test_matches_exact_quotient(self, a, b, j0, j1):
         # Each d is the correctly rounded value of the exact 60-bit quotient.
-        S = Ellipsoid(a, b).scaled()
+        S = Ellipsoid(a, b)
         vals = scaled_spectrum(S, j0, j1)
         ds = scaled_defects(S, j0, vals)
         assert len(ds) == len(vals)
@@ -119,7 +119,7 @@ class TestScaledDefects:
 
     def test_d_sequence_is_built_from_the_block(self):
         E = Ellipsoid(2, 3)
-        S = E.scaled()
+        S = E
         pts = d_sequence(E, 7, 400)
         vals = scaled_spectrum(S, 7, 400)
         assert [p.c for p in pts] == [F(v, S.den) for v in vals]
@@ -158,6 +158,17 @@ class TestWeylFit:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             weyl_fit(Ellipsoid(1, 1), [1, 3, 2])
+
+    def test_radius_zero_is_left_out_of_the_remainder_fit(self):
+        # R = 0 adds nothing to C = sum(N R^2)/sum(R^4), and log 0 is not a point
+        E = Ellipsoid(1, 2)
+        with_zero, without = weyl_fit(E, [0, 1, 2, 3]), weyl_fit(E, [1, 2, 3])
+        assert (with_zero.coefficient, with_zero.exponent) == (without.coefficient, without.exponent)
+        assert (without.coefficient, without.exponent) == (0.7346938775510204, -0.6169476217570827)
+
+    def test_rejects_negative_radius(self):
+        with pytest.raises(ValueError, match="requires R >= 0"):
+            weyl_fit(Ellipsoid(1, 2), [-1, 1, 2])
 
     def test_radius_below_float_range(self):
         # log R of R = 1e-400 comes from the integer parts, not math.log(0.0)
@@ -286,7 +297,7 @@ class TestFitAccuracy:
     def test_pinned_dk_windows(self, a, b, j0, j1):
         # The dk windows pinned in tests/test_cli.py::TestByteIdentity, with the
         # CLI's default of 12 windows, and two narrow deep windows.
-        S = Ellipsoid(a, b).scaled()
+        S = Ellipsoid(a, b)
         ds = scaled_defects(S, j0, scaled_spectrum(S, j0, j1))
         self.check_column_fit(range(j0, j1 + 1), ds, 12)
 

@@ -23,7 +23,8 @@ from echspec.cli import (
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # SHA-256 of stdout for (command, a, b, range, format); residues takes no
-# range, and zeta takes a convention in its place and runs at ZETA_POINTS.
+# range, zeta takes a convention in its place and runs at ZETA_POINTS, and
+# weyl takes its radii there.
 # envelope takes no axes, and its range is followed by its options.
 # The pins hold the output byte for byte: any change to them is a change of
 # the CLI's output format. The residues rows print exact residues and values
@@ -61,6 +62,18 @@ PINNED_SHA256 = {
     ("zeta", "2", "3", "full", "json"): "6acecec28d16e0187a6e386d796ecd2100ca1faae82e3d0cbc89c2837d874004",
     ("zeta", "2", "3", "distinct", "csv"): "f9b0c286b3638708f2dd2c448ea59c6b37440317dd8c033108bb75b3a6b10bed",
     ("zeta", "2", "3", "distinct", "json"): "f283e98aded0a8b917663cee7c8f61f295774e5106750b90db2fd3865767b36f",
+    ("weyl", "1", "2", "10,20,30,40", "csv"): "d996511b77360d7a4f8b343801c7d8050544e68e14fd93f1b3c912ec559b0559",
+    ("weyl", "1", "2", "10,20,30,40", "json"): "2799ed55d8f56a35402b070d2d31d8352eb0e33137389c43e44a00d55181cdbb",
+    ("weyl", "3/2", "5/7", "10,20,30,40", "csv"): "29f733e54dbad5a3a0a976cf8b7cf261ab0bfd5866cecb5bb3082bba05349ba6",
+    ("weyl", "3/2", "5/7", "10,20,30,40", "json"): "3450e02fd68b0c04a795966cb9a7953e77975f0bf1042cd95fa5f481fd9087ef",
+    ("capacities", "3/2", "5/7", "0..1500", "csv"): "821b206ce7cd22472a3571403cef405f2b10bd57092b9e11367b2619811db870",
+    ("capacities", "3/2", "5/7", "0..1500", "json"): "f8d8c73a5d88bd54ee5dd4d1260fb68eb0413a9fc1a0c2bc2115f6a8304561e5",
+    ("capacities", "3/2", "5/7", "1000000..1000500", "csv"): "54526b2d64f8eb6e53105d2cc5423bb5c2d4fb3f10f9fc4ec9a5183a3338f88d",
+    ("capacities", "3/2", "5/7", "1000000..1000500", "json"): "60207c023322e4f1e95d6f32f530c1e907489d15b0ebeebbbf2c12cdb8e90ffe",
+    ("dk", "3/2", "5/7", "0..1500", "csv"): "0a35312a0591e687de134045b9ca67688d3a13a3e34b267440fab4f8b28573d9",
+    ("dk", "3/2", "5/7", "0..1500", "json"): "7941cca26872e3ac736885ffb59ffb275d676167935b03e213f134826d887ba0",
+    ("dk", "3/2", "5/7", "1000000..1000500", "csv"): "0614546f095b4602e42c38f83dca3c9afb47fb6a56e22ff80c62f2db3fd6cbe7",
+    ("dk", "3/2", "5/7", "1000000..1000500", "json"): "a7773a4cdd081e8a85bd0f6c875efa7971384f801db5c9ad7f5929d6da06f40a",
     ("envelope", "", "", "2..9 --per-decade 4", "csv"): "35a88ae855506bafe9fdad2f7a169153624df9caa98a00805a93aa7d66456e7f",
     ("envelope", "", "", "2..9 --per-decade 4", "json"): "a69e344c3d5cfa1de91660abaf19b75925810276dabcd3f336609bbb47067da1",
     ("envelope", "", "", "2..9 --per-decade 4 --vol 1000 --c1 2 --c2 0.5 --q 3 --c0 0.25", "csv"): "c56dd3766fad7f0966d4f0604fc8f09bc422103d8d046de859e29f0b17bd73cc",
@@ -150,7 +163,8 @@ class TestByteIdentity:
     def test_pinned_stdout(self, key, capsys):
         cmd, a, b, arg, fmt = key
         axes = ["-a", a, "-b", b] if a else []
-        extra = ["--convention", arg] + ZETA_POINTS if cmd == "zeta" else ["-k"] * bool(arg) + arg.split()
+        flag = "-R" if cmd == "weyl" else "-k"
+        extra = ["--convention", arg] + ZETA_POINTS if cmd == "zeta" else [flag] * bool(arg) + arg.split()
         argv = [cmd] + axes + extra + ["--format", fmt]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -372,6 +386,32 @@ class TestExitCodes:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: leading coefficient exp(") and line.endswith(") overflows a float")
+
+    def test_dk_at_an_axis_below_the_float_range(self, capsys):
+        # the approximant warning compares integers, so no axis is made a float
+        assert main(["dk", "-a", "1/1" + "0" * 400, "-b", "1", "-k", "1..5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("1,1,1" + "0" * 400 + ",")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeta", "-a", "1" + "0" * 400, "-b", "1", "-s", "3"],
+            ["zeta", "-a", "1/1" + "0" * 400, "-b", "1", "-s", "3"],
+            ["residues", "-a", "1" + "0" * 400, "-b", "1"],
+            ["residues", "-a", "1/1" + "0" * 400, "-b", "1"],
+            ["weyl", "-a", "1" + "0" * 400, "-b", "1", "-R", "1,2,3"],
+        ],
+    )
+    def test_axis_past_the_float_range(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and line.endswith(("is outside the float range", "overflows a float"))
+
+    def test_weyl_radius_zero(self, capsys):
+        assert main(["weyl", "-a", "1", "-b", "2", "-R", "0,1,2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0,1,1,1"
 
     def test_huge_imaginary_part_fails_fast(self, capsys):
         t0 = time.perf_counter()

@@ -113,6 +113,15 @@ def test_every_cli_option_is_in_the_readme():
     assert {opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)} == set()
 
 
+def test_readme_python_blocks_run():
+    # An API the README still shows after a rename or deletion fails here.
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+
 def test_version_matches_pyproject():
     # Both are written by hand; diagnostics print echspec.__version__.
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11

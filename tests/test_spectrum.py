@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction as F
@@ -140,7 +141,7 @@ class TestNthCapacity:
             assert count_leq(E, c) >= k + 1
             if c > 0:
                 # predecessor attained value leaves at most k elements below
-                S = E.scaled()
+                S = E
                 v = c.numerator * (S.den // c.denominator)
                 from echspec.spectrum import _count_scaled
 
@@ -200,7 +201,7 @@ class TestModelGuidedSearch:
         c = nth_capacity(E, k)
         assert c == bisect_nth_capacity(E, k) == nth_capacity(Es, k)
         # the k-th value lies in the proven bracket [r - A - B, r + 1]
-        S = E.scaled()
+        S = E
         r = math.isqrt(2 * S.A * S.B * (k + 1))
         assert r - S.A - S.B <= c * S.den <= r + 1
 
@@ -209,7 +210,7 @@ class TestSearchCost:
     @pytest.mark.parametrize("E", SEARCH_ELLIPSOIDS.values(), ids=SEARCH_ELLIPSOIDS)
     def test_at_most_twice_bisection(self, E, monkeypatch):
         thresholds = record_counts(monkeypatch)
-        S = E.scaled()
+        S = E
         for k in [*range(50), *LOG_KS]:
             thresholds.clear()
             nth_capacity(E, k)
@@ -326,7 +327,7 @@ class TestTiedValues:
 
     @pytest.mark.parametrize("E,k0,k1", tied_blocks())
     def test_make_runs_once_per_distinct_value(self, E, k0, k1):
-        vals = scaled_spectrum(E.scaled(), k0, k1)
+        vals = scaled_spectrum(E, k0, k1)
         calls = []
 
         def make(v):
@@ -345,7 +346,7 @@ class TestTiedValues:
 def _walks(E, k0, k1):
     """Whether scaled_spectrum walks the lattice lines for this window rather
     than counting multiplicities: it takes the branch with fewer steps."""
-    S = E.scaled()
+    S = E
     v0, v1 = (nth_capacity(E, k) * S.den for k in (k0, k1))
     return v1 // max(S.A, S.B) <= (v1 - v0) // gcd(S.A, S.B)
 
@@ -390,7 +391,7 @@ class TestWindows:
         ],
     )
     def test_block_is_concatenated_single_windows(self, E, k0, k1, walks):
-        S = E.scaled()
+        S = E
         assert _walks(E, k0, k1) == walks
         singles = [v for k in range(k0, k1 + 1) for v in scaled_spectrum(S, k, k)]
         assert scaled_spectrum(S, k0, k1) == singles
@@ -402,7 +403,7 @@ class TestWindows:
         start = v * (v + 1) // 2
         assert nth_capacity(E, start - 1) == v - 1 and nth_capacity(E, start) == v
         assert nth_capacity(E, start + v) == v and nth_capacity(E, start + v + 1) == v + 1
-        S = E.scaled()
+        S = E
         assert scaled_spectrum(S, start + 1000, start + 1015) == [v] * 16
         mid = start + v // 2
         assert scaled_spectrum(S, mid, mid + 10**6 - 1) == [v] * 10**6
@@ -418,7 +419,7 @@ class TestWindows:
         t0 = time.perf_counter()
         block = spectrum_range(E, k, k + 15)
         assert time.perf_counter() - t0 < 0.05
-        step = F(1, E.scaled().den)
+        step = F(1, E.den)
         assert [j for j, _ in block] == list(range(k, k + 16))
         for j, c in block:
             assert c == nth_capacity(E, j)
@@ -455,7 +456,24 @@ class TestEllipsoid:
         with pytest.raises(TypeError):
             Ellipsoid(1.5, 2)
 
-    def test_scaled_is_exact(self):
-        S = Ellipsoid(F(2, 3), F(5, 7)).scaled()
-        assert (S.A, S.B, S.den) == (14, 15, 21)
-        assert F(S.A, S.den) == F(2, 3) and F(S.B, S.den) == F(5, 7)
+    @given(
+        a=st.fractions(min_value=F(1, 10**9), max_value=10**9, max_denominator=10**9),
+        b=st.fractions(min_value=F(1, 10**9), max_value=10**9, max_denominator=10**9),
+    )
+    @example(a=F(2, 3), b=F(5, 7))
+    def test_scaled_is_exact(self, a, b):
+        E = Ellipsoid(a, b)
+        assert E.den == math.lcm(a.denominator, b.denominator)
+        assert F(E.A, E.den) == E.a == a and F(E.B, E.den) == E.b == b
+
+    def test_integer_form_is_fixed_and_outside_identity(self):
+        E = Ellipsoid(F(2, 3), F(5, 7))
+        assert (E.A, E.B, E.den) == (14, 15, 21)
+        for name in ("A", "B", "den"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(E, name, 1)
+        # repr, == and hash see the axes only, as before the integer form was stored
+        E = Ellipsoid(1, 2)
+        assert repr(E) == "Ellipsoid(a=Fraction(1, 1), b=Fraction(2, 1))"
+        assert E == Ellipsoid(F(2, 2), "2") and hash(E) == hash(Ellipsoid(F(2, 2), "2"))
+        assert E != Ellipsoid(2, 1)

@@ -447,6 +447,17 @@ class TestEchZeta:
         got = ech_zeta(3.0, Ellipsoid(1, 1), ZetaConvention.DISTINCT)
         assert abs(got - riemann_zeta(3.0)) < 1e-10
 
+    def test_distinct_on_an_axis_past_the_float_range(self):
+        # the distinct values of E(10^400, 1) are the integers, so it is zeta(s);
+        # INTERIOR and FULL need the axes as floats and name the one that is not
+        E = Ellipsoid(10**400, 1)
+        assert ech_zeta(3.0, E, ZetaConvention.DISTINCT) == riemann_zeta(3.0)
+        for conv in (ZetaConvention.INTERIOR, ZetaConvention.FULL):
+            with pytest.raises(ValueError, match=r"axis a = exp\(921.034\) is outside the float range"):
+                ech_zeta(3.0, E, conv)
+        with pytest.raises(ValueError, match=r"axis b = exp\(-921.034\) is outside"):
+            barnes_zeta(3.0, 1, Ellipsoid(1, F(1, 10**400)))
+
     @pytest.mark.parametrize("conv", [ZetaConvention.INTERIOR, ZetaConvention.FULL])
     def test_matches_direct_sum(self, conv):
         E = Ellipsoid(F(3, 2), F(5, 7))
