@@ -16,10 +16,12 @@ from typing import NamedTuple
 
 from .spectrum import (
     Ellipsoid,
+    as_float,
     as_rational,
     count_leq,
     distinct_values_leq,
     map_distinct,
+    rational_log,
     scaled_spectrum,
 )
 
@@ -28,6 +30,8 @@ DEFECT_REL_ERR = 2.0**-50  # d_err = max(1, c) * DEFECT_REL_ERR
 
 
 class DkPoint(NamedTuple):
+    """One defect sample: index j, exact capacity c_j, defect d and its rounding bound d_err."""
+
     j: int
     c: Fraction
     d: float
@@ -36,6 +40,8 @@ class DkPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class FitResult:
+    """A power law coefficient * x^exponent, its rms residual, and the index window fitted."""
+
     coefficient: float
     exponent: float
     residual: float
@@ -44,6 +50,8 @@ class FitResult:
 
 @dataclass(frozen=True)
 class WeylSample:
+    """Counts at radius R: lattice classes (with multiplicity) and distinct values."""
+
     R: Fraction
     count_classes: int
     count_values: int
@@ -77,6 +85,7 @@ def d_sequence(E: Ellipsoid, j0: int, j1: int) -> list[DkPoint]:
         raise ValueError("d_sequence requires j0 <= j1")
     den = E.den
     vals = scaled_spectrum(E, j0, j1)
+    as_float(Fraction(vals[-1], den), "capacity")  # so every v / den below it fits
     exact = map_distinct(lambda v: (Fraction(v, den), max(1.0, v / den) * DEFECT_REL_ERR), vals)
     ds = scaled_defects(E, j0, vals)
     return [DkPoint(j, c, d, e) for j, (c, e), d in zip(range(j0, j1 + 1), exact, ds)]
@@ -110,16 +119,6 @@ def _line_fit(pts: list[tuple[float, float]]) -> tuple[float, float, float]:
     return slope, y0 - slope * x0, math.hypot(*resid) / math.sqrt(n)
 
 
-def _log(x: Fraction) -> float:
-    """log of a positive rational; outside the normal float range, from its integer parts."""
-    try:
-        if float(x) >= 2.0**-1022:  # the least normal float
-            return math.log(x)
-    except OverflowError:
-        pass
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
 def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     """Least-squares leading coefficient C of N(R) ~ C*R^2 over the samples
     (classes convention), exact then rounded, and the remainder exponent: the
@@ -134,12 +133,10 @@ def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
         raise ValueError("weyl_fit requires R >= 0")
     N = [count_leq(E, r) for r in R_list]
     C = sum(n * r * r for n, r in zip(N, R_list)) / sum(r**4 for r in R_list)
-    try:
-        coefficient = float(C)
-    except OverflowError:
-        raise ValueError(f"leading coefficient exp({_log(C):.6g}) overflows a float") from None
+    coefficient = as_float(C, "leading coefficient")
     resid = [n - C * r * r for n, r in zip(N, R_list)]
-    kept = [(_log(r), _log(abs(e))) for r, e in zip(R_list, resid) if r > 0 and abs(e) > 1e-9]
+    kept = [(rational_log(r), rational_log(abs(e)))
+            for r, e in zip(R_list, resid) if r > 0 and abs(e) > 1e-9]
     exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
     try:
         rms = math.hypot(*map(float, resid)) / math.sqrt(len(resid))
@@ -156,10 +153,9 @@ def _window_sups(js, ds, window_count: int) -> list[tuple[int, float]]:
     pts = [(j, d) for j, d in zip(js, ds) if j >= 1]
     if not pts:
         raise ValueError("window_sups requires points with j >= 1")
-    j_lo, j_hi = pts[0][0], pts[-1][0]
-    ratio = (float(j_hi + 1) / j_lo) ** (1.0 / window_count)
-    edges = [j_lo * ratio**w for w in range(window_count + 1)]
-    edges[-1] = float(j_hi + 1)
+    j_lo, j_hi = as_float(pts[0][0], "index"), as_float(pts[-1][0] + 1, "index")
+    ratio = (j_hi / j_lo) ** (1.0 / window_count)
+    edges = [j_lo * ratio**w for w in range(window_count)] + [j_hi]
     sups = []
     w = 0
     best_j, best = None, -1.0

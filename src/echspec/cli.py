@@ -28,7 +28,7 @@ from .asymptotics import (
     weyl_fit,
 )
 from .envelope import EnvelopeConstants, capacity_envelope
-from .spectrum import EchspecError, Ellipsoid, map_distinct, scaled_spectrum
+from .spectrum import EchspecError, Ellipsoid, as_float, map_distinct, scaled_spectrum
 from .zeta import ZetaConvention, ech_laurent_pair, ech_zeta
 
 
@@ -92,15 +92,12 @@ def _fmt(x: float) -> str:
 # Rows are formatted and written this many at a time: holding the whole
 # output text at once would add its size to the peak memory of a long table.
 _CHUNK_ROWS = 256
-# Encoders json.dumps applies to these scalar types; other types go through
-# json.dumps itself.
+# The encoders json.dumps applies to the cells; every column is all int or all str.
 _JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _json_column(col: tuple) -> list[str]:
-    kinds = set(map(type, col))
-    encode = _JSON_SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(encode or json.dumps, col))
+    return list(map(_JSON_SCALAR[type(col[0])], col))
 
 
 def _json_rows(header: list[str], rows: list[tuple]):
@@ -155,7 +152,9 @@ def cmd_capacities(cfg) -> int:
     def cells(v: int) -> tuple:  # v/den reduced, and its float
         g = math.gcd(v, den)
         return v // g, den // g, f"{v / den:.17g}"
-    cs = map_distinct(cells, scaled_spectrum(E, k0, k1))
+    vals = scaled_spectrum(E, k0, k1)
+    as_float(Fraction(vals[-1], den), "capacity")  # so every v / den below it fits
+    cs = map_distinct(cells, vals)
     rows = [(k, p, q, c) for k, (p, q, c) in zip(range(k0, k1 + 1), cs)]
     emit(cfg, ["k", "c_num", "c_den", "c_float"], rows, {}, [])
     return 0
@@ -174,12 +173,7 @@ def cmd_weyl(cfg) -> int:
     warnings = []
     if len(R_list) >= 3 and all(R_list[i] < R_list[i + 1] for i in range(len(R_list) - 1)):
         fit = weyl_fit(E, R_list)
-        vol = contact_volume(E)
-        try:
-            fvol = float(vol)
-        except OverflowError:
-            log = math.log(vol.numerator) - math.log(vol.denominator)
-            raise ValueError(f"contact volume exp({log:.6g}) overflows a float") from None
+        fvol = as_float(contact_volume(E), "contact volume")
         summary = {
             "fit_coefficient": _fmt(fit.coefficient),
             "fit_remainder_exponent": _fmt(fit.exponent),
@@ -206,6 +200,7 @@ def cmd_dk(cfg) -> int:
     def cells(v: int) -> tuple:  # c = v/den reduced, and its d_err
         g = math.gcd(v, den)
         return v // g, den // g, f"{max(1.0, v / den) * DEFECT_REL_ERR:.17g}"
+    as_float(Fraction(vals[-1], den), "capacity")  # so every v / den below it fits
     cs = map_distinct(cells, vals)
     rows = [(j, p, q, f"{d:.17g}", err) for j, (p, q, err), d in zip(js, cs, ds)]
     warnings = []

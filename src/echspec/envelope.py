@@ -33,6 +33,8 @@ class TooSmallJ(EchspecError):
 
 @dataclass(frozen=True)
 class EnvelopeConstants:
+    """The structural constants q, c0, c1, c2 and vol of the envelope; c3 is derived from c1."""
+
     q: float = 0.0
     c0: float = 1.0
     c1: float = 1.0
@@ -56,6 +58,8 @@ class EnvelopeConstants:
 
 @dataclass(frozen=True)
 class EnvelopeResult:
+    """The envelope at index j: the radii r1, r2, r3, and the F, energy and capacity brackets."""
+
     j: float
     r1: float
     r2: float

@@ -12,7 +12,8 @@ its end values v0 and v1, plus min(v1/max(A, B), (v1 - v0)/gcd(A, B))
 steps: walking the lattice lines up to v1, or counting the multiplicity
 of each value in [v0, v1]. The Fraction edge converts once per distinct
 value (map_distinct): u Fractions for n rows, u = 63 for 20,000 rows of
-E(2, 3) and 1,413 for E(1, 1) 1..10^6.
+E(2, 3) and 1,413 for E(1, 1) 1..10^6. as_float is the one exact-to-float
+edge: past the float range it raises ValueError naming the quantity.
 """
 
 from __future__ import annotations
@@ -39,6 +40,24 @@ def as_rational(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def rational_log(x: Fraction) -> float:
+    """log of a positive rational; outside the normal float range, from its integer parts."""
+    try:
+        if float(x) >= 2.0**-1022:  # the least normal float
+            return math.log(x)
+    except OverflowError:
+        pass
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def as_float(x, name: str) -> float:
+    """float(x), or past the float range a ValueError naming the quantity."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} exp({rational_log(abs(x)):.6g}) overflows a float") from None
 
 
 @dataclass(frozen=True)

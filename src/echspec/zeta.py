@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .spectrum import EchspecError, Ellipsoid, NonConvergent
+from .spectrum import EchspecError, Ellipsoid, NonConvergent, as_float, rational_log
 
 S_MAX = 4.0
 # A Barnes value costs O(|Im s|^2) kernel terms: on E(1,2) at s = 0.5 + 1e4 i
@@ -58,6 +58,8 @@ class DepthExceeded(EchspecError):
 
 
 class ZetaConvention(enum.Enum):
+    """Which spectrum values the zeta sum runs over; see the module docstring."""
+
     INTERIOR = "interior"
     FULL = "full"
     DISTINCT = "distinct"
@@ -65,6 +67,9 @@ class ZetaConvention(enum.Enum):
 
 @dataclass(frozen=True)
 class LaurentExpansion:
+    """Residue and constant at center; quad_err is the reported error bound: the
+    contour gap plus rounding in laurent_at, a rounding bound in ech_laurent_pair."""
+
     center: complex
     residue: complex
     constant: complex
@@ -157,14 +162,9 @@ def _float_axes(E: Ellipsoid) -> tuple[float, float]:
     that rounds to 0.0, raises ValueError naming it."""
     axes = []
     for name, x in (("a", E.a), ("b", E.b)):
-        try:
-            f = float(x)
-        except OverflowError:
-            f = math.inf
-        if not 0.0 < f < math.inf:
-            log = math.log(x.numerator) - math.log(x.denominator)
-            raise ValueError(f"axis {name} = exp({log:.6g}) is outside the float range")
-        axes.append(f)
+        axes.append(as_float(x, f"axis {name} ="))
+        if axes[-1] == 0.0:  # zeta needs positive axes
+            raise ValueError(f"axis {name} = exp({rational_log(x):.6g}) is outside the float range")
     return min(axes), max(axes)
 
 
@@ -172,12 +172,13 @@ def hurwitz_zeta(s, x: float) -> complex:
     """Continuation of sum_{n>=0} (x+n)^{-s}, for Re(s) > -S_MAX away from the
     pole at s = 1."""
     s = complex(s)
-    x = float(x)
+    x = as_float(x, "offset x =")
     _guard(s, "hurwitz_zeta", (1,), x)
     return next(_eta(s, (x,))) / (s - 1)
 
 
 def riemann_zeta(s) -> complex:
+    """The Riemann zeta function, hurwitz_zeta(s, 1)."""
     return hurwitz_zeta(s, 1.0)
 
 
@@ -219,7 +220,7 @@ def barnes_zeta(s, w, E: Ellipsoid) -> complex:
     reaches cutoff * b/a, plus an Euler-Maclaurin tail in n of Hurwitz values].
     """
     s = complex(s)
-    w = float(w)
+    w = as_float(w, "offset w =")
     _guard(s, "barnes_zeta", (1, 2), w)
     a, b = _float_axes(E)
     head, integral, half, tail = _barnes_pieces(s, w, a, b)
@@ -291,7 +292,7 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
     a, b = sorted((E.a, E.b))
     if s0 == 0:
         zero = Fraction(1, 4) + (a / b + b / a) / 12
-        rows = [(0, float(v), 2.0**-53 * max(1, abs(v))) for v in (zero, zero - 1)]
+        rows = [(0, as_float(v, "value at s=0"), 2.0**-53 * max(1, abs(v))) for v in (zero, zero - 1)]
     elif s0 in (1, 2):
         (fa, fb), s = _float_axes(E), complex(s0, _STEP)
         try:

@@ -20,7 +20,8 @@ from echspec import (
     weyl_fit,
     window_sups,
 )
-from echspec.asymptotics import DEFECT_REL_ERR, _log
+from echspec.asymptotics import DEFECT_REL_ERR
+from echspec.spectrum import rational_log
 
 from test_spectrum import tied_blocks
 
@@ -52,6 +53,11 @@ class TestDSequence:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             d_sequence(Ellipsoid(1, 1), 5, 4)
+
+    def test_capacity_past_the_float_range(self):
+        # c_j is about 1.4e400 at j = 10^800: its d_err is a float of c_j
+        with pytest.raises(ValueError, match=r"^capacity exp\(921\.381\) overflows a float$"):
+            d_sequence(Ellipsoid(1, 1), 10**800, 10**800)
 
     def test_err_bound_is_small(self):
         pts = d_sequence(Ellipsoid(1, 1), 10**6, 10**6 + 10)
@@ -186,9 +192,9 @@ class TestWeylFit:
     @pytest.mark.parametrize("x", [F(1, 10**400), F(1, 10**310), F(3, 10**305), F(7, 3), F(10**400, 3)])
     def test_log_outside_and_inside_the_float_range(self, x):
         exact = math.log(x.numerator) - math.log(x.denominator)
-        assert _log(x) == pytest.approx(exact, rel=1e-15)
+        assert rational_log(x) == pytest.approx(exact, rel=1e-15)
         if 2.0**-1022 <= x <= sys.float_info.max:
-            assert _log(x) == math.log(x)  # the float path, as before
+            assert rational_log(x) == math.log(x)  # the float path, as before
 
 
 def _planted(j0, j1, power, coeff=1.0):
@@ -340,3 +346,8 @@ class TestWindowSups:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             window_sups([], 3)
+
+    def test_index_past_the_float_range(self):
+        # the window edges are floats of the indices
+        with pytest.raises(ValueError, match=r"^index exp\(711\.499\) overflows a float$"):
+            column_exponent_fit([10**309, 10**309 + 1], [1.0, 2.0], 2)

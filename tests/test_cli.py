@@ -263,6 +263,14 @@ class TestDkFitOmitted:
         assert "# sup_exponent=" in captured.out
         assert "fit omitted" not in captured.err
 
+    def test_index_past_the_float_range(self, capsys):
+        # c_j near 4.5e154 fits a float; the window edges, floats of j, do not
+        j = 10**309
+        assert main(["dk", "-a", "1", "-b", "1", "-k", f"{j}..{j + 3}"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 5
+        assert captured.err == "warning: sup exponent fit omitted: index exp(711.499) overflows a float\n"
+
     @pytest.mark.parametrize("windows", ["0", "-3"])
     def test_windows_must_be_positive(self, windows, capsys):
         assert main(["dk", "-a", "1", "-b", "1", "-k", "1..30", "--windows", windows]) == 2
@@ -400,6 +408,8 @@ class TestExitCodes:
             ["residues", "-a", "1" + "0" * 400, "-b", "1"],
             ["residues", "-a", "1/1" + "0" * 400, "-b", "1"],
             ["weyl", "-a", "1" + "0" * 400, "-b", "1", "-R", "1,2,3"],
+            ["capacities", "-a", "1", "-b", "1", "-k", f"1{'0' * 800}..1{'0' * 800}"],
+            ["dk", "-a", "1", "-b", "1", "-k", f"1{'0' * 800}..1{'0' * 800}"],
         ],
     )
     def test_axis_past_the_float_range(self, argv, capsys):
@@ -408,6 +418,8 @@ class TestExitCodes:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and line.endswith(("is outside the float range", "overflows a float"))
+        if argv[0] in ("capacities", "dk"):  # c_k is about 1.4e400 at k = 10^800
+            assert line == "error: capacity exp(921.381) overflows a float"
 
     def test_weyl_radius_zero(self, capsys):
         assert main(["weyl", "-a", "1", "-b", "2", "-R", "0,1,2"]) == 0

@@ -30,6 +30,17 @@ class TestErrorHierarchy:
             _sup_below(lambda r: True, 1.0)
 
 
+def test_every_exported_name_has_a_docstring():
+    # Its own: not one inherited, nor the Name(field, ...) text that
+    # dataclasses and NamedTuples generate.
+    def own_doc(name: str) -> str:
+        obj = getattr(echspec, name)
+        doc = (obj.__dict__.get("__doc__") if isinstance(obj, type) else obj.__doc__) or ""
+        return "" if doc.startswith(f"{name}(") else doc.strip()
+
+    assert [name for name in echspec.__all__ if not own_doc(name)] == []
+
+
 def test_no_private_imports_across_modules():
     # Modules share only public names; the scaled-integer helpers that once
     # crossed modules privately are public now (scaled_spectrum, scaled_defects).

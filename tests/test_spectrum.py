@@ -18,7 +18,7 @@ from echspec import (
     scaled_spectrum,
     spectrum_range,
 )
-from echspec.spectrum import map_distinct
+from echspec.spectrum import as_float, map_distinct
 
 from oracles import (
     bisect_nth_capacity,
@@ -265,6 +265,14 @@ class TestSpectrumRange:
         for k, c in block:
             assert c == nth_capacity(E, k)
 
+    def test_exact_past_the_float_range(self):
+        # no value is made a float, so c_k near 1.4e400 comes out exact
+        E, k = Ellipsoid(1, 1), 10**800
+        block = spectrum_range(E, k, k + 3)
+        assert len(block) == 4 and [c for _, c in block] == scaled_spectrum(E, k, k + 3)
+        for j, c in block:
+            assert count_leq(E, c - 1) <= j < count_leq(E, c)
+
     @given(
         A=st.integers(1, 1000),
         B=st.integers(1, 1000),
@@ -443,6 +451,36 @@ class TestDistinctValues:
         E = Ellipsoid(a, b)
         for t in [F(0), F(3, 2), F(8), F(25)]:
             assert distinct_values_leq(E, t) == brute_distinct_leq(a, b, t)
+
+
+# The float range ends halfway between the largest float and 2^1024: there
+# float() rounds up, to even, and overflows.
+FLOAT_EDGE = 2**1024 - 2**970
+
+
+class TestAsFloat:
+    @given(num=st.integers(-(10**700), 10**700), den=st.integers(1, 10**700))
+    @example(num=FLOAT_EDGE - 1, den=1)
+    @example(num=FLOAT_EDGE, den=1)
+    @example(num=-FLOAT_EDGE, den=1)
+    @example(num=FLOAT_EDGE * 3 - 1, den=3)
+    @example(num=1, den=10**400)
+    @example(num=10**700, den=7)
+    def test_is_float_or_the_readme_error(self, num, den):
+        # float(x) wherever that succeeds, ValueError exactly where it overflows
+        x = F(num, den)
+        try:
+            want = float(x)
+        except OverflowError:
+            with pytest.raises(ValueError, match=r"^x exp\(\d+\.?\d*(e\+\d+)?\) overflows a float$"):
+                as_float(x, "x")
+        else:
+            assert as_float(x, "x") == want
+
+    def test_names_the_quantity_and_its_log(self):
+        with pytest.raises(ValueError, match=r"^axis a = exp\(921\.034\) overflows a float$"):
+            as_float(10**400, "axis a =")
+        assert as_float(F(1, 10**400), "x") == 0.0  # below the range: only overflow is an error
 
 
 class TestEllipsoid:

@@ -123,6 +123,12 @@ class TestHurwitz:
         with pytest.raises(ValueError, match="overflows a float"):
             barnes_zeta(s, 1e-200, Ellipsoid(1, 2))
 
+    def test_offset_past_the_float_range(self):
+        with pytest.raises(ValueError, match=r"^offset x = exp\(921\.034\) overflows a float$"):
+            hurwitz_zeta(3, 10**400)
+        with pytest.raises(ValueError, match=r"^offset w = exp\(921\.034\) overflows a float$"):
+            barnes_zeta(3, 10**400, Ellipsoid(1, 2))
+
 
 class TestRiemann:
     @pytest.mark.parametrize(
@@ -453,7 +459,7 @@ class TestEchZeta:
         E = Ellipsoid(10**400, 1)
         assert ech_zeta(3.0, E, ZetaConvention.DISTINCT) == riemann_zeta(3.0)
         for conv in (ZetaConvention.INTERIOR, ZetaConvention.FULL):
-            with pytest.raises(ValueError, match=r"axis a = exp\(921.034\) is outside the float range"):
+            with pytest.raises(ValueError, match=r"axis a = exp\(921.034\) overflows a float"):
                 ech_zeta(3.0, E, conv)
         with pytest.raises(ValueError, match=r"axis b = exp\(-921.034\) is outside"):
             barnes_zeta(3.0, 1, Ellipsoid(1, F(1, 10**400)))
@@ -642,6 +648,11 @@ class TestLaurentPair:
         assert lau == ech_laurent_pair(s0, E, tol=lau.quad_err)[0]
         with pytest.raises(NonConvergent, match="rounding bound"):
             ech_laurent_pair(s0, E, tol=lau.quad_err / 2)
+
+    def test_value_at_zero_past_the_float_range(self):
+        # 1/4 + (a/b + b/a)/12 is about 8.3e398 on E(10^400, 1)
+        with pytest.raises(ValueError, match=r"^value at s=0 exp\(918\.549\) overflows a float$"):
+            ech_laurent_pair(0, Ellipsoid(10**400, 1))
 
 
 # Measured error of ech_zeta at s = -k, k = 0..3, against the exact oracle: the
