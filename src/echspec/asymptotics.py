@@ -155,16 +155,23 @@ def _window_sups(js, ds, window_count: int) -> list[tuple[int, float]]:
         raise ValueError("window_sups requires points with j >= 1")
     j_lo, j_hi = as_float(pts[0][0], "index"), as_float(pts[-1][0] + 1, "index")
     ratio = (j_hi / j_lo) ** (1.0 / window_count)
-    edges = [j_lo * ratio**w for w in range(window_count)] + [j_hi]
+
+    def edge(w: int) -> float:  # nondecreasing in w, and above every j at window_count
+        return j_hi if w == window_count else j_lo * ratio**w
+
     sups = []
-    w = 0
+    w, upper = 0, edge(1)
     best_j, best = None, -1.0
     for j, d in pts:
-        while j >= edges[w + 1]:
+        if j >= upper:
             if best_j is not None:
                 sups.append((best_j, best))
             best_j, best = None, -1.0
-            w += 1
+            lo, hi = w + 1, window_count - 1  # bisect for the first window past w holding j
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if j >= edge(mid + 1) else (lo, mid)
+            w, upper = lo, edge(lo + 1)
         if abs(d) > best:
             best_j, best = j, abs(d)
     if best_j is not None:

@@ -73,11 +73,15 @@ def parse_complex(text: str) -> complex:
 
 
 def _positive(kind):
-    """argparse type: a finite `kind` value above zero; anything else exits 2."""
+    """argparse type: a finite `kind` value above zero; anything else exits 2,
+    an int past the float range too."""
     def parse(text: str):
         value = kind(text)
-        if math.isfinite(value) and value > 0:
-            return value
+        try:
+            if math.isfinite(value) and value > 0:
+                return value
+        except OverflowError:
+            pass
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
     parse.__name__ = kind.__name__  # argparse names the type in "invalid ... value"
     return parse

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .spectrum import EchspecError, NonConvergent
+from .spectrum import EchspecError, NonConvergent, as_float
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 DEFAULT_VOL = 400.0 * FOUR_PI_SQ  # keeps the default sweep in the j^{2/5} regime
@@ -78,6 +78,7 @@ def r1_bar(j: float, k: EnvelopeConstants) -> float:
     the set where the quadratic growth has not yet overtaken the linear term."""
     if j < 0:
         raise ValueError("j must be nonnegative")
+    j = as_float(j, "j")
     alpha = k.vol / FOUR_PI_SQ
     disc = k.c0 * k.c0 + 4.0 * alpha * (k.q + j)
     if disc < 0:

@@ -220,17 +220,9 @@ def spectrum_range(E: Ellipsoid, k0: int, k1: int) -> list[tuple[int, Fraction]]
 def distinct_values_leq(E: Ellipsoid, t) -> int:
     """Number of distinct values of m*a + n*b in [0, t].
 
-    All values are multiples of g = gcd(A, B); each residue class r mod A/g
-    of t/g has a unique minimal representation, which reduces the count to
-    one floor-sum."""
-    t = as_rational(t)
-    T = _scaled_threshold(E, t)
-    if T < 0:
-        return 0
-    g = math.gcd(E.A, E.B)
-    X = T // g
-    Ap, Bp = E.A // g, E.B // g
-    if Ap > Bp:
-        Ap, Bp = Bp, Ap
-    M = min(Ap - 1, X // Bp)
-    return floor_sum(M + 1, Bp, X - M * Bp, Ap) + M + 1
+    With g = gcd(A, B), each value is m*A + n*B for exactly one pair with
+    n < A/g, and the pairs with n >= A/g are the whole lattice shifted by
+    lcm(A, B): the count is the lattice count less its shifted copy."""
+    T = _scaled_threshold(E, as_rational(t))
+    small, big = sorted((E.A, E.B))  # one call order for E(a, b) and E(b, a)
+    return _count_scaled(big, small, T) - _count_scaled(big, small, T - math.lcm(small, big))

@@ -253,23 +253,17 @@ def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
     return _pow(g / E.den * Ap, -s) * total / (s - 1)
 
 
-def ech_zeta_pair(s, E: Ellipsoid) -> tuple[complex, complex]:
-    """(INTERIOR, FULL) spectrum zeta values of E(a, b) at s, by the closed
-    forms in the module docstring, from one Barnes and one Riemann value, for
-    Re(s) > -S_MAX."""
-    s = complex(s)
-    lo, hi = _float_axes(E)
-    Z, zeta = barnes_zeta(s, lo, E), riemann_zeta(s)
-    return Z + -_pow(lo, -s) * zeta, Z + _pow(hi, -s) * zeta
-
-
 def ech_zeta(s, E: Ellipsoid, conv: ZetaConvention = ZetaConvention.FULL) -> complex:
     """Spectrum zeta function of E(a, b) under the chosen convention, by the
     closed forms in the module docstring, for Re(s) > -S_MAX."""
+    s = complex(s)
     if conv is ZetaConvention.DISTINCT:
-        return _distinct_zeta(complex(s), E)
-    interior, full = ech_zeta_pair(s, E)
-    return full if conv is ZetaConvention.FULL else interior
+        return _distinct_zeta(s, E)
+    lo, hi = _float_axes(E)
+    Z, zeta = barnes_zeta(s, lo, E), riemann_zeta(s)
+    if conv is ZetaConvention.FULL:
+        return Z + _pow(hi, -s) * zeta
+    return Z + -_pow(lo, -s) * zeta
 
 
 def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpansion, ...]:

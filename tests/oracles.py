@@ -80,6 +80,50 @@ def brute_distinct_leq(a: Fraction, b: Fraction, t: Fraction) -> int:
     return len(vals)
 
 
+def distinct_leq_by_classes(E: Ellipsoid, t) -> int:
+    """Distinct values of m*a + n*b in [0, t], one residue class at a time:
+    with g = gcd(A, B), A' = A/g and B' = B/g, each value is g times
+    m*A' + n*B' for exactly one pair with n < A', so the count is the sum
+    over n < A' with n*B' <= X = floor(t*den/g) of floor((X - n*B')/A') + 1.
+    A loop of min(A', X//B' + 1) steps, with no floor sum."""
+    t = Fraction(t)
+    g = gcd(E.A, E.B)
+    X = t.numerator * E.den // (t.denominator * g)
+    Ap, Bp = E.A // g, E.B // g
+    return sum((X - n * Bp) // Ap + 1 for n in range(min(Ap, X // Bp + 1)))
+
+
+def window_sups_by_edge_list(js, ds, window_count: int) -> list[tuple[int, float]]:
+    """Per-window (argmax j, max |d|) over the points with j >= 1, from the
+    list of all window_count + 1 geometric edges j_lo * ratio**w and j_hi,
+    walked one edge at a time: O(window_count) memory and steps. float()
+    stands in for the package's as_float; they agree inside the float range."""
+    if not js:
+        raise ValueError("window_sups requires nonempty input")
+    if window_count < 1:
+        raise ValueError("window_count must be positive")
+    pts = [(j, d) for j, d in zip(js, ds) if j >= 1]
+    if not pts:
+        raise ValueError("window_sups requires points with j >= 1")
+    j_lo, j_hi = float(pts[0][0]), float(pts[-1][0] + 1)
+    ratio = (j_hi / j_lo) ** (1.0 / window_count)
+    edges = [j_lo * ratio**w for w in range(window_count)] + [j_hi]
+    sups = []
+    w = 0
+    best_j, best = None, -1.0
+    for j, d in pts:
+        while j >= edges[w + 1]:
+            if best_j is not None:
+                sups.append((best_j, best))
+            best_j, best = None, -1.0
+            w += 1
+        if abs(d) > best:
+            best_j, best = j, abs(d)
+    if best_j is not None:
+        sups.append((best_j, best))
+    return sups
+
+
 def double_sum_barnes(
     s: complex, w: float, a: float, b: float, cutoff: float = 2000.0
 ) -> tuple[complex, float]:

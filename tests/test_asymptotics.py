@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from echspec import (
     DkPoint,
@@ -23,6 +25,7 @@ from echspec import (
 from echspec.asymptotics import DEFECT_REL_ERR
 from echspec.spectrum import rational_log
 
+from oracles import window_sups_by_edge_list
 from test_spectrum import tied_blocks
 
 
@@ -346,6 +349,19 @@ class TestWindowSups:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             window_sups([], 3)
+
+    @given(
+        js=st.lists(st.integers(0, 10**12), min_size=1, max_size=60, unique=True),
+        ds=st.lists(st.sampled_from([0.0, 0.5, -0.5, 1e-16, 3.0, -7.25]), min_size=60, max_size=60),
+        window_count=st.integers(1, 10**4),
+    )
+    @example(js=list(range(1, 31)), ds=[1.0] * 60, window_count=10**4)
+    def test_matches_edge_list(self, js, ds, window_count):
+        # found by bisection over edges made on demand, the windows of the full edge list
+        assume(max(js) >= 1)
+        js = sorted(js)
+        pts = [DkPoint(j, F(0), d, 0.0) for j, d in zip(js, ds)]
+        assert window_sups(pts, window_count) == window_sups_by_edge_list(js, ds, window_count)
 
     def test_index_past_the_float_range(self):
         # the window edges are floats of the indices

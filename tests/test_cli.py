@@ -271,9 +271,20 @@ class TestDkFitOmitted:
         assert len(captured.out.splitlines()) == 5
         assert captured.err == "warning: sup exponent fit omitted: index exp(711.499) overflows a float\n"
 
-    @pytest.mark.parametrize("windows", ["0", "-3"])
+    @pytest.mark.parametrize("windows", ["0", "-3", "1" + "0" * 400])
     def test_windows_must_be_positive(self, windows, capsys):
         assert main(["dk", "-a", "1", "-b", "1", "-k", "1..30", "--windows", windows]) == 2
+
+    def test_window_count_past_any_list(self, capsys):
+        # the fit bisects for each row's window, so no edge list is built
+        t0 = time.perf_counter()
+        assert main(["dk", "-a", "1", "-b", "1", "-k", "1..30", "--windows", "1" + "0" * 300]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 31
+        assert captured.err == (
+            "warning: sup exponent fit omitted: exponent_fit requires at least two usable windows\n"
+        )
 
 
 class TestOtherCommands:
@@ -463,7 +474,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert "unrecognized arguments: --c3 1" in captured.err
 
-    @pytest.mark.parametrize("per_decade", ["0", "-3"])
+    @pytest.mark.parametrize("per_decade", ["0", "-3", "1" + "0" * 400])
     def test_per_decade_below_one(self, per_decade, capsys):
         assert main(["envelope", "-k", "4..5", "--per-decade", per_decade]) == 2
         assert capsys.readouterr().out == ""

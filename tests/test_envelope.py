@@ -144,6 +144,20 @@ class TestR1:
         with pytest.raises(ValueError):
             r1_bar(-1.0, EnvelopeConstants())
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda j, k: r1_bar(j, k),
+            lambda j, k: F_bounds(1.0, j, k),
+            lambda j, k: r2_threshold(j, k),
+            lambda j, k: capacity_envelope(j, k),
+        ],
+        ids=["r1_bar", "F_bounds", "r2_threshold", "capacity_envelope"],
+    )
+    def test_j_past_the_float_range(self, entry):
+        with pytest.raises(ValueError, match=r"^j exp\(921\.034\) overflows a float$"):
+            entry(10**400, EnvelopeConstants())
+
 
 class TestRhoZero:
     def test_defining_equation(self):

@@ -25,6 +25,7 @@ from oracles import (
     brute_count_leq,
     brute_distinct_leq,
     brute_spectrum,
+    distinct_leq_by_classes,
     naive_floor_sum,
 )
 
@@ -451,6 +452,46 @@ class TestDistinctValues:
         E = Ellipsoid(a, b)
         for t in [F(0), F(3, 2), F(8), F(25)]:
             assert distinct_values_leq(E, t) == brute_distinct_leq(a, b, t)
+
+    @given(
+        p=st.integers(1, 10**4),
+        q=st.integers(1, 10**3),
+        r=st.integers(1, 10**4),
+        s=st.integers(1, 10**3),
+        t=st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**3),
+    )
+    @example(p=9973, q=997, r=1, s=1, t=F(10**12 - 1, 997))
+    @example(p=9973, q=997, r=7919, s=991, t=F(-(10**12), 7))
+    @settings(deadline=None)
+    def test_matches_class_sum(self, p, q, r, s, t):
+        # The oracle loops over the residue classes, with no floor sum
+        E = Ellipsoid(F(p, q), F(r, s))
+        expected = distinct_leq_by_classes(E, t)
+        assert distinct_values_leq(E, t) == expected
+        assert distinct_values_leq(Ellipsoid(F(r, s), F(p, q)), t) == expected
+
+    @pytest.mark.parametrize("a,b", [("1", "30"), ("3", "200/7"), ("1", "832040/514229")])
+    @pytest.mark.parametrize("count", [10**6, 10**8, 10**11])
+    def test_matches_class_sum_deep(self, a, b, count):
+        # radii where the lattice count is about 10^6, 10^8 and 10^11
+        E = Ellipsoid(a, b)
+        t = math.isqrt(2 * count * E.A * E.B) // E.den
+        for E in (E, Ellipsoid(b, a)):
+            assert distinct_values_leq(E, t) == distinct_leq_by_classes(E, t)
+
+    @pytest.mark.parametrize("a,b", [("1", "30"), ("3", "200/7"), ("1", "832040/514229")])
+    def test_axis_order_makes_the_same_counts(self, a, b, monkeypatch):
+        count = echspec.spectrum._count_scaled
+        calls = []
+        def record(*args):
+            calls.append(args)
+            return count(*args)
+        monkeypatch.setattr(echspec.spectrum, "_count_scaled", record)
+        for E in (Ellipsoid(a, b), Ellipsoid(b, a)):
+            for t in (0, 17, 10**6):
+                distinct_values_leq(E, t)
+        half = len(calls) // 2
+        assert half == 6 and calls[:half] == calls[half:]
 
 
 # The float range ends halfway between the largest float and 2^1024: there
