@@ -154,7 +154,7 @@ def _window_sups(js, ds, window_count: int) -> list[tuple[int, float]]:
     if not pts:
         raise ValueError("window_sups requires points with j >= 1")
     j_lo, j_hi = as_float(pts[0][0], "index"), as_float(pts[-1][0] + 1, "index")
-    ratio = (j_hi / j_lo) ** (1.0 / window_count)
+    ratio = (j_hi / j_lo) ** (1.0 / as_float(window_count, "window_count"))
 
     def edge(w: int) -> float:  # nondecreasing in w, and above every j at window_count
         return j_hi if w == window_count else j_lo * ratio**w

@@ -1,8 +1,9 @@
 """Deterministic calculator for the capacity envelope cascade: the
 irreducibility threshold r1, the validity threshold r2, the sub/supersolution
 brackets on the energy primitive F, and the final two-sided capacity envelope
-whose width scales like j^{2/5}. The cubic-root constant rho0 (`rho_zero`)
-sets only a validity condition that P1 of `r2_threshold` implies.
+whose width scales like j^{2/5}. The cubic-root constant rho0 > 0.25, the
+root in (0, 1) of rho + rho^2 + rho^3 + rho^4 = 1/3, sets only a validity
+condition that P1 of `r2_threshold` implies.
 
 The constants c0, c1, c2, q, vol are structural inputs: only their
 existence, not their values, is determined by the geometry, so defaults are
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .spectrum import EchspecError, NonConvergent, as_float
 
@@ -84,19 +84,6 @@ def r1_bar(j: float, k: EnvelopeConstants) -> float:
     if disc < 0:
         raise NoRoot(f"defining set empty: q + j = {k.q + j} < {-k.c0**2 * math.pi**2 / k.vol}")
     return (k.c0 + math.sqrt(disc)) / (2.0 * alpha)
-
-
-@lru_cache(maxsize=1)
-def rho_zero() -> float:
-    """Unique root in (0, 1) of rho + rho^2 + rho^3 + rho^4 = 1/3, by bisection."""
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if mid + mid**2 + mid**3 + mid**4 < 1.0 / 3.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def F_bounds(r: float, j: float, k: EnvelopeConstants) -> tuple[float, float, float, float]:

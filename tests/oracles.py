@@ -308,3 +308,16 @@ def ech_zeta_at_negative_integer(k: int, a: Fraction, b: Fraction, conv: ZetaCon
     if conv is ZetaConvention.INTERIOR:
         return interior
     return interior + (a**k + b**k) * (-1) ** k * bernoulli(k + 1) / (k + 1)
+
+
+def rho_zero() -> float:
+    """Unique root in (0, 1) of rho + rho^2 + rho^3 + rho^4 = 1/3, by bisection:
+    the cubic-root constant rho0 of the capacity envelope."""
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid + mid**2 + mid**3 + mid**4 < 1.0 / 3.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

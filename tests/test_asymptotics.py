@@ -367,3 +367,10 @@ class TestWindowSups:
         # the window edges are floats of the indices
         with pytest.raises(ValueError, match=r"^index exp\(711\.499\) overflows a float$"):
             column_exponent_fit([10**309, 10**309 + 1], [1.0, 2.0], 2)
+
+    def test_window_count_past_the_float_range(self):
+        pts = [DkPoint(j, F(0), float(j), 0.0) for j in (1, 2, 3)]
+        for call in (lambda: column_exponent_fit([1, 2, 3], [1.0, 2.0, 3.0], 10**400),
+                     lambda: window_sups(pts, 10**400)):
+            with pytest.raises(ValueError, match=r"^window_count exp\(921\.034\) overflows a float$"):
+                call()

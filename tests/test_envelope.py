@@ -13,9 +13,10 @@ from echspec import (
     capacity_envelope,
     r1_bar,
     r2_threshold,
-    rho_zero,
 )
 from echspec.envelope import FOUR_PI_SQ
+
+from oracles import rho_zero
 
 
 def bisect_larger_root(j, k, hi=1e12):

@@ -36,6 +36,26 @@ from oracles import (
 EULER_GAMMA = 0.5772156649015329
 
 
+def count_kernel_work(monkeypatch) -> list:
+    """[shifts the kernel evaluates, series evaluated at the shift past a
+    Barnes head], counted while the test runs"""
+    work = [0, 0]
+    eta, em_series = echspec.zeta._eta, echspec.zeta._em_series
+
+    def counting_eta(s, xs):
+        xs = list(xs)
+        work[0] += len(xs)
+        return eta(s, xs)
+
+    def counting_series(*args):
+        work[1] += 1
+        return em_series(*args)
+
+    monkeypatch.setattr(echspec.zeta, "_eta", counting_eta)
+    monkeypatch.setattr(echspec.zeta, "_em_series", counting_series)
+    return work
+
+
 class TestBernoulli:
     @pytest.mark.parametrize(
         "k,value",
@@ -216,15 +236,7 @@ class TestBarnes:
         "a,b", [(F(1), F(30)), (F(2), F(3)), (F(3, 2), F(5, 7)), (F(1, 2), F(3, 2))]
     )
     def test_cost_and_value_independent_of_axis_order(self, a, b, monkeypatch):
-        calls = [0]  # shifts the kernel evaluates
-        eta = echspec.zeta._eta
-
-        def counting(s, xs):
-            xs = list(xs)
-            calls[0] += len(xs)
-            return eta(s, xs)
-
-        monkeypatch.setattr(echspec.zeta, "_eta", counting)
+        work = count_kernel_work(monkeypatch)
         lo = min(a, b)
         points = [complex(-3.9, 0.5), complex(-2.9, 0.5), -1.3, complex(0.5, 10.0)]
         points += [complex(2.5, -16.0), complex(3.0, 1.0), 6.0]
@@ -232,16 +244,17 @@ class TestBarnes:
             for w in (lo, lo / 3):
                 got = []
                 for E in (Ellipsoid(a, b), Ellipsoid(b, a)):
-                    calls[0] = 0
-                    got.append((barnes_zeta(s, w, E), calls[0]))
+                    work[:] = [0, 0]
+                    got.append((barnes_zeta(s, w, E), tuple(work)))
                 assert got[0] == got[1], (s, w)
-                assert got[0][1] <= 30, (s, w)
+                assert got[0][1][0] <= 16 and got[0][1][1] == 14, (s, w)
             for conv in ZetaConvention:
                 assert ech_zeta(s, Ellipsoid(a, b), conv) == ech_zeta(s, Ellipsoid(b, a), conv)
-        # an offset past cutoff * max(a, b) leaves only the tail's 14 shifts
-        calls[0] = 0
+        # an offset past cutoff * max(a, b) leaves no head, only the 14 series
+        # of the integral, half and tail terms
+        work[:] = [0, 0]
         barnes_zeta(3.0, 16 * max(a, b) + 1, Ellipsoid(a, b))
-        assert calls[0] == 14
+        assert work == [0, 14]
 
 
 class TestEchZeta:
@@ -303,13 +316,15 @@ class TestEchZeta:
 
     def test_one_kernel_call_per_sum(self, monkeypatch):
         # the A' DISTINCT shifts and the Barnes head each go to the kernel in
-        # one call, lazily; the Barnes integral, half and tail terms make 14 more
-        seen = []
-        eta = echspec.zeta._eta
+        # one call, lazily; the Barnes integral, half and tail terms are 14
+        # series at the one shift past the head
+        seen, series = [], []
+        eta, em_series = echspec.zeta._eta, echspec.zeta._em_series
         monkeypatch.setattr(echspec.zeta, "_eta", lambda s, xs: seen.append(xs) or eta(s, xs))
+        monkeypatch.setattr(echspec.zeta, "_em_series", lambda *a: series.append(a[2]) or em_series(*a))
         ech_zeta(3.0, Ellipsoid(1, F(6765, 4181)), ZetaConvention.DISTINCT)
         barnes_zeta(3.0, 2.0, Ellipsoid(2, 3))
-        assert len(seen) == 1 + 15
+        assert len(seen) == 2 and series == [25.0] * 14
         assert not isinstance(seen[0], (list, tuple)) and not isinstance(seen[1], (list, tuple))
 
     def test_distinct_term_limit_fails_fast(self):
@@ -428,25 +443,17 @@ class TestEchZeta:
     def test_residues_cost(self, monkeypatch, capsys):
         # residues prints exact residues and values at 0 and takes each constant
         # from one complex-step pass: no Barnes value and no contour. On E(3/2, 5/7) a
-        # pass evaluates the 16 head shifts, the integral, half and 12 tail
-        # terms, and the Riemann value: 31 shifts per pole, 62 in all.
+        # pass evaluates the 16 head shifts and the Riemann value in the kernel,
+        # and the integral, half and 12 tail terms as 14 series: 31 per pole.
         calls = self.count_barnes_calls(monkeypatch)
         contours = []
         monkeypatch.setattr(echspec.zeta, "laurent_at", lambda *a, **k: contours.append(a))
-        shifts = [0]
-        eta = echspec.zeta._eta
-
-        def counting(s, xs):
-            xs = list(xs)
-            shifts[0] += len(xs)
-            return eta(s, xs)
-
-        monkeypatch.setattr(echspec.zeta, "_eta", counting)
+        work = count_kernel_work(monkeypatch)
         for _ in range(2):
-            shifts[0] = 0
+            work[:] = [0, 0]
             assert echspec.cli.main(["residues", "-a", "3/2", "-b", "5/7"]) == 0
             capsys.readouterr()
-            assert (len(calls), len(contours), shifts[0]) == (0, 0, 2 * 31)
+            assert (len(calls), len(contours), work) == (0, 0, [2 * 17, 2 * 14])
 
     def test_distinct_square_is_riemann(self):
         # all attained values of E(1,1) are the positive integers
@@ -658,12 +665,20 @@ class TestLaurentPair:
 # Measured error of ech_zeta at s = -k, k = 0..3, against the exact oracle: the
 # larger of INTERIOR and FULL, rounded up. It grows with k because the Barnes
 # head and integral term cancel from about xN^(2 + k) down to the value.
-# Direction 1 of ROADMAP.md replaces these measurements with reported bounds.
+# Direction 2 of ROADMAP.md replaces these measurements with reported bounds.
 NEGATIVE_INTEGER_ERRORS = {
     (F(1), F(2)): (1.9e-14, 6.0e-16, 4.6e-12, 1.7e-10),
-    (F(2), F(3)): (1.3e-14, 1.6e-13, 5.0e-12, 1.6e-11),
-    (F(1, 2), F(3, 2)): (6.4e-15, 1.6e-13, 7.6e-13, 3.9e-12),
-    (F(1), F(832040, 514229)): (1.9e-14, 2.6e-13, 7.4e-12, 7.0e-11),
+    (F(2), F(3)): (1.3e-14, 1.6e-13, 5.0e-12, 1.4e-11),
+    (F(1, 2), F(3, 2)): (6.4e-15, 1.6e-13, 7.6e-13, 3.5e-12),
+    (F(1), F(832040, 514229)): (1.9e-14, 2.0e-13, 2.5e-12, 7.0e-11),
+}
+
+# The same at the fixed probes of the analytic benchmark, s = -3, -2.9 and
+# -2.75, each + 0.5i, against the mpmath oracle: the deepest corner it runs.
+PROBE_ERRORS = {
+    (F(1), F(2)): (6.3e-11, 2.6e-11, 2.8e-11),
+    (F(2), F(3)): (2.9e-10, 3.4e-10, 1.2e-10),
+    (F(1, 2), F(3, 2)): (3.9e-11, 4.9e-11, 2.9e-12),
 }
 
 
@@ -682,6 +697,15 @@ class TestExactAtNegativeIntegers:
             for conv in CONVENTIONS:
                 want = float(ech_zeta_at_negative_integer(k, a, b, conv))
                 assert abs(ech_zeta(-k, Ellipsoid(a, b), conv) - want) <= 3 * measured, (k, conv)
+
+    @pytest.mark.parametrize("a,b", sorted(PROBE_ERRORS))
+    def test_deep_probes_within_three_times_measured_error(self, a, b):
+        for x, measured in zip((-3.0, -2.9, -2.75), PROBE_ERRORS[a, b]):
+            s = complex(x, 0.5)
+            ref_i = interior_zeta_hurwitz(s, a, b)
+            ref_f = ref_i + (float(a) ** -s + float(b) ** -s) * complex(mpmath.zeta(s))
+            for conv, ref in ((ZetaConvention.INTERIOR, ref_i), (ZetaConvention.FULL, ref_f)):
+                assert abs(ech_zeta(s, Ellipsoid(a, b), conv) - ref) <= 3 * measured, (s, conv)
 
     def test_oracle_closed_forms(self):
         a, b = F(1), F(2)
