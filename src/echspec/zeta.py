@@ -213,7 +213,7 @@ def _barnes_tail(s, beta: float, xN: float, p: complex):
     r = beta / xN
     scaled = r * (s - 1)  # r^{2k-1} (s - 1) (s)_{2k-2}
     for k in range(1, _EM_TERMS + 1):
-        yield _em_series(_B2K_FACT[k] * scaled * p, s + 2 * k - 1, xN, _EM_TERMS - k)
+        yield _em_series(_B2K_FACT[k] * scaled, s + 2 * k - 1, xN, _EM_TERMS - k) * p
         scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
 
 

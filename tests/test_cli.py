@@ -56,10 +56,10 @@ PINNED_SHA256 = {
     ("residues", "1/2", "3/2", "", "json"): "c9a7f29288fb6900832bf3031d258e44a21bc8f08f5877b0d572456c2feae234",
     ("residues", "1", "832040/514229", "", "csv"): "4dd5a98391fabc026ce07942782b87e71b3c0b4d26d7334d9390d3eb65bde41d",
     ("residues", "1", "832040/514229", "", "json"): "05d173f239af6e542b687aee529b66b56b66aecb39fbf6db4c566f2396c46e38",
-    ("zeta", "2", "3", "interior", "csv"): "9381e70b9fef0a1ba10e534e5cb8d4c63c57a3b22af0b5a522bf7b471cd63fff",
-    ("zeta", "2", "3", "interior", "json"): "31538edcd127b4d0cd6138918b8388d048670049bb469f07b0c37157791eec92",
-    ("zeta", "2", "3", "full", "csv"): "268cf63c533eb436cacf2cbaac2879eb5704cad9fb856a35fc0a6086462001db",
-    ("zeta", "2", "3", "full", "json"): "4827960c1844a29ec3c5de7e5c1478719e7981e7a2d7650a218e01bdb0771828",
+    ("zeta", "2", "3", "interior", "csv"): "3f12d834182deadc8c64421c9ab848f3a8338f8ea07468b93d244d2a7c6e5df4",
+    ("zeta", "2", "3", "interior", "json"): "c671e77f50d954e9f905fe5cc5c52a45365e849653f89891f6f8c31946909751",
+    ("zeta", "2", "3", "full", "csv"): "a8f96f54696227351d53af8d5eebc1144a99d86979fddfe535c384ff069d3c14",
+    ("zeta", "2", "3", "full", "json"): "4b1fc989bd6d584de8b74107be683ee153e60bed00c8854e3040780b23af76fd",
     ("zeta", "2", "3", "distinct", "csv"): "f9b0c286b3638708f2dd2c448ea59c6b37440317dd8c033108bb75b3a6b10bed",
     ("zeta", "2", "3", "distinct", "json"): "f283e98aded0a8b917663cee7c8f61f295774e5106750b90db2fd3865767b36f",
     ("weyl", "1", "2", "10,20,30,40", "csv"): "d996511b77360d7a4f8b343801c7d8050544e68e14fd93f1b3c912ec559b0559",

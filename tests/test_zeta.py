@@ -668,7 +668,7 @@ class TestLaurentPair:
 # Direction 2 of ROADMAP.md replaces these measurements with reported bounds.
 NEGATIVE_INTEGER_ERRORS = {
     (F(1), F(2)): (1.9e-14, 6.0e-16, 4.6e-12, 1.7e-10),
-    (F(2), F(3)): (1.3e-14, 1.6e-13, 5.0e-12, 1.4e-11),
+    (F(2), F(3)): (1.3e-14, 1.6e-13, 5.0e-12, 1.2e-11),
     (F(1, 2), F(3, 2)): (6.4e-15, 1.6e-13, 7.6e-13, 3.5e-12),
     (F(1), F(832040, 514229)): (1.9e-14, 2.0e-13, 2.5e-12, 7.0e-11),
 }
@@ -678,7 +678,7 @@ NEGATIVE_INTEGER_ERRORS = {
 PROBE_ERRORS = {
     (F(1), F(2)): (6.3e-11, 2.6e-11, 2.8e-11),
     (F(2), F(3)): (2.9e-10, 3.4e-10, 1.2e-10),
-    (F(1, 2), F(3, 2)): (3.9e-11, 4.9e-11, 2.9e-12),
+    (F(1, 2), F(3, 2)): (3.9e-11, 5.0e-11, 2.6e-12),
 }
 
 
