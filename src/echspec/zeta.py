@@ -8,14 +8,14 @@ s and many shifts x, and forms the correction coefficients of s once per
 call; each caller divides its sum of _eta values by (s - 1) once. The Barnes
 double zeta sorts its axes, a <= b, and is a sum of N = ceil(cutoff - w/b)
 of them, the head up to the shift xN >= cutoff * b/a, in one kernel call,
-plus the integral, half and Euler-Maclaurin tail terms in the larger axis.
-The cutoff, the kernel's own shift point, depends on Im s alone, so at xN
-each of these is one shared power xN^(1-s) times a series in 1/xN. So both
-axis orders cost the same and agree bit for bit. The public functions reject
-non-finite input, the poles, and points outside the region Re s > -S_MAX,
-|Im s| <= IM_MAX once, at entry. The spectrum zeta comes in three
-conventions, one closed form each, with a <= b sorted and Z(s) =
-barnes_zeta(s, a), the sum over m >= 1, n >= 0:
+plus an Euler-Maclaurin tail in the larger axis, whose k-th term (s)_{2k-1}
+zeta(s+2k-1, xN) is (s)_{2k-2} _eta(s+2k-1, xN); cutoff, the kernel's own shift
+point, depends on Im s alone, so the 14 values at xN take only its last step.
+So both axis orders cost the same and agree bit for bit. The
+public functions reject non-finite input, the poles, and points outside the
+region Re s > -S_MAX, |Im s| <= IM_MAX once, at entry. The spectrum zeta
+comes in three conventions, one closed form each, with a <= b sorted and
+Z(s) = barnes_zeta(s, a), the sum over m >= 1, n >= 0:
 
   INTERIOR  sum over m, n >= 1          Z(s) - a^-s zeta(s)
   FULL      sum over (m, n) != (0, 0)   Z(s) + b^-s zeta(s)
@@ -39,7 +39,7 @@ from .spectrum import EchspecError, Ellipsoid, NonConvergent, as_float, rational
 
 S_MAX = 4.0
 # A Barnes value costs O(|Im s|^2) kernel terms: on E(1,2) at s = 0.5 + 1e4 i
-# it took 1.3 s (2 vCPU, Python 3.11.7), within 1.2e-11 of mpmath.
+# it took 1.5-2.4 s in six runs (2 vCPU, Python 3.11.7), within 1.2e-11 of mpmath.
 IM_MAX = 1e4
 POLE_GUARD = 1e-6
 _EM_TERMS = 12
@@ -119,15 +119,21 @@ def _pow(x: float, p: complex) -> complex:
         raise ValueError(f"{x!r} ** {p} overflows a float") from None
 
 
+def _em_coefs(s: complex) -> list[complex]:
+    """The kernel's correction coefficients, B_2k/(2k)! (s - 1) (s)_{2k-1}."""
+    coefs, poch = [], (s - 1) * s
+    for f, k2 in zip(_B2K_FACT[1:], range(2, 2 * _EM_TERMS + 1, 2)):
+        coefs.append(f * poch)
+        u = s + k2  # s + 2k; u - 1 rounds as s + 2k - 1 does
+        poch *= (u - 1) * u
+    return coefs
+
+
 def _eta(s: complex, xs):
     """(s - 1) zeta(s, x) for each shift x in xs, by Euler-Maclaurin summation
     from x + N >= _cutoff(s): entire in s, equal to 1 at s = 1. The one Hurwitz
     kernel; it forms the correction coefficients of s once, and checks nothing."""
-    cut, ms = _cutoff(s), -s
-    coefs, poch = [], (s - 1) * s  # B_2k/(2k)! (s - 1) (s)_{2k-1}
-    for k in range(1, _EM_TERMS + 1):
-        coefs.append(_B2K_FACT[k] * poch)
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
+    cut, ms, coefs = _cutoff(s), -s, _em_coefs(s)
     for x in xs:
         N = max(0, math.ceil(cut - x))
         head = 0.0 + 0.0j
@@ -136,14 +142,19 @@ def _eta(s: complex, xs):
                 head += (x + n) ** ms
         except (OverflowError, ZeroDivisionError):
             raise ValueError(f"{x + n!r} ** {ms} overflows a float") from None
-        X = x + N
-        # form the cancelling part first; the corrections are small beside it
-        val = (s - 1) * (head + 0.5 * _pow(X, ms)) + _pow(X, 1 - s)
-        xpow, X2 = _pow(X, ms - 1), X * X
-        for c in coefs:
-            val += c * xpow
-            xpow /= X2
-        yield val
+        yield _em_at(s, x + N, head, coefs)
+
+
+def _em_at(s: complex, X: float, head: complex = 0j, coefs: list[complex] | None = None) -> complex:
+    """(s - 1) (head + zeta(s, X)) for X >= _cutoff(s): the kernel's last step, and
+    with no head _eta(s, X), in the kernel's float operations but without its call."""
+    # form the cancelling part first; the corrections are small beside it
+    val = (s - 1) * (head + 0.5 * _pow(X, -s)) + _pow(X, 1 - s)
+    xpow, X2 = _pow(X, -s - 1), X * X
+    for c in coefs or _em_coefs(s):
+        val += c * xpow
+        xpow /= X2
+    return val
 
 
 def _guard(s: complex, name: str, poles: tuple[int, ...], x: float = 1.0) -> None:
@@ -187,33 +198,29 @@ def _barnes_pieces(s, w: float, a: float, b: float):
     """(head, integral, half, tail) of the Barnes sum for sorted axes a <= b,
     which is a^-s [head + integral / (beta (s - 2)) + half + tail] / (s - 1):
     the head and tail lazily yield their terms, and integral = _eta(s - 1, xN)
-    comes without its pole factor. The pieces at xN share p = xN^(1-s)."""
+    comes without its pole factor; the values at xN skip the kernel call."""
     N = max(0, math.ceil(_cutoff(s) - w / b))
     xN = (w + N * b) / a
-    head, p = _eta(s, ((w + n * b) / a for n in range(N))), _pow(xN, 1 - s)
-    integral, half = _em_series(xN * p, s - 1, xN), _em_series(0.5 * p, s, xN)
-    return head, integral, half, _barnes_tail(s, b / a, xN, p)
+    head = _eta(s, ((w + n * b) / a for n in range(N)))
+    return head, _em_at(s - 1, xN), 0.5 * _em_at(s, xN), _barnes_tail(s, b / a, xN)
 
 
-def _em_series(c: complex, sig: complex, X: float, terms: int = _EM_TERMS) -> complex:
-    """c _eta(sig, X) / X^(1-sig) for X >= _cutoff(sig): c [1 + (sig - 1)/(2X) + the
-    first terms of sum_j B_2j/(2j)! (sig - 1) (sig)_{2j-1} X^-2j], c added last."""
-    u = X**-2
-    corr, poch = (sig - 1) / (2 * X), (sig - 1) * sig * u  # (sig - 1) (sig)_{2j-1} u^j
-    for j in range(1, terms + 1):
-        corr += _B2K_FACT[j] * poch
-        poch *= (sig + 2 * j - 1) * (sig + 2 * j) * u
-    return c + c * corr
-
-
-def _barnes_tail(s, beta: float, xN: float, p: complex):
-    # Term k, B_2k/(2k)! beta^{2k-1} (s - 1) (s)_{2k-2} _eta(s + 2k - 1, xN), is p times
-    # B_2k/(2k)! r^{2k-1} (s - 1) (s)_{2k-2} and its series, r = beta/xN <= 1/16, whose
-    # part j is about r^(2(k + j)): 12 - k parts drop only terms near the dropped k = 13
+def _barnes_tail(s, beta: float, xN: float):
+    coef = beta * (s - 1)  # beta^{2k-1} (s - 1) (s)_{2k-2}
     r = beta / xN
-    scaled = r * (s - 1)  # r^{2k-1} (s - 1) (s)_{2k-2}
+    scaled = r * (s - 1)  # coef / xN^{2k-1}
     for k in range(1, _EM_TERMS + 1):
-        yield _em_series(_B2K_FACT[k] * scaled, s + 2 * k - 1, xN, _EM_TERMS - k) * p
+        sk = s + 2 * k - 1
+        if xN < 2.0**60 and cmath.isfinite(coef):
+            yield _B2K_FACT[k] * coef * _em_at(sk, xN)
+        else:
+            # From xN = 2^60, _eta(sk, xN) = xN^(1-sk) (1 + (sk-1)/(2 xN)) to rounding
+            # for |s| <= 1e10. coef overflows only where beta (|s| + 24) > 2.6e13, so
+            # xN >= 16 beta makes it so to 1e-14 for |s| <= 1e4. This form cannot make
+            # inf * 0, nor drop a term whose kernel value underflows while coef stays
+            # finite, as in the Laurent pass, where coef is 2^-100 times a derivative
+            yield _B2K_FACT[k] * scaled * (1 + (sk - 1) / (2 * xN)) * _pow(xN, 1 - s)
+        coef *= beta * beta * (s + 2 * k - 2) * (s + 2 * k - 1)
         scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
 
 

@@ -37,22 +37,23 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def count_kernel_work(monkeypatch) -> list:
-    """[shifts the kernel evaluates, series evaluated at the shift past a
-    Barnes head], counted while the test runs"""
+    """[shifts the kernel evaluates, sets of correction coefficients formed: one
+    per kernel call and one per Euler-Maclaurin value at the shift past a Barnes
+    head], counted while the test runs"""
     work = [0, 0]
-    eta, em_series = echspec.zeta._eta, echspec.zeta._em_series
+    eta, em_coefs = echspec.zeta._eta, echspec.zeta._em_coefs
 
     def counting_eta(s, xs):
         xs = list(xs)
         work[0] += len(xs)
         return eta(s, xs)
 
-    def counting_series(*args):
+    def counting_coefs(s):
         work[1] += 1
-        return em_series(*args)
+        return em_coefs(s)
 
     monkeypatch.setattr(echspec.zeta, "_eta", counting_eta)
-    monkeypatch.setattr(echspec.zeta, "_em_series", counting_series)
+    monkeypatch.setattr(echspec.zeta, "_em_coefs", counting_coefs)
     return work
 
 
@@ -247,14 +248,14 @@ class TestBarnes:
                     work[:] = [0, 0]
                     got.append((barnes_zeta(s, w, E), tuple(work)))
                 assert got[0] == got[1], (s, w)
-                assert got[0][1][0] <= 16 and got[0][1][1] == 14, (s, w)
+                assert got[0][1][0] <= 16 and got[0][1][1] == 1 + 14, (s, w)
             for conv in ZetaConvention:
                 assert ech_zeta(s, Ellipsoid(a, b), conv) == ech_zeta(s, Ellipsoid(b, a), conv)
-        # an offset past cutoff * max(a, b) leaves no head, only the 14 series
-        # of the integral, half and tail terms
+        # an offset past cutoff * max(a, b) leaves an empty head, and the 14
+        # values of the integral, half and tail terms at the offset
         work[:] = [0, 0]
         barnes_zeta(3.0, 16 * max(a, b) + 1, Ellipsoid(a, b))
-        assert work == [0, 14]
+        assert work == [0, 1 + 14]
 
 
 class TestEchZeta:
@@ -317,14 +318,14 @@ class TestEchZeta:
     def test_one_kernel_call_per_sum(self, monkeypatch):
         # the A' DISTINCT shifts and the Barnes head each go to the kernel in
         # one call, lazily; the Barnes integral, half and tail terms are 14
-        # series at the one shift past the head
-        seen, series = [], []
-        eta, em_series = echspec.zeta._eta, echspec.zeta._em_series
+        # Euler-Maclaurin values at the one shift past the head, xN = 25
+        seen, at = [], []
+        eta, em_at = echspec.zeta._eta, echspec.zeta._em_at
         monkeypatch.setattr(echspec.zeta, "_eta", lambda s, xs: seen.append(xs) or eta(s, xs))
-        monkeypatch.setattr(echspec.zeta, "_em_series", lambda *a: series.append(a[2]) or em_series(*a))
+        monkeypatch.setattr(echspec.zeta, "_em_at", lambda s, X, *a: at.append((X, a)) or em_at(s, X, *a))
         ech_zeta(3.0, Ellipsoid(1, F(6765, 4181)), ZetaConvention.DISTINCT)
         barnes_zeta(3.0, 2.0, Ellipsoid(2, 3))
-        assert len(seen) == 2 and series == [25.0] * 14
+        assert len(seen) == 2 and [x for x, a in at if not a] == [25.0] * 14
         assert not isinstance(seen[0], (list, tuple)) and not isinstance(seen[1], (list, tuple))
 
     def test_distinct_term_limit_fails_fast(self):
@@ -443,8 +444,9 @@ class TestEchZeta:
     def test_residues_cost(self, monkeypatch, capsys):
         # residues prints exact residues and values at 0 and takes each constant
         # from one complex-step pass: no Barnes value and no contour. On E(3/2, 5/7) a
-        # pass evaluates the 16 head shifts and the Riemann value in the kernel,
-        # and the integral, half and 12 tail terms as 14 series: 31 per pole.
+        # pass evaluates the 16 head shifts and the Riemann value in two kernel
+        # calls, and the integral, half and 12 tail terms as 14 Euler-Maclaurin
+        # values with their own coefficients: 17 shifts and 16 sets per pole.
         calls = self.count_barnes_calls(monkeypatch)
         contours = []
         monkeypatch.setattr(echspec.zeta, "laurent_at", lambda *a, **k: contours.append(a))
@@ -453,7 +455,7 @@ class TestEchZeta:
             work[:] = [0, 0]
             assert echspec.cli.main(["residues", "-a", "3/2", "-b", "5/7"]) == 0
             capsys.readouterr()
-            assert (len(calls), len(contours), work) == (0, 0, [2 * 17, 2 * 14])
+            assert (len(calls), len(contours), work) == (0, 0, [2 * 17, 2 * 16])
 
     def test_distinct_square_is_riemann(self):
         # all attained values of E(1,1) are the positive integers
@@ -668,17 +670,17 @@ class TestLaurentPair:
 # Direction 2 of ROADMAP.md replaces these measurements with reported bounds.
 NEGATIVE_INTEGER_ERRORS = {
     (F(1), F(2)): (1.9e-14, 6.0e-16, 4.6e-12, 1.7e-10),
-    (F(2), F(3)): (1.3e-14, 1.6e-13, 5.0e-12, 1.2e-11),
-    (F(1, 2), F(3, 2)): (6.4e-15, 1.6e-13, 7.6e-13, 3.5e-12),
-    (F(1), F(832040, 514229)): (1.9e-14, 2.0e-13, 2.5e-12, 7.0e-11),
+    (F(2), F(3)): (1.3e-14, 1.6e-13, 5.0e-12, 1.6e-11),
+    (F(1, 2), F(3, 2)): (6.4e-15, 1.6e-13, 7.6e-13, 3.9e-12),
+    (F(1), F(832040, 514229)): (1.9e-14, 2.6e-13, 7.4e-12, 7.0e-11),
 }
 
 # The same at the fixed probes of the analytic benchmark, s = -3, -2.9 and
 # -2.75, each + 0.5i, against the mpmath oracle: the deepest corner it runs.
 PROBE_ERRORS = {
-    (F(1), F(2)): (6.3e-11, 2.6e-11, 2.8e-11),
-    (F(2), F(3)): (2.9e-10, 3.4e-10, 1.2e-10),
-    (F(1, 2), F(3, 2)): (3.9e-11, 5.0e-11, 2.6e-12),
+    (F(1), F(2)): (4.0e-11, 1.1e-9, 4.5e-11),
+    (F(2), F(3)): (4.1e-10, 2.1e-9, 1.2e-10),
+    (F(1, 2), F(3, 2)): (3.9e-11, 6.1e-10, 2.5e-12),
 }
 
 
