@@ -206,6 +206,29 @@ def _interior_zeta_mp(s, a: Fraction, b: Fraction):
     return (mpmath.mpf(a.numerator) / a.denominator * p) ** (-s) * total
 
 
+def barnes_zeta_hurwitz(s: complex, w: Fraction, a: Fraction, b: Fraction) -> complex:
+    """Continued Barnes sum over m, n >= 0 of (w + m*a + n*b)^-s for rational
+    w, a, b, reduced to Hurwitz values at 40 digits. With W, A, B the three over
+    their common denominator d, g = gcd(A, B) and M = B/g, write n = r + j A/g
+    (r < A/g) and m = i + l M (i < M): then w + m*a + n*b = (M A/d)(h + j + l)
+    with h = (W + r B + i A)/(M A), and the sum over j, l >= 0 of (h + t)^-s,
+    t = j + l, is zeta(s - 1, h) + (1 - h) zeta(s, h)."""
+    import mpmath
+
+    d = math.lcm(w.denominator, a.denominator, b.denominator)
+    W, A, B = int(w * d), int(a * d), int(b * d)
+    g = gcd(A, B)
+    M = B // g
+    with mpmath.workdps(40):
+        s = mpmath.mpc(s)
+        total = mpmath.mpf(0)
+        for r in range(A // g):
+            for i in range(M):
+                h = mpmath.mpf(W + r * B + i * A) / (M * A)
+                total += mpmath.zeta(s - 1, h) + (1 - h) * mpmath.zeta(s, h)
+        return complex((mpmath.mpf(d) / (M * A)) ** s * total)
+
+
 def laurent_constant(s0: int, a: Fraction, b: Fraction, conv: ZetaConvention) -> float:
     """Constant term of the INTERIOR or FULL spectrum zeta at its simple pole
     s0 = 1 or 2, as the symmetric limit (f(s0 + h) + f(s0 - h)) / 2, whose

@@ -48,18 +48,18 @@ PINNED_SHA256 = {
     ("dk", "2", "3", "0..1500", "json"): "9cec620e5a2dd5de4aa47390901415d5a802cc3dd757a36112f2177bd3529fd7",
     ("dk", "2", "3", "1000000..1000500", "csv"): "4db01ab4149d09bef7b92697f2b1b576857cb8ab9afdd7f08f81fdf4b27d1ff1",
     ("dk", "2", "3", "1000000..1000500", "json"): "f026a1d574624a334b0afb3a661dd0a49fb95c1337f059cc6a6b3491480d66e0",
-    ("residues", "1", "2", "", "csv"): "66a249b2aa212045730f12eac936ad7ca95e2999fabbe552f534d6a1c92e891d",
-    ("residues", "1", "2", "", "json"): "c3bb6b615d202a3589f35a110a4d3bee142d33b2c4d31c674c867daaebdfdecf",
+    ("residues", "1", "2", "", "csv"): "f478093792d0e7fece8222442bbc748f09baf0fb0b67f3af28567c7d5734d182",
+    ("residues", "1", "2", "", "json"): "b09b0f299e095f3e9fbef161703a300662dd05c5c36a6778ae203b024f00ac30",
     ("residues", "2", "3", "", "csv"): "f992d54dfeb3a881be41be3dea45bd3f25c6035d6f1d37cfc64742cd6939dae4",
     ("residues", "2", "3", "", "json"): "9a0679e21bad44ac8f1954c71593499c734c3d475af51b5256a66cc1a3b84266",
-    ("residues", "1/2", "3/2", "", "csv"): "8cb5100058d104a1269135763d32bb34fb94ad02de358c49d7fb3eca5735e48b",
-    ("residues", "1/2", "3/2", "", "json"): "f332072155a31dfb36dd1b5a487fdc6bf8e45d9e178f5e6cc2d19afe15ac7086",
-    ("residues", "1", "832040/514229", "", "csv"): "ec6356d14eb60c8cb4314fd87ab6d6c42079f625e55ede1508a6800ab34eeb99",
-    ("residues", "1", "832040/514229", "", "json"): "c55a2da5c46c29fb7d225412d7bec0744173eb69b12a5fb9b9dc4ec9b5858965",
-    ("zeta", "2", "3", "interior", "csv"): "2d4a92fc972e6ceade031e99a9cf972e8ac7e7473a8e1ad00d8220f50f62b865",
-    ("zeta", "2", "3", "interior", "json"): "a7a6ec86ddf874671d22fb911444f107224e9db4ebd202eeef07951c43984975",
-    ("zeta", "2", "3", "full", "csv"): "6099b163b04f43041793cac16fcaae16509923b786fd167ed38f7a49b3321f63",
-    ("zeta", "2", "3", "full", "json"): "6acecec28d16e0187a6e386d796ecd2100ca1faae82e3d0cbc89c2837d874004",
+    ("residues", "1/2", "3/2", "", "csv"): "7b29df81097bb00df960001a4aa31bc1f3c2e3ceed6d93af4e0ad6562e8938a4",
+    ("residues", "1/2", "3/2", "", "json"): "c9a7f29288fb6900832bf3031d258e44a21bc8f08f5877b0d572456c2feae234",
+    ("residues", "1", "832040/514229", "", "csv"): "4dd5a98391fabc026ce07942782b87e71b3c0b4d26d7334d9390d3eb65bde41d",
+    ("residues", "1", "832040/514229", "", "json"): "05d173f239af6e542b687aee529b66b56b66aecb39fbf6db4c566f2396c46e38",
+    ("zeta", "2", "3", "interior", "csv"): "9381e70b9fef0a1ba10e534e5cb8d4c63c57a3b22af0b5a522bf7b471cd63fff",
+    ("zeta", "2", "3", "interior", "json"): "31538edcd127b4d0cd6138918b8388d048670049bb469f07b0c37157791eec92",
+    ("zeta", "2", "3", "full", "csv"): "268cf63c533eb436cacf2cbaac2879eb5704cad9fb856a35fc0a6086462001db",
+    ("zeta", "2", "3", "full", "json"): "4827960c1844a29ec3c5de7e5c1478719e7981e7a2d7650a218e01bdb0771828",
     ("zeta", "2", "3", "distinct", "csv"): "f9b0c286b3638708f2dd2c448ea59c6b37440317dd8c033108bb75b3a6b10bed",
     ("zeta", "2", "3", "distinct", "json"): "f283e98aded0a8b917663cee7c8f61f295774e5106750b90db2fd3865767b36f",
     ("weyl", "1", "2", "10,20,30,40", "csv"): "d996511b77360d7a4f8b343801c7d8050544e68e14fd93f1b3c912ec559b0559",

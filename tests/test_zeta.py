@@ -25,6 +25,8 @@ from echspec import (
 )
 
 from oracles import (
+    barnes_zeta_at_negative_integer,
+    barnes_zeta_hurwitz,
     direct_zeta_sum,
     distinct_zeta_gaps,
     double_sum_barnes,
@@ -37,23 +39,28 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def count_kernel_work(monkeypatch) -> list:
-    """[shifts the kernel evaluates, sets of correction coefficients formed: one
-    per kernel call and one per Euler-Maclaurin value at the shift past a Barnes
-    head], counted while the test runs"""
-    work = [0, 0]
-    eta, em_coefs = echspec.zeta._eta, echspec.zeta._em_coefs
+    """[shifts the kernel evaluates, series evaluated at the shift past a Barnes
+    head, complex powers of a float: three per kernel shift and one per power
+    outside the kernel], counted while the test runs"""
+    work = [0, 0, 0]
+    eta, em_series, pow_ = echspec.zeta._eta, echspec.zeta._em_series, echspec.zeta._pow
 
     def counting_eta(s, xs):
         xs = list(xs)
         work[0] += len(xs)
         return eta(s, xs)
 
-    def counting_coefs(s):
+    def counting_series(*args):
         work[1] += 1
-        return em_coefs(s)
+        return em_series(*args)
+
+    def counting_pow(x, p):
+        work[2] += 1
+        return pow_(x, p)
 
     monkeypatch.setattr(echspec.zeta, "_eta", counting_eta)
-    monkeypatch.setattr(echspec.zeta, "_em_coefs", counting_coefs)
+    monkeypatch.setattr(echspec.zeta, "_em_series", counting_series)
+    monkeypatch.setattr(echspec.zeta, "_pow", counting_pow)
     return work
 
 
@@ -245,17 +252,19 @@ class TestBarnes:
             for w in (lo, lo / 3):
                 got = []
                 for E in (Ellipsoid(a, b), Ellipsoid(b, a)):
-                    work[:] = [0, 0]
+                    work[:] = [0, 0, 0]
                     got.append((barnes_zeta(s, w, E), tuple(work)))
                 assert got[0] == got[1], (s, w)
-                assert got[0][1][0] <= 16 and got[0][1][1] == 1 + 14, (s, w)
+                # cutoff 16 and w < max(a, b) make a head of 16 shifts; past it
+                # one power xN^(1-s), and a^-s, serve the 14 series at xN
+                assert got[0][1] == (16, 14, 3 * 16 + 2), (s, w)
             for conv in ZetaConvention:
                 assert ech_zeta(s, Ellipsoid(a, b), conv) == ech_zeta(s, Ellipsoid(b, a), conv)
         # an offset past cutoff * max(a, b) leaves an empty head, and the 14
-        # values of the integral, half and tail terms at the offset
-        work[:] = [0, 0]
+        # series of the integral, half and tail terms at the offset
+        work[:] = [0, 0, 0]
         barnes_zeta(3.0, 16 * max(a, b) + 1, Ellipsoid(a, b))
-        assert work == [0, 1 + 14]
+        assert work == [0, 14, 2]
 
 
 class TestEchZeta:
@@ -318,14 +327,14 @@ class TestEchZeta:
     def test_one_kernel_call_per_sum(self, monkeypatch):
         # the A' DISTINCT shifts and the Barnes head each go to the kernel in
         # one call, lazily; the Barnes integral, half and tail terms are 14
-        # Euler-Maclaurin values at the one shift past the head, xN = 25
-        seen, at = [], []
-        eta, em_at = echspec.zeta._eta, echspec.zeta._em_at
+        # series at the one shift past the head, xN = 25
+        seen, series = [], []
+        eta, em_series = echspec.zeta._eta, echspec.zeta._em_series
         monkeypatch.setattr(echspec.zeta, "_eta", lambda s, xs: seen.append(xs) or eta(s, xs))
-        monkeypatch.setattr(echspec.zeta, "_em_at", lambda s, X, *a: at.append((X, a)) or em_at(s, X, *a))
+        monkeypatch.setattr(echspec.zeta, "_em_series", lambda *a: series.append(a[2]) or em_series(*a))
         ech_zeta(3.0, Ellipsoid(1, F(6765, 4181)), ZetaConvention.DISTINCT)
         barnes_zeta(3.0, 2.0, Ellipsoid(2, 3))
-        assert len(seen) == 2 and [x for x, a in at if not a] == [25.0] * 14
+        assert len(seen) == 2 and series == [25.0] * 14
         assert not isinstance(seen[0], (list, tuple)) and not isinstance(seen[1], (list, tuple))
 
     def test_distinct_term_limit_fails_fast(self):
@@ -445,17 +454,17 @@ class TestEchZeta:
         # residues prints exact residues and values at 0 and takes each constant
         # from one complex-step pass: no Barnes value and no contour. On E(3/2, 5/7) a
         # pass evaluates the 16 head shifts and the Riemann value in two kernel
-        # calls, and the integral, half and 12 tail terms as 14 Euler-Maclaurin
-        # values with their own coefficients: 17 shifts and 16 sets per pole.
+        # calls, and the integral, half and 12 tail terms as 14 series from one
+        # power xN^(1-s); with a^-s and b^-s, 3 * 17 + 3 powers per pole.
         calls = self.count_barnes_calls(monkeypatch)
         contours = []
         monkeypatch.setattr(echspec.zeta, "laurent_at", lambda *a, **k: contours.append(a))
         work = count_kernel_work(monkeypatch)
         for _ in range(2):
-            work[:] = [0, 0]
+            work[:] = [0, 0, 0]
             assert echspec.cli.main(["residues", "-a", "3/2", "-b", "5/7"]) == 0
             capsys.readouterr()
-            assert (len(calls), len(contours), work) == (0, 0, [2 * 17, 2 * 16])
+            assert (len(calls), len(contours), work) == (0, 0, [2 * 17, 2 * 14, 2 * 54])
 
     def test_distinct_square_is_riemann(self):
         # all attained values of E(1,1) are the positive integers
@@ -708,6 +717,15 @@ class TestExactAtNegativeIntegers:
             ref_f = ref_i + (float(a) ** -s + float(b) ** -s) * complex(mpmath.zeta(s))
             for conv, ref in ((ZetaConvention.INTERIOR, ref_i), (ZetaConvention.FULL, ref_f)):
                 assert abs(ech_zeta(s, Ellipsoid(a, b), conv) - ref) <= 3 * measured, (s, conv)
+
+    @pytest.mark.parametrize(
+        "w,a,b", [(F(2), F(2), F(3)), (F(2, 3), F(2), F(3)), (F(5, 2), F(1), F(3, 2)), (F(1), F(3, 7), F(5, 4))]
+    )
+    def test_barnes_hurwitz_oracle_is_exact_at_negative_integers(self, w, a, b):
+        # the Hurwitz reduction takes any rational offset, on the lattice or off it
+        for k in range(4):
+            want = float(barnes_zeta_at_negative_integer(k, w, a, b))
+            assert abs(barnes_zeta_hurwitz(-k, w, a, b) - want) <= 2.0**-52 * abs(want), k
 
     def test_oracle_closed_forms(self):
         a, b = F(1), F(2)
