@@ -350,6 +350,14 @@ class TestWindowSups:
         with pytest.raises(ValueError):
             window_sups([], 3)
 
+    def test_rejects_no_windows(self):
+        with pytest.raises(ValueError, match="window_count must be positive"):
+            window_sups(_planted(1, 10, 0.0), 0)
+
+    def test_rejects_columns_below_index_one(self):
+        with pytest.raises(ValueError, match="requires points with j >= 1"):
+            column_exponent_fit([0], [0.5], 12)
+
     @given(
         js=st.lists(st.integers(0, 10**12), min_size=1, max_size=60, unique=True),
         ds=st.lists(st.sampled_from([0.0, 0.5, -0.5, 1e-16, 3.0, -7.25]), min_size=60, max_size=60),

@@ -378,6 +378,22 @@ class TestExitCodes:
         assert main(argv + ["--tol", "1e-6"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["zeta", "-a", "1", "-b", "2", "-s=abc"], "cannot parse complex 'abc'"),
+            (["zeta", "-a", "1", "-b", "2"], "zeta requires at least one -s"),
+            (["capacities", "-a", "1", "-b", "2", "-k=-3..2"], "capacity indices must be nonnegative"),
+            (["dk", "-a", "1", "-b", "2", "-k=-3..2"], "grading indices must be nonnegative"),
+            (["weyl", "-a", "1", "-b", "2", "-R", ""], "weyl requires -R"),
+        ],
+    )
+    def test_usage_error_names_the_argument(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("s", ["nan", "inf", "3,nan"])
     def test_non_finite_zeta_point(self, s, capsys):
         assert main(["zeta", "-a", "1", "-b", "2", "-s", s]) == 2

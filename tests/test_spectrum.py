@@ -252,6 +252,8 @@ class TestSpectrumRange:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             spectrum_range(Ellipsoid(1, 1), 3, 2)
+        with pytest.raises(ValueError, match="k0 must be nonnegative"):
+            scaled_spectrum(Ellipsoid(1, 1), -1, 3)
 
     def test_agrees_with_nth(self):
         E = Ellipsoid(3, 7)
