@@ -350,11 +350,9 @@ class TestWindowSups:
         with pytest.raises(ValueError):
             window_sups([], 3)
 
-    def test_rejects_no_windows(self):
+    def test_rejects_no_windows_and_no_index_from_one(self):
         with pytest.raises(ValueError, match="window_count must be positive"):
             window_sups(_planted(1, 10, 0.0), 0)
-
-    def test_rejects_columns_below_index_one(self):
         with pytest.raises(ValueError, match="requires points with j >= 1"):
             column_exponent_fit([0], [0.5], 12)
 
