@@ -55,6 +55,12 @@ def bisect_nth_capacity(E: Ellipsoid, k: int) -> Fraction:
     return Fraction(lo, S.den)
 
 
+def brute_floor_value(A: int, B: int, v: int) -> int:
+    """Largest m*A + n*B <= v over integers m, n >= 0 (v >= 0), by enumeration
+    over m."""
+    return max(m * A + (v - m * A) // B * B for m in range(v // A + 1))
+
+
 def brute_count_leq(a: Fraction, b: Fraction, t: Fraction) -> int:
     if t < 0:
         return 0

@@ -18,12 +18,13 @@ from echspec import (
     scaled_spectrum,
     spectrum_range,
 )
-from echspec.spectrum import as_float, map_distinct
+from echspec.spectrum import _floor_value, _min_mod_linear, as_float, map_distinct
 
 from oracles import (
     bisect_nth_capacity,
     brute_count_leq,
     brute_distinct_leq,
+    brute_floor_value,
     brute_spectrum,
     distinct_leq_by_classes,
     naive_floor_sum,
@@ -57,6 +58,62 @@ class TestFloorSum:
             floor_sum(3, 1, 0, 0)
         with pytest.raises(ValueError):
             floor_sum(-1, 1, 0, 2)
+
+
+class TestFloorValue:
+    @given(
+        n=st.integers(1, 300),
+        m=st.integers(1, 300),
+        a=st.integers(0, 299),
+        b=st.integers(0, 299),
+    )
+    def test_min_mod_matches_naive(self, n, m, a, b):
+        a, b = a % m, b % m
+        assert _min_mod_linear(n, m, a, b) == min((a * x + b) % m for x in range(n))
+
+    @given(A=st.integers(1, 200), B=st.integers(1, 200), v=st.integers(0, 5000))
+    @example(A=7, B=11, v=6)  # below both axes: only the origin
+    @example(A=7, B=11, v=3 * 7 + 2 * 11)  # v is itself a lattice value
+    @example(A=9, B=9, v=80)
+    @example(A=1, B=13, v=100)
+    @example(A=13, B=1, v=100)
+    def test_matches_brute(self, A, B, v):
+        assert _floor_value(A, B, v) == brute_floor_value(A, B, v)
+
+    @given(
+        A=st.integers(10**12 - 10**6, 10**12),
+        B=st.integers(10**12 - 10**6, 10**12),
+        v=st.integers(0, 10**15),
+    )
+    @example(A=10**12, B=10**12 - 1, v=10**12 - 2)
+    @example(A=10**12, B=10**12, v=10**15 + 5)
+    @settings(max_examples=50)
+    def test_axes_near_10_to_12(self, A, B, v):
+        assert _floor_value(A, B, v) == brute_floor_value(A, B, v)
+
+
+FIB_3000, FIB_3001 = 0, 1
+for _ in range(3000):
+    FIB_3000, FIB_3001 = FIB_3001, FIB_3000 + FIB_3001
+# about 3000 continued fraction steps: a recursive Euclid would pass Python's limit
+LONG_CF = Ellipsoid(1, F(FIB_3001, FIB_3000))
+
+
+class TestLongContinuedFraction:
+    def test_floor_query_has_no_recursion_limit(self):
+        A, B = LONG_CF.A, LONG_CF.B
+        count = echspec.spectrum._count_scaled
+        v = 10**700 * A
+        for axes in ((A, B), (B, A)):
+            assert _floor_value(*axes, v) == v
+            w = _floor_value(*axes, v - 1)  # the lattice value just below v
+            assert count(A, B, w - 1) < count(A, B, w) == count(A, B, v - 1)
+
+    def test_deep_capacities_by_count_duality(self):
+        step = F(1, LONG_CF.den)
+        for k in range(10**1400, 10**1400 + 20):
+            c = nth_capacity(LONG_CF, k)
+            assert count_leq(LONG_CF, c) >= k + 1 > count_leq(LONG_CF, c - step)
 
 
 class TestCountLeq:
@@ -169,16 +226,23 @@ SEARCH_ELLIPSOIDS = {
 LOG_KS = sorted({int(10 ** (e / 4)) for e in range(61)})
 
 
-def record_counts(monkeypatch) -> list[int]:
-    """Patch the spectrum's _count_scaled to record the threshold of every call."""
+def record_counts(monkeypatch) -> list:
+    """Patch the spectrum's Euclidean passes to record each one: the threshold
+    v of every _count_scaled call, and the arguments (A, B, v) of every
+    _floor_value query."""
     thresholds = []
-    inner = echspec.spectrum._count_scaled
+    count, floor_value = echspec.spectrum._count_scaled, echspec.spectrum._floor_value
 
     def counted(A, B, v):
         thresholds.append(v)
-        return inner(A, B, v)
+        return count(A, B, v)
+
+    def queried(A, B, v):
+        thresholds.append((A, B, v))
+        return floor_value(A, B, v)
 
     monkeypatch.setattr(echspec.spectrum, "_count_scaled", counted)
+    monkeypatch.setattr(echspec.spectrum, "_floor_value", queried)
     return thresholds
 
 
@@ -234,12 +298,24 @@ class TestSearchCost:
 
     def test_golden_deep_count_pin(self, monkeypatch):
         # 51 log-spaced indices from 10^6 to 10^11 on the golden approximant;
-        # bisection over the old bracket [r - A - B, r + A + B] made 1090.
+        # bisection over the old bracket [r - A - B, r + A + B] made 1090
+        # counts, and the model-guided search without the floor query 335.
         # Moves only when the search changes on purpose.
         thresholds = record_counts(monkeypatch)
         for i in range(51):
             nth_capacity(GOLDEN, int(10 ** (6 + i / 10)))
-        assert len(thresholds) == 335
+        queries = sum(isinstance(x, tuple) for x in thresholds)
+        assert (len(thresholds) - queries, queries) == (89, 47)
+
+    def test_golden_cost_is_flat_in_depth(self, monkeypatch):
+        # 241 log-spaced indices from 10^3 to 10^15: 2-3 passes per value on
+        # average in every decade, and at most 6 (measured worst, near 10^9),
+        # where counts alone took 17 at 10^3 and 13 at 10^6.
+        thresholds = record_counts(monkeypatch)
+        for e in range(60, 301):
+            thresholds.clear()
+            nth_capacity(GOLDEN, int(10 ** (e / 20)))
+            assert len(thresholds) <= 6
 
 
 class TestSpectrumRange:
