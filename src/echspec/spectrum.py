@@ -7,9 +7,9 @@ exact integer arithmetic: a Euclidean floor-sum kernel gives lattice
 counts under a line in O(log) integer steps, and capacities come out of
 an exact integer search on the scaled value guided by the count's area
 model, which ends in one Euclidean floor query once a count lands on k + 1
-(2-3 passes per value at any depth on an approximant, at most about twice
-a bisection's). An index window k0..k1 costs two such searches (one if
-k0 == k1), for its end values v0 and v1, plus min(v1/max(A, B),
+(2-3 passes per value on average at any depth on an approximant, at most
+about twice a bisection's). An index window k0..k1 costs two such searches
+(one if k0 == k1), for its end values v0 and v1, plus min(v1/max(A, B),
 (v1 - v0)/gcd(A, B)) steps: walking the lattice lines up to v1, or counting
 the multiplicity of each value in [v0, v1]. The Fraction edge converts once
 per distinct value (map_distinct): u Fractions for n rows, u = 63 for 20,000
@@ -160,10 +160,11 @@ def _nth_scaled(E: Ellipsoid, k: int) -> int:
     """Scaled value of the k-th (0-indexed, with multiplicity) spectrum element.
 
     Cost in Euclidean passes (counts, then at most one floor query): on the
-    golden approximant E(1, 832040/514229), 2-3 per value on average at any
-    depth from k = 10^3 to 10^15, at most 6. Where the area model is poor it
-    still bisects: about 30 counts on E(1, 1000000007/1000000000), 60-70 on
-    E(1, 10^12) at 10^6-10^11; never more than 2 ceil(log2(A + B + 1)) + 2."""
+    golden approximant E(1, 832040/514229), 2.0-3.2 per value on average in
+    each decade from k = 10^3 to 10^15, at most 6. Where the area model is
+    poor it still bisects: about 30 counts on E(1, 1000000007/1000000000),
+    60-70 on E(1, 10^12) at 10^6-10^11; never more than
+    2 ceil(log2(A + B + 1)) + 2."""
     if k < 0:
         raise ValueError("index k must be nonnegative")
     # The unit squares of the lattice points under v cover the triangle under

@@ -308,9 +308,9 @@ class TestSearchCost:
         assert (len(thresholds) - queries, queries) == (89, 47)
 
     def test_golden_cost_is_flat_in_depth(self, monkeypatch):
-        # 241 log-spaced indices from 10^3 to 10^15: 2-3 passes per value on
-        # average in every decade, and at most 6 (measured worst, near 10^9),
-        # where counts alone took 17 at 10^3 and 13 at 10^6.
+        # 241 log-spaced indices from 10^3 to 10^15: 2.0-3.2 passes per value
+        # on average in each decade, and at most 6 (the measured worst, near
+        # 10^9), where counts alone took up to 17 at 10^3 and 13 at 10^6.
         thresholds = record_counts(monkeypatch)
         for e in range(60, 301):
             thresholds.clear()
