@@ -180,7 +180,7 @@ def _nth_scaled(E: Ellipsoid, k: int) -> int:
     # answer exact; bisect instead when the probe is outside, or when bisection
     # could not then finish within 2*bit_length of the first width in all.
     # A count of exactly t at v > lo ends the search: v_k is then the largest
-    # lattice value <= v, which the floor query finds with sorted axes.
+    # lattice value <= v (axes sorted, so both axis orders do the same work).
     budget = 2 * (hi - lo).bit_length()
     v = math.isqrt(AB * (2 * t - 1) + h * h) - h
     while lo < hi:
