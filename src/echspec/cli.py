@@ -3,8 +3,9 @@
 Subcommands: capacities | weyl | dk | zeta | residues | envelope.
 Data goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
 Exact rationals are always emitted as integer numerator/denominator pairs,
-never as decimals. main builds its parser once per process. residues prints
-exact residues and values at s = 0, and takes each Laurent constant from one
+never as decimals. main builds its parsers once per process, and a known
+subcommand's subparser alone parses its arguments. residues prints exact
+residues and values at s = 0, and takes each Laurent constant from one
 complex-step pass, with no contour and no Barnes value.
 """
 
@@ -294,6 +295,10 @@ def cmd_envelope(cfg) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the command line; main reuses one per process."""
+    return _parsers()[0]
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     p = argparse.ArgumentParser(prog="echspec", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
@@ -344,18 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vol", type=float, default=EnvelopeConstants.vol)
     sp.set_defaults(func=cmd_envelope)
 
-    return p
+    return p, sub.choices  # the subparsers by name
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser as it was: each call gets a new namespace
-    return build_parser()
+_parser = cache(_parsers)  # a parse leaves the parsers as they were, and gets a new namespace
 
 
 def main(argv=None) -> int:
+    (parser, subs), argv = _parser(), sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _parser().parse_args(argv)
+        if argv and argv[0] in subs:  # the full parse, but argparse reads argv once, not twice
+            ns = argparse.Namespace(subcommand=argv[0])
+            cfg, extra = subs[argv[0]].parse_known_args(argv[1:], ns)
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

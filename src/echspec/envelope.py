@@ -141,10 +141,11 @@ def r2_threshold(j: float, k: EnvelopeConstants) -> float:
     j = 1e12, vol = 1e-5 < 2K, c2 = 1e5, P1 fails at r1 and P4 holds to 232 r1."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    base = max(r1_bar(j, k), 1e-9)
-    r2 = _sup_below(lambda r: F_bounds(r, j, k)[1] / r >= (1.0 / (9.0 * k.c3)) ** 3 * r, base)
+    base, K = max(r1_bar(j, k), 1e-9), (1.0 / (9.0 * k.c3)) ** 3
+    r2 = _sup_below(lambda r: F_bounds(r, j, k)[1] / r >= K * r, base)
     if k.c1 > 0:
-        r2 = max(r2, _sup_below(lambda r: F_bounds(r, j, k)[3] >= (3.0 / (4.0 * k.c1)) ** 3 * r, base))
+        K4 = (3.0 / (4.0 * k.c1)) ** 3
+        r2 = max(r2, _sup_below(lambda r: F_bounds(r, j, k)[3] >= K4 * r, base))
     return r2
 
 

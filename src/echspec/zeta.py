@@ -2,20 +2,20 @@
 functions, and their Laurent data at the poles: exact residues, and constants
 from one complex-step pass through the same kernel.
 
-Every Hurwitz value comes from one Euler-Maclaurin kernel, the entire
-function _eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one
-s and many shifts x, and forms the correction coefficients of s once per
-call; each caller divides its sum of _eta values by (s - 1) once. The Barnes
-double zeta sorts its axes, a <= b, and is a sum of N = ceil(cutoff - w/b)
-of them, the head up to the shift xN >= cutoff * b/a, in one kernel call,
-plus the integral, half and Euler-Maclaurin tail terms in the larger axis.
-The cutoff, the kernel's own shift point, depends on Im s alone, so at xN
-each of these is one shared power xN^(1-s) times a series in 1/xN. So both
-axis orders cost the same and agree bit for bit. The public functions reject
-non-finite input, the poles, and points outside the region Re s > -S_MAX,
-|Im s| <= IM_MAX once, at entry. The spectrum zeta comes in three
-conventions, one closed form each, with a <= b sorted and Z(s) =
-barnes_zeta(s, a), the sum over m >= 1, n >= 0:
+Every Hurwitz value comes from one Euler-Maclaurin kernel, the entire function
+_eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one s and many
+shifts x and forms the correction coefficients of s once per call; each caller
+divides its sum of _eta values by (s - 1) once. The Barnes double zeta sorts
+its axes, a <= b, and is a sum of N = ceil(cutoff - w/b) of them, the head up
+to the shift xN >= cutoff * b/a, in one kernel call, plus the integral, half
+and Euler-Maclaurin tail terms in the larger axis. The cutoff, the kernel's
+shift point, depends on Im s alone, so at xN each of these is one power
+xN^(1-s) times a series in 1/xN, and both axis orders cost the same and agree
+bit for bit. Public functions reject non-finite input, the poles, and points
+outside Re s > -S_MAX, |Im s| <= IM_MAX once, at entry. The spectrum zeta has
+three conventions, one closed form each, with a <= b sorted and Z(s) =
+barnes_zeta(s, a), the sum over m >= 1, n >= 0; INTERIOR and FULL cost one
+Barnes pass, as its first head shift, a/a = 1, gives (s - 1) zeta(s):
 
   INTERIOR  sum over m, n >= 1          Z(s) - a^-s zeta(s)
   FULL      sum over (m, n) != (0, 0)   Z(s) + b^-s zeta(s)
@@ -186,13 +186,13 @@ def riemann_zeta(s) -> complex:
 def _barnes_pieces(s, w: float, a: float, b: float):
     """(head, integral, half, tail) of the Barnes sum for sorted axes a <= b,
     which is a^-s [head + integral / (beta (s - 2)) + half + tail] / (s - 1):
-    the head and tail lazily yield their terms, and integral = _eta(s - 1, xN)
-    comes without its pole factor. The pieces at xN share p = xN^(1-s)."""
+    the head's terms in a list, the tail's lazily, and integral = _eta(s - 1,
+    xN) without its pole factor. The pieces at xN share p = xN^(1-s)."""
     N = max(0, math.ceil(_cutoff(s) - w / b))
     xN = (w + N * b) / a
     head, p = _eta(s, ((w + n * b) / a for n in range(N))), _pow(xN, 1 - s)
     integral, half = _em_series(xN * p, s - 1, xN), _em_series(0.5 * p, s, xN)
-    return head, integral, half, _barnes_tail(s, b / a, xN, p)
+    return list(head), integral, half, _barnes_tail(s, b / a, xN, p)
 
 
 def _em_series(c: complex, sig: complex, X: float, terms: int = _EM_TERMS) -> complex:
@@ -217,17 +217,8 @@ def _barnes_tail(s, beta: float, xN: float, p: complex):
         scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
 
 
-def barnes_zeta(s, w, E: Ellipsoid) -> complex:
-    """Continuation of sum_{m,n>=0} (w + m*a + n*b)^{-s}, for Re(s) > -S_MAX.
-
-    With the axes sorted, a <= b: a^{-s} times [the Hurwitz values at the
-    shifts (w + n*b)/a for n < N = ceil(cutoff - w/b), the first n whose shift
-    reaches cutoff * b/a, plus an Euler-Maclaurin tail in n of Hurwitz values].
-    """
-    s = complex(s)
-    w = as_float(w, "offset w =")
-    _guard(s, "barnes_zeta", (1, 2), w)
-    a, b = _float_axes(E)
+def _barnes_sum(s: complex, w: float, a: float, b: float) -> tuple[complex, complex]:
+    """barnes_zeta at a checked s on sorted axes a <= b, and its head's first value or 0.0."""
     head, integral, half, tail = _barnes_pieces(s, w, a, b)
     total = 0.0 + 0.0j
     for v in head:
@@ -238,7 +229,20 @@ def barnes_zeta(s, w, E: Ellipsoid) -> complex:
     val = _pow(a, -s) * total / (s - 1)
     if not cmath.isfinite(val):
         raise ValueError(f"barnes_zeta overflows a float at s={s} on axes {a}, {b}")
-    return val
+    return val, head[0] if head else 0.0
+
+
+def barnes_zeta(s, w, E: Ellipsoid) -> complex:
+    """Continuation of sum_{m,n>=0} (w + m*a + n*b)^{-s}, for Re(s) > -S_MAX.
+
+    With the axes sorted, a <= b: a^{-s} times [the Hurwitz values at the
+    shifts (w + n*b)/a for n < N = ceil(cutoff - w/b), the first n whose shift
+    reaches cutoff * b/a, plus an Euler-Maclaurin tail in n of Hurwitz values].
+    """
+    s = complex(s)
+    w = as_float(w, "offset w =")
+    _guard(s, "barnes_zeta", (1, 2), w)
+    return _barnes_sum(s, w, *_float_axes(E))[0]
 
 
 def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
@@ -259,16 +263,17 @@ def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
 
 
 def ech_zeta(s, E: Ellipsoid, conv: ZetaConvention = ZetaConvention.FULL) -> complex:
-    """Spectrum zeta function of E(a, b) under the chosen convention, by the
-    closed forms in the module docstring, for Re(s) > -S_MAX."""
+    """Spectrum zeta of E(a, b) in the chosen convention, for Re(s) > -S_MAX, by
+    the module docstring's closed forms: INTERIOR and FULL in one Barnes pass."""
     s = complex(s)
     if conv is ZetaConvention.DISTINCT:
         return _distinct_zeta(s, E)
     lo, hi = _float_axes(E)
-    Z, zeta = barnes_zeta(s, lo, E), riemann_zeta(s)
+    _guard(s, "barnes_zeta", (1, 2), lo)
+    Z, eta1 = _barnes_sum(s, lo, lo, hi)
     if conv is ZetaConvention.FULL:
-        return Z + _pow(hi, -s) * zeta
-    return Z + -_pow(lo, -s) * zeta
+        return Z + _pow(hi, -s) * (eta1 / (s - 1))
+    return Z + -_pow(lo, -s) * (eta1 / (s - 1))
 
 
 def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpansion, ...]:
@@ -280,14 +285,14 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
     1/4 + (a/b + b/a)/12 for INTERIOR at 0, one less for FULL; there quad_err
     is the rounding of the float, 2^-53 max(1, |v|). A constant is the
     derivative of (s - s0) f(s) at s0, from one pass of s = s0 + i 2^-100
-    through the Barnes pieces and the Riemann kernel value, with the pole
-    factors taken out by hand: a part's real part is its value, and its
-    imaginary part over 2^-100 its derivative. Its quad_err is 64 * 2^-52
-    times the sum of |value| + |derivative| over the parts the pass adds: a
-    rounding bound, which covers the printed residue too, as the values of the
-    parts sum to it; the kernel's truncation is far below it. A constant that
-    is not finite or a bound above tol * max(1, |constant|) raises
-    NonConvergent."""
+    through the Barnes pieces, whose first head shift, a/a = 1, also gives
+    the Riemann value, with the pole factors taken out by hand: a part's real
+    part is its value, and its imaginary part over 2^-100 its derivative. Its
+    quad_err is 64 * 2^-52 times the sum of |value| + |derivative| over the
+    parts the pass adds: a rounding bound, which covers the printed residue
+    too, as the values of the parts sum to it; the kernel's truncation is far
+    below it. A constant that is not finite or a bound above
+    tol * max(1, |constant|) raises NonConvergent."""
     a, b = sorted((E.a, E.b))
     if s0 == 0:
         zero = Fraction(1, 4) + (a / b + b / a) / 12
@@ -301,7 +306,7 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
             c, pole = (1.0, s - 2) if s0 == 1 else ((s - 2) / (s - 1), s - 1)
             A = _pow(fa, -s)
             parts = [A * c * p for p in (*head, half, *tail)] + [A * integral / (fb / fa * pole)]
-            zeta = c * next(_eta(s, (1.0,)))
+            zeta = c * head[0]
             res = 1 / (a * b) if s0 == 2 else (a + b) / (2 * a * b)
             axes = ((res if s0 == 2 else -res, -(A * zeta)), (res, _pow(fb, -s) * zeta))
         except ValueError:  # the inner message would show the step

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
 import shlex
+import sys
 import time
 import warnings
 from fractions import Fraction as F
@@ -235,6 +237,91 @@ class TestRepeatedCalls:
         assert capsys.readouterr().out == ""
         after = self.run(argv, capsys)
         assert before == after == self.fresh(argv, capsys)
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argv of each `echspec ...` line in the README's CLI block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("echspec ")]
+
+
+ZETA12 = ["zeta", "-a", "1", "-b", "2"]
+
+
+class TestDispatch:
+    """main parses a known subcommand's arguments with its subparser alone; each
+    argv gives what the full parse by build_parser() and cfg.func give."""
+
+    ARGVS = [
+        [],
+        ["-h"],
+        ["--help", "zeta"],
+        ["zeta", "-h"],
+        ["zeta", "--he"],
+        ["bogus", "-a", "1"],
+        ["--", "zeta", "-a", "1", "-b", "2", "-s", "3"],
+        ZETA12 + ["-s", "3", "--form", "json", "--conv", "interior"],
+        ZETA12 + ["-s=-2.5,1"],
+        ZETA12 + ["-s", "-2.5,1"],
+        ZETA12 + ["-s", "3", "-s", "0.5,2", "--format", "json"],
+        ZETA12 + ["-s", "3", "extra", "--bogus", "more"],
+        ZETA12 + ["--", "-s", "3"],
+        ZETA12 + ["-s", "1"],
+        ["zeta", "-a", "1"],
+        ["residues", "-a", "1", "-b", "2", "--format", "xml"],
+        ["capacities", "-a", "1", "-b", "2", "-k", "0..5", "--tol", "1e-3"],
+        ["capacities", "-a", "1.5", "-b", "2", "-k", "0..3", "--format", "json"],
+        ["envelope", "-k", "1..2", "--per-decade", "0"],
+        ["dk", "-a", "2", "-b", "3", "--range=0..50", "--windows", "3", "--format", "json"],
+    ]
+
+    @staticmethod
+    def record_parses(monkeypatch) -> list:
+        """The namespace of each ArgumentParser.parse_known_args call, in the
+        order the calls return: the last is the whole parse's."""
+        seen, parse = [], argparse.ArgumentParser.parse_known_args
+
+        def recording(self, *args, **kwargs):
+            ns, extras = parse(self, *args, **kwargs)
+            seen.append(ns)
+            return ns, extras
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+        return seen
+
+    @staticmethod
+    def full_parse(argv) -> int:
+        """main as it was before it parsed the subcommand alone."""
+        try:
+            cfg = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            return cfg.func(cfg)
+        except CLIError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, EchspecError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+    @pytest.mark.parametrize("argv", ARGVS + readme_cli_examples())
+    def test_same_as_the_full_parse(self, argv, monkeypatch, capsys):
+        seen = self.record_parses(monkeypatch)
+        code = main(argv)
+        got = (code, *capsys.readouterr(), [list(vars(ns).items()) for ns in seen[-1:]])
+        seen.clear()
+        code = self.full_parse(argv)
+        want = (code, *capsys.readouterr(), [list(vars(ns).items()) for ns in seen[-1:]])
+        assert got == want
+
+    def test_one_parse_per_known_subcommand(self, monkeypatch, capsys):
+        seen = self.record_parses(monkeypatch)
+        for argv in (ZETA12 + ["-s", "3"], ["residues", "-a", "1", "-b", "2"], ["envelope", "-k", "1..2"]):
+            seen.clear()
+            assert main(argv) == 0
+            assert len(seen) == 1, argv
 
 
 class TestDkFitOmitted:

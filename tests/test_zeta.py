@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ import echspec.cli
 import echspec.zeta
 from echspec import (
     DepthExceeded,
+    EchspecError,
     Ellipsoid,
     NonConvergent,
     PoleProximity,
@@ -439,23 +441,27 @@ class TestEchZeta:
         return calls
 
     def test_barnes_calls_per_convention(self, monkeypatch):
+        # INTERIOR and FULL make one Barnes pass and no barnes_zeta call: a head
+        # of 16 shifts, whose first gives zeta(s), and 14 series at xN, with
+        # xN^(1-s), a^-s and the axis power; DISTINCT sums A' = 10 Hurwitz values
         calls = self.count_barnes_calls(monkeypatch)
+        work = count_kernel_work(monkeypatch)
         E = Ellipsoid(F(3, 2), F(5, 7))
         for conv, want in [
-            (ZetaConvention.INTERIOR, 1),
-            (ZetaConvention.FULL, 1),
-            (ZetaConvention.DISTINCT, 0),
+            (ZetaConvention.INTERIOR, [16, 14, 3 * 16 + 3]),
+            (ZetaConvention.FULL, [16, 14, 3 * 16 + 3]),
+            (ZetaConvention.DISTINCT, [10, 0, 3 * 10 + 1]),
         ]:
-            calls.clear()
+            work[:] = [0, 0, 0]
             ech_zeta(complex(0.7, 2.0), E, conv)
-            assert len(calls) == want, conv
+            assert (calls, work) == ([], want), conv
 
     def test_residues_cost(self, monkeypatch, capsys):
         # residues prints exact residues and values at 0 and takes each constant
         # from one complex-step pass: no Barnes value and no contour. On E(3/2, 5/7) a
-        # pass evaluates the 16 head shifts and the Riemann value in two kernel
-        # calls, and the integral, half and 12 tail terms as 14 series from one
-        # power xN^(1-s); with a^-s and b^-s, 3 * 17 + 3 powers per pole.
+        # pass evaluates the 16 head shifts in one kernel call, the first of them
+        # the Riemann value, and the integral, half and 12 tail terms as 14 series
+        # from one power xN^(1-s); with a^-s and b^-s, 3 * 16 + 3 powers per pole.
         calls = self.count_barnes_calls(monkeypatch)
         contours = []
         monkeypatch.setattr(echspec.zeta, "laurent_at", lambda *a, **k: contours.append(a))
@@ -464,7 +470,7 @@ class TestEchZeta:
             work[:] = [0, 0, 0]
             assert echspec.cli.main(["residues", "-a", "3/2", "-b", "5/7"]) == 0
             capsys.readouterr()
-            assert (len(calls), len(contours), work) == (0, 0, [2 * 17, 2 * 14, 2 * 54])
+            assert (len(calls), len(contours), work) == (0, 0, [2 * 16, 2 * 14, 2 * 51])
 
     def test_distinct_square_is_riemann(self):
         # all attained values of E(1,1) are the positive integers
@@ -496,6 +502,48 @@ class TestEchZeta:
         direct, tail = direct_zeta_sum(E, s, 200000, ZetaConvention.DISTINCT)
         got = ech_zeta(s, E, ZetaConvention.DISTINCT)
         assert abs(got - direct) <= tail
+
+
+class TestOneBarnesPass:
+    """INTERIOR and FULL take zeta(s) from the Barnes head at w = lo, whose first
+    shift is lo/lo = 1.0: each value is, bit for bit, barnes_zeta(s, lo, E) plus
+    hi^-s or minus lo^-s times riemann_zeta(s), each with its own kernel call."""
+
+    AXES = [(F(1), F(2)), (F(2), F(3)), (F(1, 2), F(3, 2)), (F(3, 2), F(5, 7))]
+    AXES += [(F(1), F(1000)), (F(1, 1000), F(1))]
+
+    @staticmethod
+    def points() -> list[complex]:
+        rng = random.Random(20261019)
+        pts = [complex(rng.uniform(-3.9, 30.0), rng.uniform(-100.0, 100.0)) for _ in range(40)]
+        pts += [complex(rng.uniform(-3.9, 30.0)) for _ in range(10)]
+        pts += [complex(-3.9), complex(-3.9, 100.0), complex(30.0), complex(0.5, -100.0)]
+        return pts + [complex(x, y) for x in (-3.0, -2.9, -2.75) for y in (0.0, 0.5)]
+
+    @pytest.mark.parametrize("a,b", AXES + [(b, a) for a, b in AXES])
+    def test_matches_barnes_plus_riemann(self, a, b):
+        E = Ellipsoid(a, b)
+        lo, hi = sorted((float(a), float(b)))
+        for s in self.points():
+            Z, zeta = barnes_zeta(s, lo, E), riemann_zeta(s)
+            assert repr(ech_zeta(s, E, ZetaConvention.FULL)) == repr(Z + hi**-s * zeta), s
+            assert repr(ech_zeta(s, E, ZetaConvention.INTERIOR)) == repr(Z + -(lo**-s) * zeta), s
+
+    @pytest.mark.parametrize("a,b", [(F(2), F(3)), (F(3, 2), F(5, 7))])
+    def test_guard_messages_are_barnes_zetas(self, a, b):
+        E = Ellipsoid(a, b)
+        lo = min(float(a), float(b))
+        for s in (1, 2, -4, complex(-4.0, 1.0), complex(3.0, 1e4 + 1), complex(3.0, -2e4)):
+            with pytest.raises(EchspecError) as want:
+                barnes_zeta(s, lo, E)
+            for conv in (ZetaConvention.INTERIOR, ZetaConvention.FULL):
+                with pytest.raises(type(want.value)) as got:
+                    ech_zeta(s, E, conv)
+                assert str(got.value) == str(want.value), (s, conv)
+        with pytest.raises(PoleProximity, match=re.escape("barnes_zeta pole at s=1,2 (s=(2+0j))")):
+            ech_zeta(2, E, ZetaConvention.INTERIOR)
+        with pytest.raises(DepthExceeded, match=re.escape("Re(s)=-4.0 beyond")):
+            ech_zeta(-4, E, ZetaConvention.FULL)
 
 
 class TestDirectSum:
