@@ -138,13 +138,17 @@ def r2_threshold(j: float, k: EnvelopeConstants) -> float:
     underflows, P1 is F_hi/r >= 0). An implied predicate brackets and bisects
     to no larger radius, and P1 runs first, raising any NonConvergent theirs
     would, so dropping them changes no float and no exception. P4 stays: at
-    j = 1e12, vol = 1e-5 < 2K, c2 = 1e5, P1 fails at r1 and P4 holds to 232 r1."""
+    j = 1e12, vol = 1e-5 < 2K, c2 = 1e5, P1 fails at r1 and P4 holds to 232 r1.
+    Where P4's constant overflows (c1 < 1.3e-103), no radius meets P4: r2 is P1's."""
     if j < 0:
         raise ValueError("j must be nonnegative")
     base, K = max(r1_bar(j, k), 1e-9), (1.0 / (9.0 * k.c3)) ** 3
     r2 = _sup_below(lambda r: F_bounds(r, j, k)[1] / r >= K * r, base)
     if k.c1 > 0:
-        K4 = (3.0 / (4.0 * k.c1)) ** 3
+        try:
+            K4 = (3.0 / (4.0 * k.c1)) ** 3
+        except OverflowError:
+            return r2
         r2 = max(r2, _sup_below(lambda r: F_bounds(r, j, k)[3] >= K4 * r, base))
     return r2
 

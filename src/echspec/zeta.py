@@ -24,6 +24,8 @@ Barnes pass, as its first head shift, a/a = 1, gives (s - 1) zeta(s):
 where g = gcd(A, B) of the scaled axes, A' <= B' are A/g and B/g, and
 step = g/den: each element of <A', B'> is j A' + n B' for exactly one
 j >= 0, 0 <= n < A'. DISTINCT has one simple pole, at s = 1, residue 1/step.
+Its first N = min(A', ceil(cutoff)) shifts are a Barnes head and the rest the tail at N B'/A'
+less the one at B': no convention needs more than ceil(cutoff) shifts and 2 x 14 series.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ S_MAX = 4.0
 IM_MAX = 1e4
 POLE_GUARD = 1e-6
 _EM_TERMS = 12
-_DISTINCT_TERMS_LIMIT = 1_000_000  # bound on A', the Hurwitz terms of DISTINCT
 # Complex step of the Laurent pass, a power of two, so scaling by it is exact
 # and its square terms lie about 2^-200 below every value
 _STEP = 2.0**-100
@@ -54,8 +55,7 @@ class PoleProximity(EchspecError):
 
 
 class DepthExceeded(EchspecError):
-    """Evaluation point outside the region Re s > -4, |Im s| <= 1e4, or a
-    DISTINCT value that needs more than 10^6 Hurwitz terms (A' > 10^6)."""
+    """Evaluation point outside the region Re s > -4, |Im s| <= 1e4."""
 
 
 class ZetaConvention(enum.Enum):
@@ -187,23 +187,31 @@ def _barnes_pieces(s, w: float, a: float, b: float):
     """(head, integral, half, tail) of the Barnes sum for sorted axes a <= b,
     which is a^-s [head + integral / (beta (s - 2)) + half + tail] / (s - 1):
     the head's terms in a list, the tail's lazily, and integral = _eta(s - 1,
-    xN) without its pole factor. The pieces at xN share p = xN^(1-s)."""
+    xN) without its pole factor."""
     N = max(0, math.ceil(_cutoff(s) - w / b))
     xN = (w + N * b) / a
-    head, p = _eta(s, ((w + n * b) / a for n in range(N))), _pow(xN, 1 - s)
-    integral, half = _em_series(xN * p, s - 1, xN), _em_series(0.5 * p, s, xN)
-    return list(head), integral, half, _barnes_tail(s, b / a, xN, p)
+    lead, corr, half, tail = _em_tail(s, b / a, xN)
+    return list(_eta(s, ((w + n * b) / a for n in range(N)))), lead + corr, half, tail
+
+
+def _em_tail(s, beta: float, X: float):
+    """(lead, corr, half, tail): for X >= _cutoff(s), 16 beta, sum_{n>=0} _eta(s, X + n beta) is
+    (lead + corr) / (beta (s - 2)) + half + tail, lead = X^(2-s) and corr = _eta(s - 1, X) - lead."""
+    p = _pow(X, 1 - s)
+    lead, c = X * p, 0.5 * p
+    return lead, _em_series(lead, s - 1, X), c + _em_series(c, s, X), _barnes_tail(s, beta, X, p)
 
 
 def _em_series(c: complex, sig: complex, X: float, terms: int = _EM_TERMS) -> complex:
-    """c _eta(sig, X) / X^(1-sig) for X >= _cutoff(sig): c [1 + (sig - 1)/(2X) + the
-    first terms of sum_j B_2j/(2j)! (sig - 1) (sig)_{2j-1} X^-2j], c added last."""
+    """c _eta(sig, X) / X^(1-sig) - c for X >= _cutoff(sig): c [(sig - 1)/(2X) + the
+    first terms of sum_j B_2j/(2j)! (sig - 1) (sig)_{2j-1} X^-2j], each a multiple
+    of sig - 1; callers add c."""
     u = X**-2
     corr, poch = (sig - 1) / (2 * X), (sig - 1) * sig * u  # (sig - 1) (sig)_{2j-1} u^j
     for j in range(1, terms + 1):
         corr += _B2K_FACT[j] * poch
         poch *= (sig + 2 * j - 1) * (sig + 2 * j) * u
-    return c + c * corr
+    return c * corr
 
 
 def _barnes_tail(s, beta: float, xN: float, p: complex):
@@ -213,7 +221,8 @@ def _barnes_tail(s, beta: float, xN: float, p: complex):
     r = beta / xN
     scaled = r * (s - 1)  # r^{2k-1} (s - 1) (s)_{2k-2}
     for k in range(1, _EM_TERMS + 1):
-        yield _em_series(_B2K_FACT[k] * scaled * p, s + 2 * k - 1, xN, _EM_TERMS - k)
+        c = _B2K_FACT[k] * scaled * p
+        yield c + _em_series(c, s + 2 * k - 1, xN, _EM_TERMS - k)
         scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
 
 
@@ -246,20 +255,37 @@ def barnes_zeta(s, w, E: Ellipsoid) -> complex:
 
 
 def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
-    """Sum over distinct spectrum values: A' Hurwitz values, one per residue
-    class of the semigroup <A', B'> modulo A'."""
+    """Sum over distinct spectrum values, one Hurwitz value per residue class of <A', B'>
+    modulo A'. The two tails' integrals share a pole at s = 2: their leading parts cancel
+    through expm1, their corrections carry s - 2, and s = 2 is the real part at 2 + i 2^-100."""
     _guard(s, "distinct zeta", (1,))
     g = math.gcd(E.A, E.B)
     Ap, Bp = sorted((E.A // g, E.B // g))
-    if Ap > _DISTINCT_TERMS_LIMIT:
-        raise DepthExceeded(
-            f"distinct zeta needs {Ap} Hurwitz terms, above the limit {_DISTINCT_TERMS_LIMIT}"
-        )
-    values = _eta(s, (n * Bp / Ap if n else 1.0 for n in range(Ap)))
+    N = min(Ap, math.ceil(_cutoff(s)))
+    if N < Ap and s == 2:
+        return complex(_distinct_zeta(complex(2, _STEP), E).real)
+    top = as_float(Fraction((Ap if N < Ap else Ap - 1) * Bp, Ap), "DISTINCT shift n B'/A' =")
+    values = _eta(s, (n * Bp / Ap if n else 1.0 for n in range(N)))
     total = next(values)
     for v in values:
         total += v
-    return _pow(g / E.den * Ap, -s) * total / (s - 1)
+    if N < Ap:
+        beta = Bp / Ap
+        lead, c0, h0, t0 = _em_tail(s, beta, N * Bp / Ap)
+        _, cB, hB, tB = _em_tail(s, beta, top)
+        z = (2 - s) * math.log1p((Ap - N) / N)  # B'^(2-s) = x0^(2-s) exp(z)
+        try:  # (x0^(2-s) - B'^(2-s)) / (s - 2) = x0^(2-s) expm1(z) / (2 - s)
+            lead *= complex(math.expm1(z.real) * math.cos(z.imag) - 2 * math.sin(z.imag / 2) ** 2,
+                            math.exp(z.real) * math.sin(z.imag)) / (2 - s)
+        except OverflowError:  # exp(z) past the float range: the value check below raises
+            lead = math.inf
+        total += (lead + (c0 - cB) / (s - 2)) / beta + (h0 - hB)
+        for u, v in zip(t0, tB):
+            total += u - v
+    val = _pow(g / E.den * Ap, -s) * total / (s - 1)
+    if not cmath.isfinite(val):
+        raise ValueError(f"distinct zeta overflows a float at s={s}")
+    return val
 
 
 def ech_zeta(s, E: Ellipsoid, conv: ZetaConvention = ZetaConvention.FULL) -> complex:

@@ -164,21 +164,42 @@ def semigroup_gaps(p: int, q: int) -> list[int]:
     return [t for t in range(1, p * q) if t not in reachable]
 
 
-def distinct_zeta_gaps(s: complex, a: Fraction, b: Fraction) -> complex:
-    """Continued sum of v^-s over the distinct nonzero values v of m*a + n*b:
-    with A, B the axes over their common denominator den and g = gcd(A, B),
-    the values are step*t for t in <A/g, B/g> and step = g/den, so the sum is
-    step^-s [zeta(s) - sum over the finitely many gaps t of t^-s]."""
-    import mpmath
-
+def _distinct_parts(a: Fraction, b: Fraction) -> tuple[int, int, Fraction]:
+    """(A', B', step) of E(a, b): with A, B the axes over their common
+    denominator den and g = gcd(A, B), A' <= B' are A/g and B/g and step = g/den."""
     den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
     A, B = int(a * den), int(b * den)
     g = gcd(A, B)
-    with mpmath.workdps(40):  # zeta(s) and the gap sum cancel to many digits
-        step = mpmath.mpf(g) / den
+    return min(A, B) // g, max(A, B) // g, Fraction(g, den)
+
+
+def distinct_zeta_gaps(s: complex, a: Fraction, b: Fraction) -> complex:
+    """Continued sum of v^-s over the distinct nonzero values v of m*a + n*b:
+    the values are step*t for t in <A', B'>, so the sum is step^-s [zeta(s) -
+    sum over the finitely many gaps t of t^-s]. The smallest element is A',
+    so zeta(s) and the gap sum cancel to about Re s log10(A') digits, which
+    the working precision adds to 45."""
+    import mpmath
+
+    Ap, Bp, step = _distinct_parts(a, b)
+    with mpmath.workdps(45 + int(max(0.0, complex(s).real) * math.log10(Ap))):
         s = mpmath.mpc(s)
-        gaps = mpmath.fsum(mpmath.mpf(t) ** (-s) for t in semigroup_gaps(A // g, B // g))
-        return complex(step ** (-s) * (mpmath.zeta(s) - gaps))
+        gaps = mpmath.fsum(mpmath.mpf(t) ** (-s) for t in semigroup_gaps(Ap, Bp))
+        return complex((mpmath.mpf(step.numerator) / step.denominator) ** (-s) * (mpmath.zeta(s) - gaps))
+
+
+def distinct_zeta_hurwitz(s: complex, a: Fraction, b: Fraction) -> complex:
+    """The same sum one residue class of <A', B'> modulo A' at a time, at 40
+    digits: each element is j A' + n B' for exactly one j >= 0, 0 <= n < A', so
+    it is (step A')^-s [zeta(s) + sum_{0<n<A'} zeta(s, n B'/A')]. It needs no
+    gap set, so it reaches A' in the thousands."""
+    import mpmath
+
+    Ap, Bp, step = _distinct_parts(a, b)
+    with mpmath.workdps(40):
+        s = mpmath.mpc(s)
+        total = mpmath.zeta(s) + mpmath.fsum(mpmath.zeta(s, mpmath.mpf(n * Bp) / Ap) for n in range(1, Ap))
+        return complex((mpmath.mpf(step.numerator * Ap) / step.denominator) ** (-s) * total)
 
 
 def interior_zeta_hurwitz(s: complex, a: Fraction, b: Fraction) -> complex:

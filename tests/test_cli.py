@@ -524,6 +524,9 @@ class TestExitCodes:
             ["weyl", "-a", "1" + "0" * 400, "-b", "1", "-R", "1,2,3"],
             ["capacities", "-a", "1", "-b", "1", "-k", f"1{'0' * 800}..1{'0' * 800}"],
             ["dk", "-a", "1", "-b", "1", "-k", f"1{'0' * 800}..1{'0' * 800}"],
+            # DISTINCT shifts n B'/A' past the float range, with A' = 3 and 17
+            ["zeta", "-a", "1", "-b", f"{3 * 10**400 + 1}/3", "-s", "3", "--convention", "distinct"],
+            ["zeta", "-a", "1", "-b", f"{17 * 10**400 + 1}/17", "-s", "3", "--convention", "distinct"],
         ],
     )
     def test_axis_past_the_float_range(self, argv, capsys):
@@ -569,6 +572,11 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    def test_envelope_with_a_tiny_c1(self, capsys):
+        # P4's constant (3/(4 c1))^3 overflows: no radius meets P4, so r2 is P1's
+        assert main(["envelope", "-k", "1..3", "--c1", "1e-200"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("10,")
 
     def test_c3_is_not_an_option(self, capsys):
         # c3 is always derived from c1

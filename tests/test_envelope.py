@@ -264,6 +264,16 @@ class TestR2:
         assert {0.0} <= {j for j, _ in cases} and any(k.q < 0 for k in ks)
         assert all(any(getattr(k, c) == 0.0 for k in ks) for c in ("c0", "c1", "c2"))
 
+    @pytest.mark.parametrize("c1", [1e-50, 1e-100, 1e-200])
+    @pytest.mark.parametrize("j", [10.0, 1e4, 1e9])
+    def test_fourth_constant_past_the_float_range(self, j, c1):
+        # (3/(4 c1))^3 overflows at c1 = 1e-200: no finite Fp_hi meets P4, so
+        # r2 is P1's sup, as it is where P4 still runs at c1 = 1e-50 and 1e-100
+        k = EnvelopeConstants(c1=c1)
+        base, K = max(r1_bar(j, k), 1e-9), (1.0 / (9.0 * k.c3)) ** 3
+        p1 = echspec.envelope._sup_below(lambda r: F_bounds(r, j, k)[1] / r >= K * r, base)
+        assert r2_threshold(j, k) == p1
+
     def test_fourth_predicate_not_redundant(self):
         # vol = 1e-5 is below 2K, K = (1/(9 c3))^3 ~ 1.69e-5, so P1 fails at
         # the base radius and alone would give r2 = r1; P4 sets r2 here

@@ -31,6 +31,7 @@ from oracles import (
     barnes_zeta_hurwitz,
     direct_zeta_sum,
     distinct_zeta_gaps,
+    distinct_zeta_hurwitz,
     double_sum_barnes,
     ech_zeta_at_negative_integer,
     interior_zeta_hurwitz,
@@ -299,16 +300,23 @@ class TestEchZeta:
     @pytest.mark.parametrize(
         "a,b",
         [(F(2), F(3)), (F(3), F(5)), (F(5), F(3)), (F(3, 2), F(5, 7)), (F(7), F(11))]
-        + [(F(1), F(89, 55))],
+        + [(F(1), F(89, 55)), (F(17), F(19)), (F(1), F(377, 233))],
     )
     def test_distinct_matches_gap_oracle(self, a, b):
+        # A' = 55, 17 and 233 take the Barnes tail, whose two integrals share
+        # the pole at s = 2 that DISTINCT does not have
         E = Ellipsoid(a, b)
-        for x in (-2.5, -1.0, 0.0, 0.5, 1.5, 2.0, 3.0, 6.0):
-            for y in (0.0, 2.0, -9.0):
-                s = complex(x, y)
-                ref = distinct_zeta_gaps(s, a, b)
-                got = ech_zeta(s, E, ZetaConvention.DISTINCT)
-                assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), s
+        points = [complex(x, y) for x in (-2.5, -1.0, 0.0, 0.5, 1.5, 2.0, 3.0, 6.0) for y in (0.0, 2.0, -9.0)]
+        points += [complex(2 - 1e-7), complex(2 + 1e-7), complex(2, 1e-7)]
+        for s in points:
+            ref = distinct_zeta_gaps(s, a, b)
+            got = ech_zeta(s, E, ZetaConvention.DISTINCT)
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), s
+
+    def test_gap_oracle_matches_class_oracle(self):
+        for s in (complex(3.0), complex(0.5, 2.0), complex(-2.5, -9.0), complex(2.0), complex(30.0)):
+            ref = distinct_zeta_hurwitz(s, F(1), F(89, 55))
+            assert abs(distinct_zeta_gaps(s, F(1), F(89, 55)) - ref) <= 1e-15 * abs(ref), s
 
     @pytest.mark.parametrize("a,b,step", [(F(2), F(3), 1), (F(3, 2), F(5, 7), F(1, 14))])
     def test_distinct_residue_at_one(self, a, b, step):
@@ -327,23 +335,43 @@ class TestEchZeta:
         assert abs(got - direct) <= tail + 1e-9
 
     def test_one_kernel_call_per_sum(self, monkeypatch):
-        # the A' DISTINCT shifts and the Barnes head each go to the kernel in
-        # one call, lazily; the Barnes integral, half and tail terms are 14
-        # series at the one shift past the head, xN = 25
+        # the first 16 DISTINCT shifts and the Barnes head each go to the
+        # kernel in one call, lazily; the integral, half and tail terms of a
+        # Barnes tail are 14 series at one shift: for DISTINCT on A' = 4181 at
+        # x0 = 16 B'/A' and at B' = 6765, for the Barnes value at xN = 25
         seen, series = [], []
         eta, em_series = echspec.zeta._eta, echspec.zeta._em_series
         monkeypatch.setattr(echspec.zeta, "_eta", lambda s, xs: seen.append(xs) or eta(s, xs))
         monkeypatch.setattr(echspec.zeta, "_em_series", lambda *a: series.append(a[2]) or em_series(*a))
         ech_zeta(3.0, Ellipsoid(1, F(6765, 4181)), ZetaConvention.DISTINCT)
         barnes_zeta(3.0, 2.0, Ellipsoid(2, 3))
-        assert len(seen) == 2 and series == [25.0] * 14
+        assert len(seen) == 2 and sorted(series) == [25.0] * 14 + [16 * 6765 / 4181] * 14 + [6765.0] * 14
         assert not isinstance(seen[0], (list, tuple)) and not isinstance(seen[1], (list, tuple))
 
-    def test_distinct_term_limit_fails_fast(self):
+    def test_distinct_cost_is_independent_of_a_prime(self, monkeypatch):
+        # with A' = 514229, 16 kernel shifts and 2 x 14 series per value, and
+        # the powers x0^(1-s), B'^(1-s) and (step A')^-s
+        work = count_kernel_work(monkeypatch)
+        E = Ellipsoid(1, F(832040, 514229))
+        for s in (3.0, 0.5, complex(-2.5, 9.0), 2.0):
+            work[:] = [0, 0, 0]
+            ech_zeta(s, E, ZetaConvention.DISTINCT)
+            assert work == [16, 2 * 14, 3 * 16 + 3], s
+
+    def test_distinct_at_a_prime_past_a_million(self):
+        # A' = 10^9: the shifts n B'/A' past the first 16 are two Barnes tails
+        E = Ellipsoid(1, F(1000000007, 1000000000))
         t0 = time.perf_counter()
-        with pytest.raises(DepthExceeded):
-            ech_zeta(0.5, Ellipsoid(1, F(1000000007, 1000000000)), ZetaConvention.DISTINCT)
+        got = ech_zeta(3.0, E, ZetaConvention.DISTINCT)
         assert time.perf_counter() - t0 < 1.0
+        direct, tail = direct_zeta_sum(E, 3.0, 200000, ZetaConvention.DISTINCT)
+        assert abs(got - direct) <= tail + 1e-9
+        # the lattice points with n >= A' repeat the rest shifted by B' (a = 1),
+        # so DISTINCT is FULL less the Barnes value at w = B'
+        for s in (0.5, -1.5, complex(0.5, 14.0), complex(-2.9, 0.5)):
+            got = ech_zeta(s, E, ZetaConvention.DISTINCT)
+            ref = ech_zeta(s, E, ZetaConvention.FULL) - barnes_zeta(s, 1000000007.0, E)
+            assert abs(got - ref) <= 1e-12 * abs(got), s
 
     @pytest.mark.parametrize(
         "a,b",
@@ -421,7 +449,7 @@ class TestEchZeta:
         got = ech_zeta(s, Ellipsoid(1, 10**e), ZetaConvention.FULL)
         assert abs(got - complex(ref)) <= 1e-11 * abs(ref)
 
-    @pytest.mark.parametrize("conv", [ZetaConvention.INTERIOR, ZetaConvention.FULL])
+    @pytest.mark.parametrize("conv", list(ZetaConvention))
     @pytest.mark.parametrize(
         "s,a,b",
         [
