@@ -8,10 +8,11 @@ counts under a line in O(log) integer steps, and capacities come out of
 an exact integer search on the scaled value guided by the count's area
 model, which ends in one Euclidean floor query once a count lands on k + 1
 (2-3 passes per value on average at any depth on an approximant, at most
-about twice a bisection's). An index window k0..k1 costs two such searches
-(one if k0 == k1), for its end values v0 and v1, plus min(v1/max(A, B),
-(v1 - v0)/gcd(A, B)) steps: walking the lattice lines up to v1, or counting
-the multiplicity of each value in [v0, v1]. The Fraction edge converts once
+about twice a bisection's). An index window k0..k1 costs one such search,
+for v0 = v_k0, then either a second, for v1, and a walk of the lattice lines
+up to v1 (a wide window), or a walk from each value straight to the next by
+Slater's three-gap theorem, O(1) per distinct value (a narrow one, at any
+depth and any denominator). The Fraction edge converts once
 per distinct value (map_distinct): u Fractions for n rows, u = 63 for 20,000
 rows of E(2, 3) and 1,413 for E(1, 1) 1..10^6. as_float is the one
 exact-to-float edge: past the float range it raises ValueError naming the
@@ -21,6 +22,7 @@ quantity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -130,6 +132,23 @@ def _min_mod_linear(n: int, m: int, a: int, b: int) -> int:
     return best
 
 
+def _gaps(a: int, m: int, L: int) -> tuple[int, int, int, int]:
+    """(t1, d1, t2, d2) for coprime 0 < a < m and 1 <= L < m - 1: t1 is the
+    least t >= 1 with t*a mod m = d1 in [1, L], and t2 the least with
+    t*a mod m = m - d2 in [m - L, m). A Euclidean descent on the two
+    one-sided residues: the larger side takes away the other as often as it
+    may before it drops to L or below, or below the other."""
+    tu, xu, td, xd = 1, a, 1, m - a
+    while xu > L or xd > L:
+        if xu > xd:
+            k = min((xu - 1) // xd, (xu - L - 1) // xd + 1)
+            tu, xu = tu + k * td, xu - k * xd
+        else:
+            k = min((xd - 1) // xu, (xd - L - 1) // xu + 1)
+            td, xd = td + k * tu, xd - k * xu
+    return tu, xu, td, xd
+
+
 def _count_scaled(A: int, B: int, v: int) -> int:
     """#{(m, n) in Z>=0^2 : m*A + n*B <= v} for integer v."""
     if v < 0:
@@ -156,22 +175,27 @@ def count_leq(E: Ellipsoid, t) -> int:
     return _count_scaled(E.A, E.B, _scaled_threshold(E, t))
 
 
-def _nth_scaled(E: Ellipsoid, k: int) -> int:
-    """Scaled value of the k-th (0-indexed, with multiplicity) spectrum element.
+def _nth_scaled(E: Ellipsoid, k: int) -> tuple[int, int]:
+    """Scaled value v of the k-th (0-indexed, with multiplicity) spectrum
+    element, and count(v) where the search learns it for free, else 0.
 
     Cost in Euclidean passes (counts, then at most one floor query): on the
     golden approximant E(1, 832040/514229), 2.0-3.2 per value on average in
-    each decade from k = 10^3 to 10^15, at most 6. Where the area model is
-    poor it still bisects: about 30 counts on E(1, 1000000007/1000000000),
-    60-70 on E(1, 10^12) at 10^6-10^11; never more than
-    2 ceil(log2(A + B + 1)) + 2."""
+    each decade from k = 10^3 to 10^15, at most 6. Below the larger axis the
+    values are 0, A, 2A, ... once each (A the smaller axis), so there
+    v_k = k*A takes no pass: on E(1, 10^12) for every k < 10^12. Where the
+    area model is poor it still bisects: about 30 counts on
+    E(1, 1000000007/1000000000); never more than 2 ceil(log2(A + B + 1)) + 2."""
     if k < 0:
         raise ValueError("index k must be nonnegative")
+    A, B, t = E.A, E.B, k + 1
+    small, big = sorted((A, B))
+    if k * small < big:
+        return k * small, t
     # The unit squares of the lattice points under v cover the triangle under
     # v and fit in the triangle under v + A + B, so v^2 <= 2AB*count(v) and
     # count(v) <= (v + A + B)^2/(2AB): as count(v_k - 1) <= k, the answer
     # lies in [r - A - B, r + 1], and count(lo - 1) < t <= count(hi) holds.
-    A, B, t = E.A, E.B, k + 1
     AB, h = A * B, (A + B) // 2
     r = math.isqrt(2 * AB * t)
     lo, hi = max(0, r - A - B), r + 1
@@ -180,7 +204,8 @@ def _nth_scaled(E: Ellipsoid, k: int) -> int:
     # answer exact; bisect instead when the probe is outside, or when bisection
     # could not then finish within 2*bit_length of the first width in all.
     # A count of exactly t at v > lo ends the search: v_k is then the largest
-    # lattice value <= v (axes sorted, so both axis orders do the same work).
+    # lattice value <= v (axes sorted, so both axis orders do the same work),
+    # and no lattice value lies between the two, so count(v_k) = t.
     budget = 2 * (hi - lo).bit_length()
     v = math.isqrt(AB * (2 * t - 1) + h * h) - h
     while lo < hi:
@@ -189,56 +214,79 @@ def _nth_scaled(E: Ellipsoid, k: int) -> int:
         budget -= 1
         c = _count_scaled(A, B, v)
         if c == t and lo < v:
-            return _floor_value(max(A, B), min(A, B), v)
+            return _floor_value(big, small, v), t
         if c >= t:
             hi = v
         else:
             lo = v + 1
         v += (2 * (t - c) - 1) * AB // (2 * (v + h)) or 1
-    return lo
+    return lo, 0
 
 
 def nth_capacity(E: Ellipsoid, k: int) -> Fraction:
     """The k-th element (0-indexed, with multiplicity) of the sorted multiset
     {m*a + n*b}. Exact search on the scaled integer value, never on floats."""
-    return Fraction(_nth_scaled(E, k), E.den)
+    return Fraction(_nth_scaled(E, k)[0], E.den)
 
 
 def scaled_spectrum(E: Ellipsoid, k0: int, k1: int) -> list[int]:
     """Scaled spectrum values v_k = den * c_k for indices k0..k1 inclusive,
     as plain Python ints; the integer currency the rest of the package
-    builds on. Cost: two searches for v0 = v_k0 and v1 = v_k1 (one if
-    k0 == k1), then min(v1/max(A, B), (v1 - v0)/g) steps, g = gcd(A, B)."""
+    builds on. Cost: one search for v0 = v_k0, which also yields the copies
+    of v0 unless it ended by bisection (then one count). A window whose
+    lattice lines up to about v1 are no more than its rows, nor than the
+    multiples of g = gcd(A, B) in about [v0, v1], takes a second search, for
+    v1 = v_k1, and walks those lines. Any other walks from value to value:
+    O(1) per distinct value plus an O(log(A + B)) descent each time it passes
+    a multiple of min(A, B), so a narrow window costs the same at any depth
+    and any denominator."""
     if k0 < 0:
         raise ValueError("index k0 must be nonnegative")
     if k0 > k1:
         raise ValueError("scaled_spectrum requires k0 <= k1")
-    v0 = _nth_scaled(E, k0)
-    v1 = v0 if k1 == k0 else _nth_scaled(E, k1)
-    skip = k0 - _count_scaled(E.A, E.B, v0 - 1)  # copies of v0 before index k0
+    v0, c0 = _nth_scaled(E, k0)
+    first = (c0 or _count_scaled(E.A, E.B, v0)) - k0  # copies of v0 from index k0 on
     n = k1 - k0 + 1
     small, big = sorted((E.A, E.B))
     g = math.gcd(small, big)
-    vals: list[int] = []
-    if v1 // big <= (v1 - v0) // g:
+    span = v0 and n * small * big // v0  # about v1 - v0 (density v/(AB)); 0 from the origin
+    if (v0 + span) // big <= min(n, span // g):
         # Walk the lines base = 0, big, 2*big, ... <= v1; stepping by the
         # larger generator makes the loop count the same in either axis order.
+        v1 = v0 if n <= first else _nth_scaled(E, k1)[0]
+        vals: list[int] = []
         for base in range(0, v1 + 1, big):
             n_lo = max(0, -((base - v0) // small))  # ceil((v0 - base)/small)
             vals.extend(range(base + n_lo * small, v1 + 1, small))
         vals.sort()
+        skip = bisect_right(vals, v0) - first  # copies of v0 before index k0
         return vals[skip : skip + n]
-    # Count each multiple w*g of g in [v0, v1]. With A' = small/g and
-    # B' = big/g coprime, m*A' + n*B' = w forces m = w/A' mod B'; the least
-    # such m leaves r = w - m*A', and there are r // (A'*B') + 1 solutions
-    # if r >= 0, none otherwise. Only v0 is cut at the front, only v1 at the end.
+    # Walk from value to value. With A' = small/g and B' = big/g coprime, a
+    # multiple w*g of g is a value iff the least m with m*A' + n*B' = w,
+    # its position p = w/A' mod B', is at most L = w // A'; it then has
+    # (w - p*A') // (A'*B') + 1 copies. Up to the next multiple (L + 1)*A',
+    # itself a value (of position L + 1 < B'), the positions of w + 1, w + 2,
+    # ... turn by inv = 1/A' mod B', so by Slater's three-gap theorem (N. B.
+    # Slater, Proc. Cambridge Philos. Soc. 63, 1967) the next value lies t1,
+    # t2 or t1 + t2 ahead; _gaps finds them once per L.
     Ap, Bp = small // g, big // g
     inv, ApBp = pow(Ap, -1, Bp), Ap * Bp
-    for w in range(v0 // g, v1 // g + 1):
-        r = w - (w * inv % Bp) * Ap
-        if r >= 0:
-            vals += [w * g] * min(r // ApBp + 1 - skip, n - len(vals))
-            skip = 0
+    w = v0 // g
+    p, gap_L = w * inv % Bp, 0
+    vals = [v0] * min(first, n)
+    while len(vals) < n:
+        q, L = (p + inv) % Bp, w // Ap
+        if q <= (w + 1) // Ap:  # w + 1 is a value, as always once L >= B' - 1
+            t = 1
+        elif not L:  # w = 0, and A' comes next
+            t, q = Ap, 1
+        else:
+            if gap_L != L:
+                gap_L, (t1, d1, t2, d2) = L, _gaps(inv, Bp, L)
+            t, q = (t1, p + d1) if p + d1 <= L else (t2, p - d2) if p >= d2 else (t1 + t2, p + d1 - d2)
+            t, q = min((t, q), ((L + 1) * Ap - w, L + 1))  # at most to (L + 1)*A'
+        w, p = w + t, q
+        vals += [w * g] * min((w - p * Ap) // ApBp + 1, n - len(vals))
     return vals
 
 
@@ -250,8 +298,9 @@ def map_distinct(make, values: list[int]) -> list:
 
 def spectrum_range(E: Ellipsoid, k0: int, k1: int) -> list[tuple[int, Fraction]]:
     """Spectrum values for the index block [k0, k1], element-wise equal to
-    repeated nth_capacity, at the cost of scaled_spectrum: two searches
-    plus min(v1/max(A, B), (v1 - v0)/gcd(A, B)) steps. Ties share a Fraction."""
+    repeated nth_capacity, at the cost of scaled_spectrum: one search and
+    O(1) per distinct value for a narrow block, two searches and a walk of
+    the v1/max(A, B) lattice lines for a wide one. Ties share a Fraction."""
     cs = map_distinct(lambda v: Fraction(v, E.den), scaled_spectrum(E, k0, k1))
     return list(zip(range(k0, k1 + 1), cs))
 

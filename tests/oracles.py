@@ -61,6 +61,15 @@ def brute_floor_value(A: int, B: int, v: int) -> int:
     return max(m * A + (v - m * A) // B * B for m in range(v // A + 1))
 
 
+def brute_gaps(a: int, m: int, L: int) -> tuple[int, int, int, int]:
+    """(t1, d1, t2, d2) by a scan of t = 1..m: t1 is the least t with
+    t*a mod m in [0, L], d1 that residue; t2 the least t with t*a mod m in
+    [m - L, m), d2 m less that residue."""
+    t1 = next(t for t in range(1, m + 1) if t * a % m <= L)
+    t2 = next(t for t in range(1, m + 1) if t * a % m >= m - L)
+    return t1, t1 * a % m, t2, m - t2 * a % m
+
+
 def brute_count_leq(a: Fraction, b: Fraction, t: Fraction) -> int:
     if t < 0:
         return 0

@@ -18,13 +18,14 @@ from echspec import (
     scaled_spectrum,
     spectrum_range,
 )
-from echspec.spectrum import _floor_value, _min_mod_linear, as_float, map_distinct
+from echspec.spectrum import _floor_value, _gaps, _min_mod_linear, as_float, map_distinct
 
 from oracles import (
     bisect_nth_capacity,
     brute_count_leq,
     brute_distinct_leq,
     brute_floor_value,
+    brute_gaps,
     brute_spectrum,
     distinct_leq_by_classes,
     naive_floor_sum,
@@ -92,6 +93,26 @@ class TestFloorValue:
         assert _floor_value(A, B, v) == brute_floor_value(A, B, v)
 
 
+@st.composite
+def gap_args(draw):
+    """(a, m, L) with coprime 0 < a < m <= 10^4 and 1 <= L < m - 1, the
+    arguments the value walk gives _gaps."""
+    m = draw(st.integers(3, 10**4))
+    a = draw(st.integers(1, m - 1).filter(lambda a: gcd(a, m) == 1))
+    return a, m, draw(st.integers(1, m - 2))
+
+
+class TestGaps:
+    @given(args=gap_args())
+    @example(args=(1, 3, 1))
+    @example(args=(1, 10**4, 10**4 - 2))
+    @example(args=(10**4 - 2, 10**4 - 1, 1))
+    @example(args=(10**4 - 2, 10**4 - 1, 10**4 - 3))
+    @example(args=(514229, 832040, 1))  # the golden approximant: every quotient is 1
+    def test_matches_brute(self, args):
+        assert _gaps(*args) == brute_gaps(*args)
+
+
 FIB_3000, FIB_3001 = 0, 1
 for _ in range(3000):
     FIB_3000, FIB_3001 = FIB_3001, FIB_3000 + FIB_3001
@@ -114,6 +135,17 @@ class TestLongContinuedFraction:
         for k in range(10**1400, 10**1400 + 20):
             c = nth_capacity(LONG_CF, k)
             assert count_leq(LONG_CF, c) >= k + 1 > count_leq(LONG_CF, c - step)
+
+    def test_value_walk_has_no_recursion_limit(self, monkeypatch):
+        # Near k = 10^400 the values are still sparse (L = v // A' has 201
+        # digits, B' has 627), so the walk runs a _gaps descent of about 2000
+        # steps; near 10^1400 every integer past v0 is already a value.
+        k = 10**400
+        window = scaled_spectrum(LONG_CF, k, k + 15)
+        assert window == [nth_capacity(LONG_CF, j) * LONG_CF.den for j in range(k, k + 16)]
+        thresholds = record_counts(monkeypatch)
+        scaled_spectrum(LONG_CF, k, k + 15)
+        assert sum(map(is_descent, thresholds)) == 1
 
 
 class TestCountLeq:
@@ -228,10 +260,11 @@ LOG_KS = sorted({int(10 ** (e / 4)) for e in range(61)})
 
 def record_counts(monkeypatch) -> list:
     """Patch the spectrum's Euclidean passes to record each one: the threshold
-    v of every _count_scaled call, and the arguments (A, B, v) of every
-    _floor_value query."""
+    v of every _count_scaled call, the arguments (A, B, v) of every
+    _floor_value query, and ("gaps", a, m, L) for every _gaps descent."""
     thresholds = []
     count, floor_value = echspec.spectrum._count_scaled, echspec.spectrum._floor_value
+    gaps = echspec.spectrum._gaps
 
     def counted(A, B, v):
         thresholds.append(v)
@@ -241,9 +274,23 @@ def record_counts(monkeypatch) -> list:
         thresholds.append((A, B, v))
         return floor_value(A, B, v)
 
+    def descended(a, m, L):
+        thresholds.append(("gaps", a, m, L))
+        return gaps(a, m, L)
+
     monkeypatch.setattr(echspec.spectrum, "_count_scaled", counted)
     monkeypatch.setattr(echspec.spectrum, "_floor_value", queried)
+    monkeypatch.setattr(echspec.spectrum, "_gaps", descended)
     return thresholds
+
+
+def is_descent(x) -> bool:
+    return isinstance(x, tuple) and x[0] == "gaps"
+
+
+F60, F61 = 1548008755920, 2504730781961
+# A ratio with a denominator of 1.5e12, where a window once cost seconds
+LARGE_DEN = Ellipsoid(1, F(F61, F60))
 
 
 class TestModelGuidedSearch:
@@ -295,6 +342,40 @@ class TestSearchCost:
             nth_capacity(Ellipsoid(b, a), k)
             assert thresholds == forward
             thresholds.clear()
+            # windows, in either branch, make the same passes too
+            for width in (1, 16, 1000):
+                scaled_spectrum(Ellipsoid(a, b), k, k + width - 1)
+                forward = thresholds[:]
+                thresholds.clear()
+                scaled_spectrum(Ellipsoid(b, a), k, k + width - 1)
+                assert thresholds == forward
+                thresholds.clear()
+
+    @pytest.mark.parametrize("E", [Ellipsoid(1, 10**12), Ellipsoid(10**12, 1)], ids=["E1_1e12", "E1e12_1"])
+    def test_values_below_the_larger_axis_take_no_pass(self, E, monkeypatch):
+        # below B = 10^12 the spectrum is 0, 1, 2, ... once each, so v_k = k
+        thresholds = record_counts(monkeypatch)
+        for k in LOG_KS:
+            if k < 10**12 - 16:
+                assert nth_capacity(E, k) == k
+                assert scaled_spectrum(E, k, k + 15) == list(range(k, k + 16))
+        assert thresholds == []
+
+    @pytest.mark.parametrize("k", [10**9, 10**11, 10**13, 10**15])
+    def test_large_denominator_window_makes_one_search(self, k, monkeypatch):
+        # A 16-row window on E(1, F61/F60) makes the passes of the search for
+        # its first value and nothing more (that search ends in a floor query,
+        # which gives the copies of v0), then walks value to value with one
+        # _gaps descent (measured), where walking the lines or scanning the
+        # integers in [v0, v1] took 3.5e4-3.5e6 steps.
+        thresholds = record_counts(monkeypatch)
+        nth_capacity(LARGE_DEN, k)
+        search = thresholds[:]
+        thresholds.clear()
+        scaled_spectrum(LARGE_DEN, k, k + 15)
+        assert isinstance(search[-1], tuple)
+        assert [x for x in thresholds if not is_descent(x)] == search
+        assert sum(map(is_descent, thresholds)) == 1
 
     def test_golden_deep_count_pin(self, monkeypatch):
         # 51 log-spaced indices from 10^6 to 10^11 on the golden approximant;
@@ -432,10 +513,11 @@ class TestTiedValues:
 
 def _walks(E, k0, k1):
     """Whether scaled_spectrum walks the lattice lines for this window rather
-    than counting multiplicities: it takes the branch with fewer steps."""
-    S = E
-    v0, v1 = (nth_capacity(E, k) * S.den for k in (k0, k1))
-    return v1 // max(S.A, S.B) <= (v1 - v0) // gcd(S.A, S.B)
+    than from value to value: when the lines up to about v1 are no more than
+    the rows, nor than the multiples of gcd(A, B) in about [v0, v1]."""
+    v0, n = nth_capacity(E, k0) * E.den, k1 - k0 + 1
+    span = v0 and n * E.A * E.B // v0
+    return (v0 + span) // max(E.A, E.B) <= min(n, span // gcd(E.A, E.B))
 
 
 class TestWindows:
@@ -474,7 +556,7 @@ class TestWindows:
             (Ellipsoid(F(2, 3), F(5, 7)), 0, 1500, True),
             (Ellipsoid(3, F(200, 7)), 10**9, 10**9 + 300, False),
             (Ellipsoid(2, 3), 10**5, 10**5 + 3000, False),
-            (GOLDEN, 10**7, 10**7 + 200, True),
+            (GOLDEN, 10**7, 10**7 + 200, False),
         ],
     )
     def test_block_is_concatenated_single_windows(self, E, k0, k1, walks):
@@ -482,6 +564,28 @@ class TestWindows:
         assert _walks(E, k0, k1) == walks
         singles = [v for k in range(k0, k1 + 1) for v in scaled_spectrum(S, k, k)]
         assert scaled_spectrum(S, k0, k1) == singles
+
+    @given(
+        A=st.integers(1, 10**12),
+        B=st.integers(1, 10**12),
+        den=st.integers(1, 10**6),
+        k0=st.integers(0, 10**15),
+        width=st.integers(1, 64),
+    )
+    @example(A=1, B=1, den=1, k0=10**15, width=64)
+    @example(A=6, B=10, den=1, k0=10**9, width=64)  # gcd 2
+    @example(A=1, B=10**12, den=1, k0=10**12 - 30, width=64)  # across the larger axis
+    @example(A=10**9, B=10**9 + 7, den=10**9, k0=10**11, width=64)
+    @example(A=514229, B=832040, den=514229, k0=10**7, width=64)
+    @example(A=F60, B=F61, den=F60, k0=10**13, width=16)
+    @example(A=F60, B=F61, den=F60, k0=0, width=64)
+    @settings(max_examples=60, deadline=None)
+    def test_window_matches_bisection(self, A, B, den, k0, width):
+        a, b = F(A, den), F(B, den)
+        E = Ellipsoid(a, b)
+        want = [bisect_nth_capacity(E, k) * E.den for k in range(k0, k0 + width)]
+        assert scaled_spectrum(E, k0, k0 + width - 1) == want
+        assert scaled_spectrum(Ellipsoid(b, a), k0, k0 + width - 1) == want
 
     def test_window_inside_a_long_tie_run(self):
         # On E(1, 1) the value v has v + 1 copies, at indices v(v+1)/2 onwards;
