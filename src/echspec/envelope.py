@@ -1,9 +1,10 @@
 """Deterministic calculator for the capacity envelope cascade: the
 irreducibility threshold r1, the validity threshold r2, the sub/supersolution
 brackets on the energy primitive F, and the final two-sided capacity envelope
-whose width scales like j^{2/5}. The cubic-root constant rho0 > 0.25, the
-root in (0, 1) of rho + rho^2 + rho^3 + rho^4 = 1/3, sets only a validity
-condition that P1 of `r2_threshold` implies.
+whose width scales like j^{2/5}; r2's bisections read one bracket per radius.
+The cubic-root constant rho0 > 0.25, the root in (0, 1) of
+rho + rho^2 + rho^3 + rho^4 = 1/3, sets only a validity condition that P1 of
+`r2_threshold` implies.
 
 The constants c0, c1, c2, q, vol are structural inputs: only their
 existence, not their values, is determined by the geometry, so defaults are
@@ -86,23 +87,29 @@ def r1_bar(j: float, k: EnvelopeConstants) -> float:
     return (k.c0 + math.sqrt(disc)) / (2.0 * alpha)
 
 
-def F_bounds(r: float, j: float, k: EnvelopeConstants) -> tuple[float, float, float, float]:
-    """Two-sided brackets (F_lo, F_hi, Fp_lo, Fp_hi) on the energy primitive
-    and its derivative at radius r, transcribed from the sub/supersolution
-    inequalities with r1 = r1_bar(j, k)."""
+def _bounds(j: float, k: EnvelopeConstants):
+    """r1 = r1_bar(j, k) and the sub/supersolution brackets (F_lo, F_hi,
+    Fp_lo, Fp_hi) as functions of r >= r1, from constants formed once."""
     r1 = r1_bar(j, k)
     if r1 <= 0:
         raise ValueError("F_bounds requires r1_bar(j) > 0")
+    qj, c, c3 = k.q + j, 2.0 * k.c2, 3.0 * k.c2
+    lead, at_r1, c_r1 = 0.5 * r1 * r1 * k.vol, qj / r1, c * math.sqrt(r1)
+    return r1, (
+        lambda r: lead + r * (at_r1 - qj / r - c * math.sqrt(r) + c_r1),
+        lambda r: lead + r * (at_r1 - qj / r + c * math.sqrt(r) - c_r1),
+        lambda r: lead / r + at_r1 - c3 * math.sqrt(r) + c_r1,
+        lambda r: lead / r + at_r1 + c3 * math.sqrt(r) - c_r1,
+    )
+
+
+def F_bounds(r: float, j: float, k: EnvelopeConstants) -> tuple[float, float, float, float]:
+    """Two-sided brackets (F_lo, F_hi, Fp_lo, Fp_hi) on the energy primitive
+    and its derivative at radius r >= r1 = r1_bar(j, k), all four at once."""
+    r1, bounds = _bounds(j, k)
     if r < r1:
         raise ValueError(f"F_bounds requires r >= r1_bar(j) = {r1}")
-    qj = k.q + j
-    lead = 0.5 * r1 * r1 * k.vol
-    sr, sr1 = math.sqrt(r), math.sqrt(r1)
-    F_lo = lead + r * (qj / r1 - qj / r - 2.0 * k.c2 * sr + 2.0 * k.c2 * sr1)
-    F_hi = lead + r * (qj / r1 - qj / r + 2.0 * k.c2 * sr - 2.0 * k.c2 * sr1)
-    Fp_lo = lead / r + qj / r1 - 3.0 * k.c2 * sr + 2.0 * k.c2 * sr1
-    Fp_hi = lead / r + qj / r1 + 3.0 * k.c2 * sr - 2.0 * k.c2 * sr1
-    return F_lo, F_hi, Fp_lo, Fp_hi
+    return tuple(f(r) for f in bounds)
 
 
 def _sup_below(pred, r_base: float) -> float:
@@ -130,9 +137,9 @@ def _sup_below(pred, r_base: float) -> float:
 
 def r2_threshold(j: float, k: EnvelopeConstants) -> float:
     """Largest radius at which P1, F_hi/r >= K r with K = (1/(9 c3))^3, or
-    (when c1 > 0) P4, Fp_hi >= (3/(4 c1))^3 r, still holds; one F_bounds call
-    per radius >= base >= r1. P1 implies the other two validity inequalities
-    at every radius: F_hi/r >= r, as c3 >= 1 makes fl(K r) <= r; and
+    (when c1 > 0) P4, Fp_hi >= (3/(4 c1))^3 r, still holds; each evaluates its
+    one bound once per radius >= base >= r1. P1 implies the other two validity
+    inequalities at every radius: F_hi/r >= r, as c3 >= 1 makes fl(K r) <= r; and
     F_hi > 0 with c1 F_hi^(1/3) >= rho0 r^(2/3), i.e. F_hi >= (rho0/c1)^3 r^2,
     whose ratio to K, (9 rho0 c3/c1)^3 >= 900, no rounding undoes (if K
     underflows, P1 is F_hi/r >= 0). An implied predicate brackets and bisects
@@ -142,14 +149,15 @@ def r2_threshold(j: float, k: EnvelopeConstants) -> float:
     Where P4's constant overflows (c1 < 1.3e-103), no radius meets P4: r2 is P1's."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    base, K = max(r1_bar(j, k), 1e-9), (1.0 / (9.0 * k.c3)) ** 3
-    r2 = _sup_below(lambda r: F_bounds(r, j, k)[1] / r >= K * r, base)
+    r1, (_, F_hi, _, Fp_hi) = _bounds(j, k)
+    base, K = max(r1, 1e-9), (1.0 / (9.0 * k.c3)) ** 3
+    r2 = _sup_below(lambda r: F_hi(r) / r >= K * r, base)
     if k.c1 > 0:
         try:
             K4 = (3.0 / (4.0 * k.c1)) ** 3
         except OverflowError:
             return r2
-        r2 = max(r2, _sup_below(lambda r: F_bounds(r, j, k)[3] >= K4 * r, base))
+        r2 = max(r2, _sup_below(lambda r: Fp_hi(r) >= K4 * r, base))
     return r2
 
 

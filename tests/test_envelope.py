@@ -68,6 +68,20 @@ def count_F_bounds(monkeypatch) -> list[float]:
     return radii
 
 
+def count_bound_evaluations(monkeypatch) -> list[tuple[int, float]]:
+    """Patch the envelope's per-index bounds to record (bound index, radius)
+    for every evaluation of F_lo, F_hi, Fp_lo or Fp_hi (index 0 to 3)."""
+    evals = []
+    inner = echspec.envelope._bounds
+
+    def counted(j, k):
+        r1, bounds = inner(j, k)
+        return r1, tuple((lambda r, i=i, f=f: evals.append((i, r)) or f(r)) for i, f in enumerate(bounds))
+
+    monkeypatch.setattr(echspec.envelope, "_bounds", counted)
+    return evals
+
+
 def four_predicate_r2(j, k):
     """r2_threshold as it was with all four validity predicates, the maximum
     of their sups, as the reference for the two-predicate form."""
@@ -241,12 +255,12 @@ class TestR2:
 
     @pytest.mark.parametrize("k", [EnvelopeConstants(), NON_DEFAULT])
     def test_probes_no_radius_below_r1(self, k, monkeypatch):
-        radii = count_F_bounds(monkeypatch)
+        evals = count_bound_evaluations(monkeypatch)
         for p in range(3, 10):
             j = 10.0**p
-            radii.clear()
+            evals.clear()
             r2_threshold(j, k)
-            assert radii and min(radii) >= r1_bar(j, k)
+            assert evals and min(r for _, r in evals) >= r1_bar(j, k)
 
     def test_matches_four_predicate_reference(self):
         # same float, or same exception type and message, as the maximum over
@@ -379,22 +393,27 @@ class TestCapacityEnvelope:
             capacity_envelope(1e-6, k)
 
     def test_too_small_j_probes_no_radius(self, monkeypatch):
+        evals = count_bound_evaluations(monkeypatch)
         radii = count_F_bounds(monkeypatch)
         with pytest.raises(TooSmallJ, match="below r1"):
             capacity_envelope(1.0, EnvelopeConstants(vol=1.0))
-        assert radii == []
+        assert evals == radii == []
 
     def test_rejects_nonpositive_j(self):
         with pytest.raises(ValueError):
             capacity_envelope(0.0, EnvelopeConstants())
 
     def test_sweep_F_bounds_calls(self, monkeypatch):
-        # one F_bounds call per radius for each of r2's two predicates, and one at r3
+        # one F_bounds call per index, at r3, which evaluates all four bounds;
+        # r2's two predicates evaluate one bound each, F_hi or Fp_hi, once per
+        # radius: 3,639 radii in r2 and 25 at r3
+        evals = count_bound_evaluations(monkeypatch)
         radii = count_F_bounds(monkeypatch)
-        for j in SWEEP_JS:
-            capacity_envelope(j, EnvelopeConstants())
+        r3s = [capacity_envelope(j, EnvelopeConstants()).r3 for j in SWEEP_JS]
         assert len(SWEEP_JS) == 25
-        assert len(radii) == 3664
+        assert radii == r3s
+        assert [(i, r) for i, r in evals if i in (0, 2)] == [(i, r) for r in r3s for i in (0, 2)]
+        assert len(evals) - 3 * len(radii) == 3664
 
     def test_deterministic(self):
         k = EnvelopeConstants()

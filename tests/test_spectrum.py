@@ -511,13 +511,15 @@ class TestTiedValues:
         assert map_distinct(str, []) == []
 
 
-def _walks(E, k0, k1):
+def _walks(E, k0, k1, monkeypatch):
     """Whether scaled_spectrum walks the lattice lines for this window rather
-    than from value to value: when the lines up to about v1 are no more than
-    the rows, nor than the multiples of gcd(A, B) in about [v0, v1]."""
-    v0, n = nth_capacity(E, k0) * E.den, k1 - k0 + 1
-    span = v0 and n * E.A * E.B // v0
-    return (v0 + span) // max(E.A, E.B) <= min(n, span // gcd(E.A, E.B))
+    than from value to value, seen by the line walk's one bisect_right call."""
+    calls = []
+    bisect_right = echspec.spectrum.bisect_right
+    monkeypatch.setattr(echspec.spectrum, "bisect_right", lambda *a: calls.append(a) or bisect_right(*a))
+    scaled_spectrum(E, k0, k1)
+    monkeypatch.undo()
+    return bool(calls)
 
 
 class TestWindows:
@@ -531,9 +533,9 @@ class TestWindows:
             (F(1), F(1), 200, 0, False),
         ],
     )
-    def test_both_branches_match_brute(self, a, b, k0, width, walks):
+    def test_both_branches_match_brute(self, a, b, k0, width, walks, monkeypatch):
         E = Ellipsoid(a, b)
-        assert _walks(E, k0, k0 + width) == walks
+        assert _walks(E, k0, k0 + width, monkeypatch) == walks
         got = [c for _, c in spectrum_range(E, k0, k0 + width)]
         assert got == brute_spectrum(a, b, k0 + width + 1)[k0:]
 
@@ -557,11 +559,12 @@ class TestWindows:
             (Ellipsoid(3, F(200, 7)), 10**9, 10**9 + 300, False),
             (Ellipsoid(2, 3), 10**5, 10**5 + 3000, False),
             (GOLDEN, 10**7, 10**7 + 200, False),
+            (Ellipsoid(2, 3), 13000, 32999, False),  # 20,000 rows, 236 distinct values
         ],
     )
-    def test_block_is_concatenated_single_windows(self, E, k0, k1, walks):
+    def test_block_is_concatenated_single_windows(self, E, k0, k1, walks, monkeypatch):
         S = E
-        assert _walks(E, k0, k1) == walks
+        assert _walks(E, k0, k1, monkeypatch) == walks
         singles = [v for k in range(k0, k1 + 1) for v in scaled_spectrum(S, k, k)]
         assert scaled_spectrum(S, k0, k1) == singles
 
@@ -708,10 +711,9 @@ class TestAsFloat:
 
 class TestEllipsoid:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Ellipsoid(0, 1)
-        with pytest.raises(ValueError):
-            Ellipsoid(1, F(-2, 3))
+        for a, b in [(0, 1), (1, F(-2, 3)), ("-1/2", 1), (2, "0/3"), (F(1, 3), 0)]:
+            with pytest.raises(ValueError, match="^ellipsoid axes must be positive$"):
+                Ellipsoid(a, b)
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
