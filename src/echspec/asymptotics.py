@@ -3,8 +3,10 @@ d_j = c_j - sqrt(vol * 2j), Weyl counting samples, and power-law fits.
 
 The square root is taken with 60 fractional bits via integer isqrt, so the
 recorded defect carries a certified rounding bound well below the scales
-at which the O(1) limits are distinguished. Power laws come from one centred
-math.fsum least-squares line in log-log coordinates, with no numpy.
+at which the O(1) limits are distinguished. The Weyl fit's coefficient,
+residuals and checks are exact integers over one denominator, with floats
+only at the coefficient, the logs and the rms. Power laws come from one
+centred math.fsum least-squares line in log-log coordinates, with no numpy.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def d_sequence(E: Ellipsoid, j0: int, j1: int) -> list[DkPoint]:
 def weyl_count(E: Ellipsoid, R) -> WeylSample:
     """Counting function sample at radius R: lattice classes and distinct values."""
     R = as_rational(R)
-    if R < 0:
+    if R.numerator < 0:  # a Fraction's denominator is positive
         raise ValueError("weyl_count requires R >= 0")
     return WeylSample(
         R=R,
@@ -123,23 +125,30 @@ def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     """Least-squares leading coefficient C of N(R) ~ C*R^2 over the samples
     (classes convention), exact then rounded, and the remainder exponent: the
     fsum line fit of log|N - C*R^2| > 1e-9 on log R > 0 (0.0 if under two are).
-    The rms residual is inf when a residual is beyond the float range."""
+    The rms residual is inf when a residual is beyond the float range.
+
+    In integers over one denominator, R_i = P_i/L: the checks compare the P_i,
+    C = L^2 S/D with S = sum N_i P_i^2 and D = sum P_i^4, and the residuals are
+    e_i/D, e_i = N_i D - P_i^2 S. Only C, the logs and the rms are floats."""
     R_list = [as_rational(R) for R in R_list]
     if len(R_list) < 3:
         raise ValueError("weyl_fit requires at least 3 samples")
-    if any(R_list[i] >= R_list[i + 1] for i in range(len(R_list) - 1)):
+    L = math.lcm(*(R.denominator for R in R_list))
+    P = [R.numerator * (L // R.denominator) for R in R_list]
+    if any(p >= q for p, q in zip(P, P[1:])):
         raise ValueError("weyl_fit requires strictly increasing R")
-    if R_list[0] < 0:
+    if P[0] < 0:
         raise ValueError("weyl_fit requires R >= 0")
-    N = [count_leq(E, r) for r in R_list]
-    C = sum(n * r * r for n, r in zip(N, R_list)) / sum(r**4 for r in R_list)
-    coefficient = as_float(C, "leading coefficient")
-    resid = [n - C * r * r for n, r in zip(N, R_list)]
-    kept = [(rational_log(r), rational_log(abs(e)))
-            for r, e in zip(R_list, resid) if r > 0 and abs(e) > 1e-9]
+    N, sq = [count_leq(E, r) for r in R_list], [p * p for p in P]
+    S, D = sum(n * s for n, s in zip(N, sq)), sum(s * s for s in sq)
+    coefficient = as_float(Fraction(S * L * L, D), "leading coefficient")
+    resid = [n * D - s * S for n, s in zip(N, sq)]
+    cut_p, cut_q = (1e-9).as_integer_ratio()  # |e|/D > 1e-9 exactly, as a Fraction compares
+    kept = [(rational_log(r), rational_log(Fraction(abs(e), D)))
+            for r, p, e in zip(R_list, P, resid) if p > 0 and abs(e) * cut_q > cut_p * D]
     exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
     try:
-        rms = math.hypot(*map(float, resid)) / math.sqrt(len(resid))
+        rms = math.hypot(*(e / D for e in resid)) / math.sqrt(len(resid))
     except OverflowError:
         rms = math.inf
     return FitResult(coefficient, exponent, rms, (0, len(R_list) - 1))

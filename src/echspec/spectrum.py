@@ -49,11 +49,10 @@ def as_rational(x) -> Fraction:
 def rational_log(x: Fraction) -> float:
     """log of a positive rational; outside the normal float range, from its integer parts."""
     try:
-        if float(x) >= 2.0**-1022:  # the least normal float
-            return math.log(x)
+        f = x.numerator / x.denominator  # float(x), which math.log(x) would take
     except OverflowError:
-        pass
-    return math.log(x.numerator) - math.log(x.denominator)
+        f = 0.0  # past the float range: from the integer parts, as below it
+    return math.log(f) if f >= 2.0**-1022 else math.log(x.numerator) - math.log(x.denominator)
 
 
 def as_float(x, name: str) -> float:
@@ -233,10 +232,10 @@ def scaled_spectrum(E: Ellipsoid, k0: int, k1: int) -> list[int]:
     """Scaled spectrum values v_k = den * c_k for indices k0..k1 inclusive,
     as plain Python ints; the integer currency the rest of the package
     builds on. Cost: one search for v0 = v_k0, which also yields the copies
-    of v0 unless it ended by bisection (then one count). A window whose rows
-    and lattice lines up to about v1 cost less to build and sort than a step
-    per distinct value in [v0, v1] takes a second search, for v1 = v_k1, and
-    walks those lines. Any other walks from value to value:
+    of v0 unless it ended by bisection (then one count). A window whose second
+    search, for v1 = v_k1, and whose rows and lattice lines up to about v1
+    cost less to find, build and sort than a step per distinct value in
+    [v0, v1] walks those lines. Any other walks from value to value:
     O(1) per distinct value plus an O(log(A + B)) descent each time it passes
     a multiple of min(A, B), so a narrow window costs the same at any depth
     and any denominator."""
@@ -250,11 +249,12 @@ def scaled_spectrum(E: Ellipsoid, k0: int, k1: int) -> list[int]:
     small, big = sorted((E.A, E.B))
     g = math.gcd(small, big)
     r1 = math.isqrt(2 * small * big * (k1 + 1)) + 1  # v1 <= r1, as in _nth_scaled
-    # In rows: the line walk sorts about n rows on r1 // big lines, the value
-    # walk steps once per distinct value, <= min(n, (r1 - v0) // g). A line
-    # costs 6 rows and a step 12 (0.5 and 1.0-1.7 us against 0.07-0.09 us a
-    # row, 10^4-10^5-row E(2, 3) and golden blocks, Python 3.11, 2 vCPUs).
-    if 6 * (r1 // big) + n <= 12 * min(n, (r1 - v0) // g):
+    # In rows: the line walk makes one search, for v1, and sorts about n rows
+    # on r1 // big lines; the value walk steps once per distinct value,
+    # <= min(n, (r1 - v0) // g). A search costs 64 rows, a line 6 and a step
+    # 12 (3-5 us, 10-12 on approximants; 0.5; 1.0-1.7; against 0.07-0.1 us a
+    # row; 10^4-10^5-row E(2, 3) and golden blocks, Python 3.11, 2 vCPUs).
+    if 64 + 6 * (r1 // big) + n <= 12 * min(n, (r1 - v0) // g):
         # Walk the lines base = 0, big, 2*big, ... <= v1; stepping by the
         # larger generator makes the loop count the same in either axis order.
         v1 = v0 if n <= first else _nth_scaled(E, k1)[0]

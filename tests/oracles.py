@@ -6,14 +6,18 @@ checks. It uses three package functions: the exact bernoulli;
 scaled_spectrum, which direct_zeta_sum sums over to check the zeta
 functions (tests/test_spectrum.py checks it against brute_spectrum); and
 count_leq, the exact lattice count that bisect_nth_capacity searches over
-(checked against brute_count_leq).
+and weyl_fit_fractions fits (checked against brute_count_leq).
+weyl_fit_fractions also shares the edge of the fit it checks: as_rational,
+as_float and the line fit; its logs are its own (fraction_log).
 """
 
 import math
 from fractions import Fraction
 from math import factorial, gcd
 
-from echspec import Ellipsoid, ZetaConvention, bernoulli, count_leq, scaled_spectrum
+from echspec import Ellipsoid, FitResult, ZetaConvention, bernoulli, count_leq, scaled_spectrum
+from echspec.asymptotics import _line_fit
+from echspec.spectrum import as_float, as_rational
 
 
 def naive_floor_sum(n, p, q, m):
@@ -106,6 +110,42 @@ def distinct_leq_by_classes(E: Ellipsoid, t) -> int:
     X = t.numerator * E.den // (t.denominator * g)
     Ap, Bp = E.A // g, E.B // g
     return sum((X - n * Bp) // Ap + 1 for n in range(min(Ap, X // Bp + 1)))
+
+
+def fraction_log(x: Fraction) -> float:
+    """log of a positive rational: math.log of the Fraction where float(x) is
+    a normal float, else from the integer parts."""
+    try:
+        if float(x) >= 2.0**-1022:
+            return math.log(x)
+    except OverflowError:
+        pass
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def weyl_fit_fractions(E: Ellipsoid, R_list) -> FitResult:
+    """weyl_fit in Fraction arithmetic, as the package computed it before its
+    integer form: C = sum(N R^2)/sum(R^4) and the residuals N - C R^2 as
+    Fractions, the 1e-9 cut as a Fraction-float comparison."""
+    R_list = [as_rational(R) for R in R_list]
+    if len(R_list) < 3:
+        raise ValueError("weyl_fit requires at least 3 samples")
+    if any(R_list[i] >= R_list[i + 1] for i in range(len(R_list) - 1)):
+        raise ValueError("weyl_fit requires strictly increasing R")
+    if R_list[0] < 0:
+        raise ValueError("weyl_fit requires R >= 0")
+    N = [count_leq(E, r) for r in R_list]
+    C = sum(n * r * r for n, r in zip(N, R_list)) / sum(r**4 for r in R_list)
+    coefficient = as_float(C, "leading coefficient")
+    resid = [n - C * r * r for n, r in zip(N, R_list)]
+    kept = [(fraction_log(r), fraction_log(abs(e)))
+            for r, e in zip(R_list, resid) if r > 0 and abs(e) > 1e-9]
+    exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
+    try:
+        rms = math.hypot(*map(float, resid)) / math.sqrt(len(resid))
+    except OverflowError:
+        rms = math.inf
+    return FitResult(coefficient, exponent, rms, (0, len(R_list) - 1))
 
 
 def window_sups_by_edge_list(js, ds, window_count: int) -> list[tuple[int, float]]:

@@ -5,7 +5,7 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from echspec import (
@@ -25,7 +25,7 @@ from echspec import (
 from echspec.asymptotics import DEFECT_REL_ERR
 from echspec.spectrum import rational_log
 
-from oracles import window_sups_by_edge_list
+from oracles import weyl_fit_fractions, window_sups_by_edge_list
 from test_spectrum import tied_blocks
 
 
@@ -191,6 +191,35 @@ class TestWeylFit:
             weyl_fit(Ellipsoid(1, 2), [F(m, 10**400) for m in (1, 2, 3)])
         with pytest.raises(ValueError, match="overflows a float"):
             weyl_fit(Ellipsoid(F(1, 10**400), 2), [1, 2, 3])
+
+    @given(
+        a=st.builds(F, st.integers(1, 60), st.integers(1, 9)),
+        b=st.builds(F, st.integers(1, 60), st.integers(1, 9)),
+        R_list=st.lists(st.builds(F, st.integers(-3, 10**12), st.integers(1, 9)), max_size=8),
+        sort=st.booleans(),
+    )
+    @example(a=F(1), b=F(2), R_list=[F(m * 10**310) for m in (1, 2, 3)], sort=False)
+    @example(a=F(1), b=F(2), R_list=[F(m, 10**400) for m in (1, 2, 3)], sort=False)
+    @example(a=F(1, 10**400), b=F(2), R_list=[F(1), F(2), F(3)], sort=False)
+    @example(a=F(1), b=F(2), R_list=[F(1, 10**400), F(1), F(2), F(3)], sort=False)
+    @example(a=F(3, 7), b=F(5), R_list=[F(0), F(1, 3), F(7, 2), F(10**12, 9)], sort=False)
+    @example(a=F(1), b=F(1), R_list=[F(-1), F(1), F(2)], sort=False)
+    @example(a=F(1), b=F(1), R_list=[F(1), F(4, 2), F(2)], sort=False)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_reference(self, a, b, R_list, sort):
+        # the integer fit against the Fraction formula: the same repr, or the
+        # same exception type and message
+        E = Ellipsoid(a, b)
+        if sort:
+            R_list = sorted(set(R_list))
+
+        def outcome(fit):
+            try:
+                return repr(fit(E, R_list))
+            except (ValueError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(weyl_fit) == outcome(weyl_fit_fractions)
 
     @pytest.mark.parametrize("x", [F(1, 10**400), F(1, 10**310), F(3, 10**305), F(7, 3), F(10**400, 3)])
     def test_log_outside_and_inside_the_float_range(self, x):

@@ -531,6 +531,8 @@ class TestWindows:
             (F(3), F(7), 500, 3, False),
             (F(4), F(6), 300, 20, False),
             (F(1), F(1), 200, 0, False),
+            (F(1), F(1000), 6058, 2, False),  # the line walk's second search outweighs 3 rows
+            (F(3), F(200, 7), 9640, 42, True),
         ],
     )
     def test_both_branches_match_brute(self, a, b, k0, width, walks, monkeypatch):
