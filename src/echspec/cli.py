@@ -2,11 +2,12 @@
 
 Subcommands: capacities | weyl | dk | zeta | residues | envelope.
 Data goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
-Exact rationals are always emitted as integer numerator/denominator pairs,
-never as decimals. main builds its parsers once per process, and a known
-subcommand's subparser alone parses its arguments. residues prints exact
-residues and values at s = 0, and takes each Laurent constant from one
-complex-step pass, with no contour and no Barnes value.
+The exact capacities and radii of capacities, weyl and dk are emitted as
+integer numerator/denominator pairs, never as decimals; residues prints its
+exact residues and values at s = 0, and its expected_* lines, as .17g
+floats. main builds its parsers once per process, and a known subcommand's
+subparser alone parses its arguments. residues takes each Laurent constant
+from one complex-step pass, with no contour and no Barnes value.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from json.encoder import encode_basestring_ascii
 
 from .asymptotics import (
     DEFECT_REL_ERR,
+    FitResult,
     column_exponent_fit,
-    contact_volume,
     scaled_defects,
     weyl_count,
     weyl_fit,
@@ -148,6 +149,20 @@ def _ellipsoid(cfg) -> Ellipsoid:
     return Ellipsoid(parse_rational(cfg.a), parse_rational(cfg.b))
 
 
+def _fit(name: str, warnings: list[str], fit, *args) -> FitResult | None:
+    """fit(*args), the rule for printing a fit summary: None, with the one
+    warning "<name> fit omitted: <reason>", when the fit raises ValueError or
+    the coefficient or exponent the summary prints is not finite."""
+    try:
+        result = fit(*args)
+        if not (math.isfinite(result.coefficient) and math.isfinite(result.exponent)):
+            raise ValueError(f"non-finite fit {result}")
+        return result
+    except ValueError as exc:
+        warnings.append(f"{name} fit omitted: {exc}")
+        return None
+
+
 def cmd_capacities(cfg) -> int:
     E = _ellipsoid(cfg)
     k0, k1 = parse_range(cfg.range)
@@ -174,21 +189,12 @@ def cmd_weyl(cfg) -> int:
     for R in R_list:
         s = weyl_count(E, R)
         rows.append((R.numerator, R.denominator, s.count_classes, s.count_values))
-    summary = {}
     warnings = []
-    if len(R_list) >= 3 and all(R_list[i] < R_list[i + 1] for i in range(len(R_list) - 1)):
-        fit = weyl_fit(E, R_list)
-        fvol = as_float(contact_volume(E), "contact volume")
-        summary = {
-            "fit_coefficient": _fmt(fit.coefficient),
-            "fit_remainder_exponent": _fmt(fit.exponent),
-            "coefficient_over_inv_2ab": _fmt(fit.coefficient * 2.0 * fvol),
-            "coefficient_over_inv_vol": _fmt(fit.coefficient * fvol),
-        }
-        warnings.append(
-            "leading coefficient tracks 1/(2ab); the two-periodicity count "
-            "(2^d-1)/vol exceeds it by a factor of about 2"
-        )
+    fit = _fit("weyl", warnings, weyl_fit, E, R_list)
+    summary = {
+        "fit_coefficient": _fmt(fit.coefficient),
+        "fit_remainder_exponent": _fmt(fit.exponent),
+    } if fit else {}
     emit(cfg, ["R_num", "R_den", "count_classes", "count_values"], rows, summary, warnings)
     return 0
 
@@ -215,21 +221,12 @@ def cmd_dk(cfg) -> int:
             "lattice coefficients reach the approximant denominator; "
             "ties may be artifacts of the rational approximation"
         )
-    summary = {}
-    if j1 - max(j0, 1) >= 1:  # the fit needs two indices j >= 1
-        try:
-            fit = column_exponent_fit(js, ds, cfg.windows)
-        except ValueError as exc:
-            warnings.append(f"sup exponent fit omitted: {exc}")
-        else:
-            if all(map(math.isfinite, (fit.exponent, fit.coefficient, fit.residual))):
-                summary = {
-                    "sup_exponent": _fmt(fit.exponent),
-                    "sup_coefficient": _fmt(fit.coefficient),
-                    "fit_window": f"{fit.window[0]}..{fit.window[1]}",
-                }
-            else:
-                warnings.append(f"sup exponent fit omitted: non-finite fit {fit}")
+    fit = _fit("sup exponent", warnings, column_exponent_fit, js, ds, cfg.windows)
+    summary = {
+        "sup_exponent": _fmt(fit.exponent),
+        "sup_coefficient": _fmt(fit.coefficient),
+        "fit_window": f"{fit.window[0]}..{fit.window[1]}",
+    } if fit else {}
     emit(cfg, ["j", "c_num", "c_den", "d", "d_err"], rows, summary, warnings)
     return 0
 

@@ -10,17 +10,22 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import echspec.cli
-from echspec import EchspecError
+from echspec import EchspecError, Ellipsoid
 from echspec.cli import (
     CLIError,
+    _fmt,
     build_parser,
     main,
     parse_complex,
     parse_range,
     parse_rational,
 )
+
+from oracles import brute_count_leq, brute_distinct_leq, distinct_leq_by_classes, weyl_fit_fractions
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,10 +69,10 @@ PINNED_SHA256 = {
     ("zeta", "2", "3", "full", "json"): "4827960c1844a29ec3c5de7e5c1478719e7981e7a2d7650a218e01bdb0771828",
     ("zeta", "2", "3", "distinct", "csv"): "f9b0c286b3638708f2dd2c448ea59c6b37440317dd8c033108bb75b3a6b10bed",
     ("zeta", "2", "3", "distinct", "json"): "f283e98aded0a8b917663cee7c8f61f295774e5106750b90db2fd3865767b36f",
-    ("weyl", "1", "2", "10,20,30,40", "csv"): "d996511b77360d7a4f8b343801c7d8050544e68e14fd93f1b3c912ec559b0559",
-    ("weyl", "1", "2", "10,20,30,40", "json"): "2799ed55d8f56a35402b070d2d31d8352eb0e33137389c43e44a00d55181cdbb",
-    ("weyl", "3/2", "5/7", "10,20,30,40", "csv"): "29f733e54dbad5a3a0a976cf8b7cf261ab0bfd5866cecb5bb3082bba05349ba6",
-    ("weyl", "3/2", "5/7", "10,20,30,40", "json"): "3450e02fd68b0c04a795966cb9a7953e77975f0bf1042cd95fa5f481fd9087ef",
+    ("weyl", "1", "2", "10,20,30,40", "csv"): "42f32f20913833b1b812e1fa3c21af38bcc67d92ab3de00f1f7464b7d2e6d321",
+    ("weyl", "1", "2", "10,20,30,40", "json"): "9cde4d5873533af191bf833fdcc1855a0d4ed504dd910f4ee36d4c18b571bf23",
+    ("weyl", "3/2", "5/7", "10,20,30,40", "csv"): "00b79f81c9f6bc6a00838345b89cec801cd0862424961c33ea5c189a6095078e",
+    ("weyl", "3/2", "5/7", "10,20,30,40", "json"): "ec92cc21285f577a4d02e1623a235b10af0c3dd473901ac679f64952f2da9708",
     ("capacities", "3/2", "5/7", "0..1500", "csv"): "821b206ce7cd22472a3571403cef405f2b10bd57092b9e11367b2619811db870",
     ("capacities", "3/2", "5/7", "0..1500", "json"): "f8d8c73a5d88bd54ee5dd4d1260fb68eb0413a9fc1a0c2bc2115f6a8304561e5",
     ("capacities", "3/2", "5/7", "1000000..1000500", "csv"): "54526b2d64f8eb6e53105d2cc5423bb5c2d4fb3f10f9fc4ec9a5183a3338f88d",
@@ -373,6 +378,25 @@ class TestDkFitOmitted:
             "warning: sup exponent fit omitted: exponent_fit requires at least two usable windows\n"
         )
 
+    @pytest.mark.parametrize(
+        "k,reason",
+        [
+            ("5..5", "exponent_fit requires at least two usable windows"),
+            ("0..1", "exponent_fit requires at least two usable windows"),
+            ("0..0", "window_sups requires points with j >= 1"),
+        ],
+        ids=["5..5", "0..1", "0..0"],
+    )
+    def test_under_two_indices_from_one(self, k, reason, capsys):
+        assert main(["dk", "-a", "1", "-b", "2", "-k", k]) == 0
+        captured = capsys.readouterr()
+        assert not any(ln.startswith("#") for ln in captured.out.splitlines())
+        assert captured.err == f"warning: sup exponent fit omitted: {reason}\n"
+
+
+def _summary(out: str) -> dict:
+    return dict(ln[2:].split("=", 1) for ln in out.splitlines() if ln.startswith("# "))
+
 
 class TestOtherCommands:
     def test_weyl(self, capsys):
@@ -385,7 +409,7 @@ class TestOtherCommands:
         # integer numerator and denominator
         R = ",".join(f"{m}{'0' * 310}" for m in (1, 2, 3))
         assert main(["weyl", "-a", "1", "-b", "2", "-R", R]) == 0
-        summary = dict(ln[2:].split("=") for ln in capsys.readouterr().out.splitlines() if ln.startswith("# "))
+        summary = _summary(capsys.readouterr().out)
         assert float(summary["fit_coefficient"]) == 1 / (2 * 1 * 2)
         assert math.isfinite(float(summary["fit_remainder_exponent"]))
 
@@ -395,17 +419,79 @@ class TestOtherCommands:
         assert main(["weyl", "-a", "1", "-b", "2", "-R", R]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1] == f"1,1{'0' * 400},1,1"
-        summary = dict(ln[2:].split("=") for ln in out.splitlines() if ln.startswith("# "))
+        summary = _summary(out)
         assert all(math.isfinite(float(v)) for v in summary.values())
 
     def test_weyl_fit_summary(self, capsys):
+        # the fit alone, with no restated normalisation and no warning
         R = ",".join(str(k) for k in range(50, 401, 50))
         assert main(["weyl", "-a", "1", "-b", "1", "-R", R]) == 0
         captured = capsys.readouterr()
-        fit_lines = [ln for ln in captured.out.splitlines() if ln.startswith("# fit_coefficient=")]
-        assert len(fit_lines) == 1
-        assert abs(float(fit_lines[0].split("=")[1]) - 0.5) < 0.01
-        assert "factor of about 2" in captured.err
+        summary = _summary(captured.out)
+        assert list(summary) == ["fit_coefficient", "fit_remainder_exponent"]
+        assert abs(float(summary["fit_coefficient"]) - 0.5) < 0.01
+        assert captured.err == ""
+
+    def test_weyl_radii_one_float_apart(self, capsys):
+        # the logs of the three radii round to one float, so the exponent is nan
+        R = ",".join(str(10**400 + i) for i in range(3))
+        assert main(["weyl", "-a", "1", "-b", "2", "-R", R]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 4
+        (line,) = captured.err.splitlines()
+        assert line.startswith("warning: weyl fit omitted: non-finite fit FitResult(")
+        assert "exponent=nan" in line
+
+    @pytest.mark.parametrize(
+        "R,reason",
+        [
+            ("3,2,1", "weyl_fit requires strictly increasing R"),
+            ("1,2,2", "weyl_fit requires strictly increasing R"),
+            ("3", "weyl_fit requires at least 3 samples"),
+            ("3,4", "weyl_fit requires at least 3 samples"),
+        ],
+        ids=["3,2,1", "1,2,2", "3", "3,4"],
+    )
+    def test_weyl_fit_omitted_names_the_reason(self, R, reason, capsys):
+        assert main(["weyl", "-a", "1", "-b", "2", "-R", R]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1 + len(R.split(","))
+        assert _summary(captured.out) == {}
+        assert captured.err == f"warning: weyl fit omitted: {reason}\n"
+
+    @given(
+        a=st.fractions(F(1, 3), 5, max_denominator=3),
+        b=st.fractions(F(1, 3), 5, max_denominator=3),
+        radii=st.lists(st.integers(0, 12) | st.fractions(0, 12, max_denominator=4), min_size=1, max_size=6),
+    )
+    @example(a=F(1), b=F(2), radii=[F(3), F(0), F(3), F(1)])
+    @example(a=F(2, 3), b=F(3), radii=[F(0), F(5, 2), F(7)])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_weyl_matches_the_oracles(self, a, b, radii, capsys):
+        # rows by enumeration; the summary is the Fraction fit's when that is
+        # finite, else one warning says why it is left out
+        radii = [F(r) for r in radii]
+        assert main(["weyl", "-a", str(a), "-b", str(b), "-R", ",".join(map(str, radii))]) == 0
+        captured = capsys.readouterr()
+        rows = [ln for ln in captured.out.splitlines()[1:] if not ln.startswith("#")]
+        assert rows == [
+            f"{R.numerator},{R.denominator},{brute_count_leq(a, b, R)},{brute_distinct_leq(a, b, R)}"
+            for R in radii
+        ]
+        try:
+            fit = weyl_fit_fractions(Ellipsoid(a, b), radii)
+        except ValueError:
+            fit = None
+        if fit and math.isfinite(fit.coefficient) and math.isfinite(fit.exponent):
+            assert _summary(captured.out) == {
+                "fit_coefficient": _fmt(fit.coefficient),
+                "fit_remainder_exponent": _fmt(fit.exponent),
+            }
+            assert captured.err == ""
+        else:
+            assert _summary(captured.out) == {}
+            (line,) = captured.err.splitlines()
+            assert line.startswith("warning: weyl fit omitted: ")
 
     def test_dk(self, capsys):
         assert main(["dk", "-a", "1", "-b", "1", "-k", "1..100"]) == 0
@@ -503,11 +589,18 @@ class TestExitCodes:
         ],
     )
     def test_weyl_coefficient_past_float_range(self, a, R, capsys):
-        assert main(["weyl", "-a", a, "-b", "2", "-R", R]) == 1
+        # the exact rows, and one warning naming the overflow in place of the fit
+        assert main(["weyl", "-a", a, "-b", "2", "-R", R]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
+        E, radii = Ellipsoid(F(a), 2), [F(r) for r in R.split(",")]
+        rows = [  # the count by the axis 2 keeps the enumeration to one or two lines
+            f"{r.numerator},{r.denominator},{brute_count_leq(F(2), F(a), r)},{distinct_leq_by_classes(E, r)}"
+            for r in radii
+        ]
+        assert captured.out.splitlines() == ["R_num,R_den,count_classes,count_values"] + rows
         (line,) = captured.err.splitlines()
-        assert line.startswith("error: leading coefficient exp(") and line.endswith(") overflows a float")
+        assert line.startswith("warning: weyl fit omitted: leading coefficient exp(")
+        assert line.endswith(") overflows a float")
 
     def test_dk_at_an_axis_below_the_float_range(self, capsys):
         # the approximant warning compares integers, so no axis is made a float
@@ -527,9 +620,19 @@ class TestExitCodes:
             # DISTINCT shifts n B'/A' past the float range, with A' = 3 and 17
             ["zeta", "-a", "1", "-b", f"{3 * 10**400 + 1}/3", "-s", "3", "--convention", "distinct"],
             ["zeta", "-a", "1", "-b", f"{17 * 10**400 + 1}/17", "-s", "3", "--convention", "distinct"],
+            ["weyl", "-a", "1" + "0" * 400, "-b", "2", "-R", "1,2,3"],
         ],
     )
     def test_axis_past_the_float_range(self, argv, capsys):
+        if argv[0] == "weyl":  # its counts and fit take no float of an axis
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            a, b = F(argv[2]), F(argv[4])  # enumerated along the small axis b
+            rows = [f"{R},1,{brute_count_leq(b, a, R)},{brute_distinct_leq(b, a, R)}" for R in (1, 2, 3)]
+            assert captured.out.splitlines()[1:4] == rows
+            assert list(_summary(captured.out)) == ["fit_coefficient", "fit_remainder_exponent"]
+            assert captured.err == ""
+            return
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -9,6 +9,7 @@ import echspec.envelope
 from echspec import (
     EnvelopeConstants,
     F_bounds,
+    NoRoot,
     TooSmallJ,
     capacity_envelope,
     r1_bar,
@@ -158,6 +159,11 @@ class TestR1:
     def test_rejects_negative_j(self):
         with pytest.raises(ValueError):
             r1_bar(-1.0, EnvelopeConstants())
+
+    def test_empty_defining_set(self):
+        # q + j far below -c0^2 pi^2 / vol: the quadratic has no real root
+        with pytest.raises(NoRoot, match="defining set empty"):
+            r1_bar(3.0, EnvelopeConstants(q=-1e9))
 
     @pytest.mark.parametrize(
         "entry",
