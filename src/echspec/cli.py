@@ -7,7 +7,8 @@ integer numerator/denominator pairs, never as decimals; residues prints its
 exact residues and values at s = 0, and its expected_* lines, as .17g
 floats. main builds its parsers once per process, and a known subcommand's
 subparser alone parses its arguments. residues takes each Laurent constant
-from one complex-step pass, with no contour and no Barnes value.
+from one complex-step pass, with no contour and no Barnes value. dk fits no
+sup exponent on less than an octave of indices, and says so.
 """
 
 from __future__ import annotations
@@ -163,6 +164,14 @@ def _fit(name: str, warnings: list[str], fit, *args) -> FitResult | None:
         return None
 
 
+def _sup_fit(js: range, ds: list[float], windows: int) -> FitResult:
+    """column_exponent_fit, refused on less than an octave of j >= 1."""
+    lo, hi = max(js[0], 1), js[-1]
+    if lo < hi < 2 * lo:  # window sups there give any slope; the min keeps .3g off 1
+        raise ValueError(f"indices span {min(math.log2(hi / lo), 0.999):.3g} octaves, less than one")
+    return column_exponent_fit(js, ds, windows)
+
+
 def cmd_capacities(cfg) -> int:
     E = _ellipsoid(cfg)
     k0, k1 = parse_range(cfg.range)
@@ -221,7 +230,7 @@ def cmd_dk(cfg) -> int:
             "lattice coefficients reach the approximant denominator; "
             "ties may be artifacts of the rational approximation"
         )
-    fit = _fit("sup exponent", warnings, column_exponent_fit, js, ds, cfg.windows)
+    fit = _fit("sup exponent", warnings, _sup_fit, js, ds, cfg.windows)
     summary = {
         "sup_exponent": _fmt(fit.exponent),
         "sup_coefficient": _fmt(fit.coefficient),

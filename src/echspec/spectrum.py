@@ -248,13 +248,15 @@ def scaled_spectrum(E: Ellipsoid, k0: int, k1: int) -> list[int]:
     n = k1 - k0 + 1
     small, big = sorted((E.A, E.B))
     g = math.gcd(small, big)
+    Ap, Bp = small // g, big // g
     r1 = math.isqrt(2 * small * big * (k1 + 1)) + 1  # v1 <= r1, as in _nth_scaled
     # In rows: the line walk makes one search, for v1, and sorts about n rows
-    # on r1 // big lines; the value walk steps once per distinct value,
-    # <= min(n, (r1 - v0) // g). A search costs 64 rows, a line 6 and a step
-    # 12 (3-5 us, 10-12 on approximants; 0.5; 1.0-1.7; against 0.07-0.1 us a
-    # row; 10^4-10^5-row E(2, 3) and golden blocks, Python 3.11, 2 vCPUs).
-    if 64 + 6 * (r1 // big) + n <= 12 * min(n, (r1 - v0) // g):
+    # on r1 // big lines; the value walk steps once per distinct value, at most
+    # (r1 - v0) // g or ceil(n / per) times. A search costs 64 rows, a line 6,
+    # a step 12 (3-12 us; 0.5; 1.0-1.7; against 0.07-0.1 us a row, 2 vCPUs).
+    per = max(1, (v0 // g + Ap) // (Ap * Bp))  # least copies of a value >= v0
+    step = 10 if v0 > g * (Ap * Bp - Ap - Bp) else 12  # past Frobenius: w + 1, 0.85x
+    if 64 + 6 * (r1 // big) + n <= step * min((r1 - v0) // g, -(-n // per)):
         # Walk the lines base = 0, big, 2*big, ... <= v1; stepping by the
         # larger generator makes the loop count the same in either axis order.
         v1 = v0 if n <= first else _nth_scaled(E, k1)[0]
@@ -273,7 +275,6 @@ def scaled_spectrum(E: Ellipsoid, k0: int, k1: int) -> list[int]:
     # ... turn by inv = 1/A' mod B', so by Slater's three-gap theorem (N. B.
     # Slater, Proc. Cambridge Philos. Soc. 63, 1967) the next value lies t1,
     # t2 or t1 + t2 ahead; _gaps finds them once per L.
-    Ap, Bp = small // g, big // g
     inv, ApBp = pow(Ap, -1, Bp), Ap * Bp
     w = v0 // g
     p, gap_L = w * inv % Bp, 0

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import echspec.cli
-from echspec import EchspecError, Ellipsoid
+from echspec import EchspecError, Ellipsoid, column_exponent_fit, d_sequence
 from echspec.cli import (
     CLIError,
     _fmt,
@@ -37,7 +37,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # the CLI's output format. The residues rows print exact residues and values
 # at s = 0, and Laurent constants from one complex-step pass per pole. The dk
 # summaries are the centred fsum line fit, within 1e-13 of the exact
-# least-squares fit (tests/test_asymptotics.py::TestFitAccuracy).
+# least-squares fit (tests/test_asymptotics.py::TestFitAccuracy); the
+# 1000000..1000500 ranges span under an octave, so they print no summary.
 PINNED_SHA256 = {
     ("capacities", "1", "832040/514229", "0..1500", "csv"): "6a6510a6435dff755f67cfe793ad49809682ed6972ada4daafcbe30568d7ee75",
     ("capacities", "1", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",
@@ -45,16 +46,16 @@ PINNED_SHA256 = {
     ("capacities", "1", "832040/514229", "1000000..1000500", "json"): "d482195ae8d4e33c7dc996bb51dc0825e6ebb0408cda190a4cac07bbc9875cb1",
     ("dk", "1", "832040/514229", "0..1500", "csv"): "14dcf72d5eb0841ea9bea61578ba551833ea24ec83fca23488f84d9bdc38514d",
     ("dk", "1", "832040/514229", "0..1500", "json"): "838585923cad37b1b4d0403178c86ee0d88c51fdafb2723540a163bbff2a198c",
-    ("dk", "1", "832040/514229", "1000000..1000500", "csv"): "7ee1dce9c60a58bc53eda56d858e7cf82892edb136cbd049c5fa834d4eb67946",
-    ("dk", "1", "832040/514229", "1000000..1000500", "json"): "5c5cb771f362df5d10a8db8b1bb33706064d5fe52d4c92b49e81f68a2541526a",
+    ("dk", "1", "832040/514229", "1000000..1000500", "csv"): "10d0454c6fa9aeb1020c387039ac6bd7173f5ff99894d0f046690e2ec9227b51",
+    ("dk", "1", "832040/514229", "1000000..1000500", "json"): "f3bee3d08f35e91977a09a1cc3382d0f3103709a0efa5bb848fbb72396599178",
     ("capacities", "2", "3", "0..1500", "csv"): "88200fcff1fe82ae3a466a9432a09431fa852254a34cf5bff766f45d4cfa23da",
     ("capacities", "2", "3", "0..1500", "json"): "8cf28de4fc91fbd199f0f042a21644d095dd2a6006a76775c886da8ef490c80d",
     ("capacities", "2", "3", "1000000..1000500", "csv"): "6cf4b152635aef2e25d76e32771541538ce0f9ab7beedfae1d217c1c0335bfd4",
     ("capacities", "2", "3", "1000000..1000500", "json"): "ff25d4344d23a01f5e0cecdf25eb8a53a4018fcf8b2be0710c09c2cbb3c2d971",
     ("dk", "2", "3", "0..1500", "csv"): "737938aa30c8cb2671e33fc413982afe7b7f90d0f00a1bc48952a5005053e586",
     ("dk", "2", "3", "0..1500", "json"): "9cec620e5a2dd5de4aa47390901415d5a802cc3dd757a36112f2177bd3529fd7",
-    ("dk", "2", "3", "1000000..1000500", "csv"): "4db01ab4149d09bef7b92697f2b1b576857cb8ab9afdd7f08f81fdf4b27d1ff1",
-    ("dk", "2", "3", "1000000..1000500", "json"): "f026a1d574624a334b0afb3a661dd0a49fb95c1337f059cc6a6b3491480d66e0",
+    ("dk", "2", "3", "1000000..1000500", "csv"): "3abf2d8fab4aad67b44d3e4bf2cd798456a76293c471415630f327f9fbda5d87",
+    ("dk", "2", "3", "1000000..1000500", "json"): "93fc407859ca1e1ce5cca4799a71016a00acb1758e259265e6b70c635e8ca5f3",
     ("residues", "1", "2", "", "csv"): "f478093792d0e7fece8222442bbc748f09baf0fb0b67f3af28567c7d5734d182",
     ("residues", "1", "2", "", "json"): "b09b0f299e095f3e9fbef161703a300662dd05c5c36a6778ae203b024f00ac30",
     ("residues", "2", "3", "", "csv"): "f992d54dfeb3a881be41be3dea45bd3f25c6035d6f1d37cfc64742cd6939dae4",
@@ -79,8 +80,8 @@ PINNED_SHA256 = {
     ("capacities", "3/2", "5/7", "1000000..1000500", "json"): "60207c023322e4f1e95d6f32f530c1e907489d15b0ebeebbbf2c12cdb8e90ffe",
     ("dk", "3/2", "5/7", "0..1500", "csv"): "0a35312a0591e687de134045b9ca67688d3a13a3e34b267440fab4f8b28573d9",
     ("dk", "3/2", "5/7", "0..1500", "json"): "7941cca26872e3ac736885ffb59ffb275d676167935b03e213f134826d887ba0",
-    ("dk", "3/2", "5/7", "1000000..1000500", "csv"): "0614546f095b4602e42c38f83dca3c9afb47fb6a56e22ff80c62f2db3fd6cbe7",
-    ("dk", "3/2", "5/7", "1000000..1000500", "json"): "a7773a4cdd081e8a85bd0f6c875efa7971384f801db5c9ad7f5929d6da06f40a",
+    ("dk", "3/2", "5/7", "1000000..1000500", "csv"): "835559c66acd3185450b7e66133eb0422de66d8544ebeae8e880e168eb629cf8",
+    ("dk", "3/2", "5/7", "1000000..1000500", "json"): "6b37c423c345b35eca827d5273e6b98795f3ba06a893c1c675f9ba003dd8b9ce",
     ("envelope", "", "", "2..9 --per-decade 4", "csv"): "35a88ae855506bafe9fdad2f7a169153624df9caa98a00805a93aa7d66456e7f",
     ("envelope", "", "", "2..9 --per-decade 4", "json"): "a69e344c3d5cfa1de91660abaf19b75925810276dabcd3f336609bbb47067da1",
     ("envelope", "", "", "2..9 --per-decade 4 --vol 1000 --c1 2 --c2 0.5 --q 3 --c0 0.25", "csv"): "c56dd3766fad7f0966d4f0604fc8f09bc422103d8d046de859e29f0b17bd73cc",
@@ -337,17 +338,18 @@ class TestDkFitOmitted:
         assert len(lines) == 4 and not any(ln.startswith("#") for ln in lines)
         assert "warning: sup exponent fit omitted: exponent_fit requires at least two usable windows" in captured.err
 
-    def test_non_finite_fit(self, capsys):
-        argv = ["dk", "-a", "1", "-b", "832040/514229", "-k", "11203511..11203519", "--format", "json"]
+    def test_non_finite_fit(self):
+        # 9 indices near 1.1e7 span under an octave, so the CLI fits nothing
+        # there; the fit itself gives an infinite coefficient, which _fit omits
+        js = range(11203511, 11203520)
+        ds = [p.d for p in d_sequence(Ellipsoid(1, F(832040, 514229)), js[0], js[-1])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(argv) == 0
-        captured = capsys.readouterr()
-        doc = json.loads(captured.out)
-        assert len(doc["rows"]) == 9
-        assert doc["summary"] == {}
-        assert any("non-finite fit" in w for w in doc["warnings"])
-        assert "RuntimeWarning" not in captured.err
+            fit = column_exponent_fit(js, ds, 12)
+            assert not math.isfinite(fit.coefficient)
+            omitted = []
+            assert echspec.cli._fit("sup exponent", omitted, column_exponent_fit, js, ds, 12) is None
+        assert omitted == [f"sup exponent fit omitted: non-finite fit {fit}"]
 
     def test_fit_kept_when_finite(self, capsys):
         assert main(["dk", "-a", "1", "-b", "1", "-k", "1..2000"]) == 0
@@ -356,12 +358,86 @@ class TestDkFitOmitted:
         assert "fit omitted" not in captured.err
 
     def test_index_past_the_float_range(self, capsys):
-        # c_j near 4.5e154 fits a float; the window edges, floats of j, do not
+        # c_j near 4.5e154 fits a float; the window edges, floats of j, do not.
+        # Four indices span under an octave, so the CLI gives that reason first.
         j = 10**309
         assert main(["dk", "-a", "1", "-b", "1", "-k", f"{j}..{j + 3}"]) == 0
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 5
-        assert captured.err == "warning: sup exponent fit omitted: index exp(711.499) overflows a float\n"
+        assert captured.err == "warning: sup exponent fit omitted: indices span 0 octaves, less than one\n"
+        with pytest.raises(ValueError, match=r"^index exp\(711\.499\) overflows a float$"):
+            column_exponent_fit(range(j, j + 4), [1.0, 2.0, 3.0, 4.0], 12)
+
+    @pytest.mark.parametrize(
+        "k,fitted",
+        [("1000..1999", False), ("1000..2000", True), ("0..1999", True), ("1..2", True)],
+    )
+    def test_an_octave_of_indices_is_fitted(self, k, fitted, capsys):
+        assert main(["dk", "-a", "2", "-b", "3", "-k", k]) == 0
+        captured = capsys.readouterr()
+        assert bool(_summary(captured.out)) == fitted
+        if fitted:
+            assert captured.err == ""
+        else:
+            assert captured.err == (
+                "warning: sup exponent fit omitted: indices span 0.999 octaves, less than one\n"
+            )
+
+    def test_narrow_range_builds_no_fit(self, monkeypatch, capsys):
+        def fit(*args):
+            raise AssertionError("column_exponent_fit called")
+
+        monkeypatch.setattr(echspec.cli, "column_exponent_fit", fit)
+        assert main(["dk", "-a", "2", "-b", "3", "-k", "1000000..1000500"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 502
+        assert captured.err == (
+            "warning: sup exponent fit omitted: indices span 0.000721 octaves, less than one\n"
+        )
+        with pytest.raises(AssertionError, match="column_exponent_fit called"):
+            main(["dk", "-a", "2", "-b", "3", "-k", "1000..2000"])
+
+    @given(
+        a=st.fractions(F(1, 3), 5, max_denominator=3),
+        b=st.fractions(F(1, 3), 5, max_denominator=3),
+        j0=st.integers(0, 3000),
+        width=st.integers(0, 3000),
+        windows=st.integers(1, 16),
+    )
+    @example(a=F(2), b=F(3), j0=1000, width=999, windows=12)
+    @example(a=F(2), b=F(3), j0=1000, width=1000, windows=12)
+    @example(a=F(1), b=F(1), j0=0, width=1, windows=12)
+    @example(a=F(1), b=F(1), j0=0, width=2, windows=12)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_summary_is_the_library_fit_over_an_octave(self, a, b, j0, width, windows, capsys):
+        j1 = j0 + width
+        argv = ["dk", "-a", str(a), "-b", str(b), "-k", f"{j0}..{j1}", "--windows", str(windows)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len([ln for ln in lines if not ln.startswith("#")]) == width + 2
+        # the approximant warning may come first; the fit's is the only other
+        omitted = [ln for ln in captured.err.splitlines() if "fit omitted" in ln]
+        lo = max(j0, 1)
+        if lo < j1 < 2 * lo:
+            assert _summary(captured.out) == {}
+            (line,) = omitted
+            assert line.startswith("warning: sup exponent fit omitted: indices span 0.")
+            assert line.endswith(" octaves, less than one")
+            return
+        ds = [p.d for p in d_sequence(Ellipsoid(a, b), j0, j1)]
+        try:
+            fit = column_exponent_fit(range(j0, j1 + 1), ds, windows)
+        except ValueError as exc:
+            assert _summary(captured.out) == {}
+            assert omitted == [f"warning: sup exponent fit omitted: {exc}"]
+            return
+        assert _summary(captured.out) == {
+            "sup_exponent": _fmt(fit.exponent),
+            "sup_coefficient": _fmt(fit.coefficient),
+            "fit_window": f"{fit.window[0]}..{fit.window[1]}",
+        }
+        assert omitted == []
 
     @pytest.mark.parametrize("windows", ["0", "-3", "1" + "0" * 400])
     def test_windows_must_be_positive(self, windows, capsys):

@@ -532,7 +532,7 @@ class TestWindows:
             (F(4), F(6), 300, 20, False),
             (F(1), F(1), 200, 0, False),
             (F(1), F(1000), 6058, 2, False),  # the line walk's second search outweighs 3 rows
-            (F(3), F(200, 7), 9640, 42, True),
+            (F(3), F(200, 7), 9640, 42, False),  # past the Frobenius number, 2 copies a value
         ],
     )
     def test_both_branches_match_brute(self, a, b, k0, width, walks, monkeypatch):
@@ -540,6 +540,23 @@ class TestWindows:
         assert _walks(E, k0, k0 + width, monkeypatch) == walks
         got = [c for _, c in spectrum_range(E, k0, k0 + width)]
         assert got == brute_spectrum(a, b, k0 + width + 1)[k0:]
+
+    @pytest.mark.parametrize(
+        "E,k0,width",
+        [
+            (Ellipsoid(3, F(200, 7)), 9640, 42),
+            (Ellipsoid(F(200, 7), 3), 15743, 89),
+            (Ellipsoid(F(200, 7), 3), 141195, 195),
+            (Ellipsoid(3, F(200, 7)), 219859, 2205),
+        ],
+    )
+    def test_value_walk_past_the_frobenius_number(self, E, k0, width, monkeypatch):
+        # Past 21*200 - 21 - 200 every integer is a value with at least
+        # (w + 21) // 4200 copies: few steps, each the w + 1 case, so these
+        # windows walk from value to value.
+        assert not _walks(E, k0, k0 + width, monkeypatch)
+        want = [bisect_nth_capacity(E, k) * E.den for k in range(k0, k0 + width + 1)]
+        assert scaled_spectrum(E, k0, k0 + width) == want
 
     @given(
         A=st.integers(1, 30),
