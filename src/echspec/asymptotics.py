@@ -5,8 +5,8 @@ The square root is taken with 60 fractional bits via integer isqrt, so the
 recorded defect carries a certified rounding bound well below the scales
 at which the O(1) limits are distinguished. The Weyl fit's coefficient,
 residuals and checks are exact integers over one denominator, with floats
-only at the coefficient, the logs and the rms. Power laws come from one
-centred math.fsum least-squares line in log-log coordinates, with no numpy.
+only at the coefficient and the logs. Power laws come from one centred
+math.fsum least-squares line in log-log coordinates, with no numpy.
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ class DkPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class FitResult:
-    """A power law coefficient * x^exponent, its rms residual, and the index window fitted."""
+    """A power law coefficient * x^exponent."""
 
     coefficient: float
     exponent: float
-    residual: float
-    window: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,8 @@ def weyl_count(E: Ellipsoid, R) -> WeylSample:
     )
 
 
-def _line_fit(pts: list[tuple[float, float]]) -> tuple[float, float, float]:
-    """(slope, intercept, rms residual) of the least-squares line through the
+def _line_fit(pts: list[tuple[float, float]]) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through the
     points (x, y): centred two-pass math.fsum sums about the rounded means, less
     the products of the deviation sums, so narrow x ranges (16 indices near
     1e11) stay exact to rounding. Equal xs give a nan slope."""
@@ -117,19 +115,17 @@ def _line_fit(pts: list[tuple[float, float]]) -> tuple[float, float, float]:
     sxx = math.fsum(u * u for u in dx) - sx * sx / n
     sxy = math.fsum(u * v for u, v in zip(dx, dy)) - sx * sy / n
     slope = sxy / sxx if sxx else math.nan
-    resid = [v - slope * u for u, v in zip(dx, dy)]
-    return slope, y0 - slope * x0, math.hypot(*resid) / math.sqrt(n)
+    return slope, y0 - slope * x0
 
 
 def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     """Least-squares leading coefficient C of N(R) ~ C*R^2 over the samples
     (classes convention), exact then rounded, and the remainder exponent: the
     fsum line fit of log|N - C*R^2| > 1e-9 on log R > 0 (0.0 if under two are).
-    The rms residual is inf when a residual is beyond the float range.
 
     In integers over one denominator, R_i = P_i/L: the checks compare the P_i,
     C = L^2 S/D with S = sum N_i P_i^2 and D = sum P_i^4, and the residuals are
-    e_i/D, e_i = N_i D - P_i^2 S. Only C, the logs and the rms are floats."""
+    e_i/D, e_i = N_i D - P_i^2 S. Only C and the logs are floats."""
     R_list = [as_rational(R) for R in R_list]
     if len(R_list) < 3:
         raise ValueError("weyl_fit requires at least 3 samples")
@@ -147,11 +143,7 @@ def weyl_fit(E: Ellipsoid, R_list) -> FitResult:
     kept = [(rational_log(r), rational_log(Fraction(abs(e), D)))
             for r, p, e in zip(R_list, P, resid) if p > 0 and abs(e) * cut_q > cut_p * D]
     exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
-    try:
-        rms = math.hypot(*(e / D for e in resid)) / math.sqrt(len(resid))
-    except OverflowError:
-        rms = math.inf
-    return FitResult(coefficient, exponent, rms, (0, len(R_list) - 1))
+    return FitResult(coefficient, exponent)
 
 
 def _window_sups(js, ds, window_count: int) -> list[tuple[int, float]]:
@@ -207,12 +199,12 @@ def column_exponent_fit(js, ds, window_count: int) -> FitResult:
     sups = [(j, s) for j, s in _window_sups(js, ds, window_count) if s > 1e-15]
     if len(sups) < 2:
         raise ValueError("exponent_fit requires at least two usable windows")
-    slope, intercept, rms = _line_fit([(math.log(j), math.log(s)) for j, s in sups])
+    slope, intercept = _line_fit([(math.log(j), math.log(s)) for j, s in sups])
     try:
         coefficient = math.exp(intercept)
     except OverflowError:
         coefficient = math.inf
-    return FitResult(coefficient, slope, rms, (next(j for j in js if j >= 1), js[-1]))
+    return FitResult(coefficient, slope)
 
 
 def exponent_fit(points: list[DkPoint], window_count: int) -> FitResult:

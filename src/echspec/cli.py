@@ -234,7 +234,7 @@ def cmd_dk(cfg) -> int:
     summary = {
         "sup_exponent": _fmt(fit.exponent),
         "sup_coefficient": _fmt(fit.coefficient),
-        "fit_window": f"{fit.window[0]}..{fit.window[1]}",
+        "fit_window": f"{max(j0, 1)}..{j1}",
     } if fit else {}
     emit(cfg, ["j", "c_num", "c_den", "d", "d_err"], rows, summary, warnings)
     return 0

@@ -29,7 +29,7 @@ class NoRoot(EchspecError):
 
 
 class TooSmallJ(EchspecError):
-    """r3 = j^{4/5} lies below r1, where the F brackets are undefined."""
+    """r3 = j^{4/5} lies below r1, or r1 is not positive: the F brackets are undefined."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,6 @@ def r2_threshold(j: float, k: EnvelopeConstants) -> float:
     would, so dropping them changes no float and no exception. P4 stays: at
     j = 1e12, vol = 1e-5 < 2K, c2 = 1e5, P1 fails at r1 and P4 holds to 232 r1.
     Where P4's constant overflows (c1 < 1.3e-103), no radius meets P4: r2 is P1's."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
     r1, (_, F_hi, _, Fp_hi) = _bounds(j, k)
     base, K = max(r1, 1e-9), (1.0 / (9.0 * k.c3)) ** 3
     r2 = _sup_below(lambda r: F_hi(r) / r >= K * r, base)
@@ -164,7 +162,7 @@ def r2_threshold(j: float, k: EnvelopeConstants) -> float:
 def capacity_envelope(j: float, k: EnvelopeConstants) -> EnvelopeResult:
     """Two-sided capacity envelope at index j with r3 = j^{4/5}.
 
-    Raises TooSmallJ when r3 < r1, where the F brackets are undefined.
+    Raises TooSmallJ when r3 < r1 or r1 <= 0, where the F brackets are undefined.
     Results below the validity threshold r2 are computed and flagged by
     `admissible`: with order-one constants that threshold is astronomically
     larger than any desk-scale index, while the envelope scaling is already
@@ -174,7 +172,9 @@ def capacity_envelope(j: float, k: EnvelopeConstants) -> EnvelopeResult:
         raise ValueError("j must be positive")
     r1 = r1_bar(j, k)
     r3 = j ** 0.8
-    if r3 < r1 or r1 <= 0:
+    if r1 <= 0:
+        raise TooSmallJ(f"r1 = {r1:.6g} is not positive; the F brackets divide by r1")
+    if r3 < r1:
         raise TooSmallJ(f"r3 = j^0.8 = {r3:.6g} below r1 = {r1:.6g}")
     r2 = r2_threshold(j, k)
     F_lo, F_hi, _, _ = F_bounds(r3, j, k)

@@ -141,11 +141,7 @@ def weyl_fit_fractions(E: Ellipsoid, R_list) -> FitResult:
     kept = [(fraction_log(r), fraction_log(abs(e)))
             for r, e in zip(R_list, resid) if r > 0 and abs(e) > 1e-9]
     exponent = _line_fit(kept)[0] if len(kept) >= 2 else 0.0
-    try:
-        rms = math.hypot(*map(float, resid)) / math.sqrt(len(resid))
-    except OverflowError:
-        rms = math.inf
-    return FitResult(coefficient, exponent, rms, (0, len(R_list) - 1))
+    return FitResult(coefficient, exponent)
 
 
 def window_sups_by_edge_list(js, ds, window_count: int) -> list[tuple[int, float]]:

@@ -435,7 +435,7 @@ class TestDkFitOmitted:
         assert _summary(captured.out) == {
             "sup_exponent": _fmt(fit.exponent),
             "sup_coefficient": _fmt(fit.coefficient),
-            "fit_window": f"{fit.window[0]}..{fit.window[1]}",
+            "fit_window": f"{lo}..{j1}",
         }
         assert omitted == []
 
@@ -514,9 +514,9 @@ class TestOtherCommands:
         assert main(["weyl", "-a", "1", "-b", "2", "-R", R]) == 0
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 4
-        (line,) = captured.err.splitlines()
-        assert line.startswith("warning: weyl fit omitted: non-finite fit FitResult(")
-        assert "exponent=nan" in line
+        assert captured.err == (
+            "warning: weyl fit omitted: non-finite fit FitResult(coefficient=0.25, exponent=nan)\n"
+        )
 
     @pytest.mark.parametrize(
         "R,reason",
@@ -756,6 +756,13 @@ class TestExitCodes:
         # P4's constant (3/(4 c1))^3 overflows: no radius meets P4, so r2 is P1's
         assert main(["envelope", "-k", "1..3", "--c1", "1e-200"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("10,")
+
+    def test_envelope_at_r1_zero(self, capsys):
+        # q + j = 0 and c0 = 0 put r1 at 0, where the F brackets divide by r1
+        assert main(["envelope", "-k", "0..0", "--q=-1", "--c0", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: r1 = 0 is not positive; the F brackets divide by r1\n"
 
     def test_c3_is_not_an_option(self, capsys):
         # c3 is always derived from c1

@@ -256,7 +256,7 @@ class TestR2:
         assert r2_threshold(j, k) >= r1_bar(j, k)
 
     def test_rejects_negative_j(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^j must be nonnegative$"):
             r2_threshold(-1.0, EnvelopeConstants())
 
     @pytest.mark.parametrize("k", [EnvelopeConstants(), NON_DEFAULT])
@@ -404,6 +404,12 @@ class TestCapacityEnvelope:
         with pytest.raises(TooSmallJ, match="below r1"):
             capacity_envelope(1.0, EnvelopeConstants(vol=1.0))
         assert evals == radii == []
+
+    def test_too_small_j_at_r1_zero(self, monkeypatch):
+        evals = count_bound_evaluations(monkeypatch)
+        with pytest.raises(TooSmallJ, match="^r1 = 0 is not positive; the F brackets divide by r1$"):
+            capacity_envelope(1.0, EnvelopeConstants(q=-1.0, c0=0.0))
+        assert evals == []
 
     def test_rejects_nonpositive_j(self):
         with pytest.raises(ValueError):
