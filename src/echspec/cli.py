@@ -5,10 +5,12 @@ Data goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
 The exact capacities and radii of capacities, weyl and dk are emitted as
 integer numerator/denominator pairs, never as decimals; residues prints its
 exact residues and values at s = 0, and its expected_* lines, as .17g
-floats. main builds its parsers once per process, and a known subcommand's
-subparser alone parses its arguments. residues takes each Laurent constant
-from one complex-step pass, with no contour and no Barnes value. dk fits no
-sup exponent on less than an octave of indices, and says so.
+floats. main builds its parsers once per process. It reads a plain command
+line from the parsers' own option table; argparse, with a known subcommand's
+subparser alone, parses everything else and owns every error and help text.
+residues takes each Laurent constant from one complex-step pass, with no
+contour and no Barnes value. dk fits no sup exponent on less than an octave
+of indices, and says so.
 """
 
 from __future__ import annotations
@@ -304,40 +306,42 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, list]]:
     p = argparse.ArgumentParser(prog="echspec", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
+    table = {}  # per subparser, (action, appends) for each option in the order added
+
+    def add(sp, *flags, **kw):
+        table.setdefault(sp, []).append((sp.add_argument(*flags, **kw), kw.get("action") == "append"))
 
     def common(sp, ellipsoid=True, tol=False):
         if ellipsoid:
-            sp.add_argument("-a", required=True, help="first axis, as 'p/q' or integer")
-            sp.add_argument("-b", required=True, help="second axis, as 'p/q' or integer")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
+            add(sp, "-a", required=True, help="first axis, as 'p/q' or integer")
+            add(sp, "-b", required=True, help="second axis, as 'p/q' or integer")
+        add(sp, "--format", choices=["csv", "json"], default="csv")
         if tol:
-            sp.add_argument("--tol", type=_positive(float), default=1e-10)
+            add(sp, "--tol", type=_positive(float), default=1e-10)
 
     sp = sub.add_parser("capacities", help="exact spectrum values over an index range")
     common(sp)
-    sp.add_argument("-k", "--range", required=True, help="inclusive 'lo..hi'")
+    add(sp, "-k", "--range", required=True, help="inclusive 'lo..hi'")
     sp.set_defaults(func=cmd_capacities)
 
     sp = sub.add_parser("weyl", help="counting-function samples and quadratic fit")
     common(sp)
-    sp.add_argument("-R", required=True, help="comma-separated radii (rationals)")
+    add(sp, "-R", required=True, help="comma-separated radii (rationals)")
     sp.set_defaults(func=cmd_weyl)
 
     sp = sub.add_parser("dk", help="defect sequence with window sups and exponent fit")
     common(sp)
-    sp.add_argument("-k", "--range", required=True, help="inclusive 'lo..hi'")
-    sp.add_argument("--windows", type=_positive(int), default=12)
+    add(sp, "-k", "--range", required=True, help="inclusive 'lo..hi'")
+    add(sp, "--windows", type=_positive(int), default=12)
     sp.set_defaults(func=cmd_dk)
 
     sp = sub.add_parser("zeta", help="spectrum zeta values")
     common(sp, tol=True)
-    sp.add_argument("-s", action="append", help="evaluation point 're,im' (repeatable)")
-    sp.add_argument(
-        "--convention", choices=[c.value for c in ZetaConvention], default="full"
-    )
+    add(sp, "-s", action="append", help="evaluation point 're,im' (repeatable)")
+    add(sp, "--convention", choices=[c.value for c in ZetaConvention], default="full")
     sp.set_defaults(func=cmd_zeta)
 
     sp = sub.add_parser("residues", help="Laurent data at the poles plus the value at 0")
@@ -346,29 +350,61 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     sp = sub.add_parser("envelope", help="capacity envelope sweep over decades of j")
     common(sp, ellipsoid=False)
-    sp.add_argument("-k", "--range", required=True, help="decade exponents 'lo..hi'")
-    sp.add_argument("--per-decade", type=_positive(int), default=1)
-    sp.add_argument("--q", type=float, default=EnvelopeConstants.q)
-    sp.add_argument("--c0", type=float, default=EnvelopeConstants.c0)
-    sp.add_argument("--c1", type=float, default=EnvelopeConstants.c1)
-    sp.add_argument("--c2", type=float, default=EnvelopeConstants.c2)
-    sp.add_argument("--vol", type=float, default=EnvelopeConstants.vol)
+    add(sp, "-k", "--range", required=True, help="decade exponents 'lo..hi'")
+    add(sp, "--per-decade", type=_positive(int), default=1)
+    add(sp, "--q", type=float, default=EnvelopeConstants.q)
+    add(sp, "--c0", type=float, default=EnvelopeConstants.c0)
+    add(sp, "--c1", type=float, default=EnvelopeConstants.c1)
+    add(sp, "--c2", type=float, default=EnvelopeConstants.c2)
+    add(sp, "--vol", type=float, default=EnvelopeConstants.vol)
     sp.set_defaults(func=cmd_envelope)
 
-    return p, sub.choices  # the subparsers by name
+    return p, sub.choices, {name: table[sp] for name, sp in sub.choices.items()}
 
 
 _parser = cache(_parsers)  # a parse leaves the parsers as they were, and gets a new namespace
 
 
+def _plain_parse(name: str, args: list[str]) -> argparse.Namespace | None:
+    """What subcommand name's parser makes of args, read from its option table
+    when each option is spelled out, its value after "=" or in the next token,
+    not starting with "-" there, and never "--", which argparse drops. None for
+    any other args, or a value refused or a required option missing: argparse's."""
+    _, subs, table = _parser()
+    by_flag = {flag: opt for opt in table[name] for flag in opt[0].option_strings}
+    got, i = {}, 0
+    while i < len(args):
+        flag, eq, value = args[i].partition("=")
+        if not eq:
+            i += 1
+            value = args[i] if i < len(args) else "-"
+        i += 1
+        if flag not in by_flag or value == "--" or (not eq and value.startswith("-")):
+            return None
+        action, appends = by_flag[flag]
+        try:
+            value = action.type(value) if action.type else value
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's usage errors
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        got[action.dest] = [*got.get(action.dest, action.default or ()), value] if appends else value
+    if any(action.required and action.dest not in got for action, _ in table[name]):
+        return None
+    dests = {action.dest: got.get(action.dest, action.default) for action, _ in table[name]}
+    return argparse.Namespace(subcommand=name, **dests, func=subs[name].get_default("func"))
+
+
 def main(argv=None) -> int:
-    (parser, subs), argv = _parser(), sys.argv[1:] if argv is None else list(argv)
+    (parser, subs, _), argv = _parser(), sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv and argv[0] in subs:  # the full parse, but argparse reads argv once, not twice
-            ns = argparse.Namespace(subcommand=argv[0])
-            cfg, extra = subs[argv[0]].parse_known_args(argv[1:], ns)
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if argv and argv[0] in subs:  # the full parse's namespace, from the table or the subparser
+            cfg = _plain_parse(argv[0], argv[1:])
+            if cfg is None:
+                ns = argparse.Namespace(subcommand=argv[0])
+                cfg, extra = subs[argv[0]].parse_known_args(argv[1:], ns)
+                if extra:
+                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
         else:
             cfg = parser.parse_args(argv)
     except SystemExit as exc:

@@ -92,7 +92,7 @@ def _bounds(j: float, k: EnvelopeConstants):
     Fp_lo, Fp_hi) as functions of r >= r1, from constants formed once."""
     r1 = r1_bar(j, k)
     if r1 <= 0:
-        raise ValueError("F_bounds requires r1_bar(j) > 0")
+        raise ValueError(f"r1_bar(j) = {r1:g} is not positive; the F brackets divide by r1")
     qj, c, c3 = k.q + j, 2.0 * k.c2, 3.0 * k.c2
     lead, at_r1, c_r1 = 0.5 * r1 * r1 * k.vol, qj / r1, c * math.sqrt(r1)
     return r1, (

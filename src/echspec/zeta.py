@@ -184,14 +184,18 @@ def riemann_zeta(s) -> complex:
 
 
 def _barnes_pieces(s, w: float, a: float, b: float):
-    """(head, integral, half, tail) of the Barnes sum for sorted axes a <= b,
+    """(head, integral, beta, half, tail) of the Barnes sum for sorted axes a <= b,
     which is a^-s [head + integral / (beta (s - 2)) + half + tail] / (s - 1):
     the head's terms in a list, the tail's lazily, and integral = _eta(s - 1,
-    xN) without its pole factor."""
+    xN) without its pole factor, beta = b / a; where its lead xN^(2-s) is past
+    the float range, the integral over b / a, and beta = 1."""
     N = max(0, math.ceil(_cutoff(s) - w / b))
-    xN = (w + N * b) / a
-    lead, corr, half, tail = _em_tail(s, b / a, xN)
-    return list(_eta(s, ((w + n * b) / a for n in range(N)))), lead + corr, half, tail
+    xN, beta = (w + N * b) / a, b / a
+    lead, corr, half, tail = _em_tail(s, beta, xN)
+    if not cmath.isfinite(lead):  # lead / beta = xN^(1-s) (xN / beta), and its series
+        lead, beta = _pow(xN, 1 - s) * (xN / beta), 1.0
+        corr = _em_series(lead, s - 1, xN)
+    return list(_eta(s, ((w + n * b) / a for n in range(N)))), lead + corr, beta, half, tail
 
 
 def _em_tail(s, beta: float, X: float):
@@ -228,11 +232,11 @@ def _barnes_tail(s, beta: float, xN: float, p: complex):
 
 def _barnes_sum(s: complex, w: float, a: float, b: float) -> tuple[complex, complex]:
     """barnes_zeta at a checked s on sorted axes a <= b, and its head's first value or 0.0."""
-    head, integral, half, tail = _barnes_pieces(s, w, a, b)
+    head, integral, beta, half, tail = _barnes_pieces(s, w, a, b)
     total = 0.0 + 0.0j
     for v in head:
         total += v
-    total += integral / (b / a * (s - 2)) + half
+    total += integral / (beta * (s - 2)) + half
     for v in tail:
         total += v
     val = _pow(a, -s) * total / (s - 1)
@@ -326,12 +330,12 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
     elif s0 in (1, 2):
         (fa, fb), s = _float_axes(E), complex(s0, _STEP)
         try:
-            head, integral, half, tail = _barnes_pieces(s, fa, fa, fb)
+            head, integral, beta, half, tail = _barnes_pieces(s, fa, fa, fb)
             # c = (s - s0)/(s - 1) takes a^-s zeta(s) and the pieces of a^-s (s - 1) Z(s)
             # to their shares of (s - s0) f(s); the integral's 1/(s - 2) is folded in
             c, pole = (1.0, s - 2) if s0 == 1 else ((s - 2) / (s - 1), s - 1)
             A = _pow(fa, -s)
-            parts = [A * c * p for p in (*head, half, *tail)] + [A * integral / (fb / fa * pole)]
+            parts = [A * c * p for p in (*head, half, *tail)] + [A * integral / (beta * pole)]
             zeta = c * head[0]
             res = 1 / (a * b) if s0 == 2 else (a + b) / (2 * a * b)
             axes = ((res if s0 == 2 else -res, -(A * zeta)), (res, _pow(fb, -s) * zeta))

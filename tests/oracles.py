@@ -13,6 +13,7 @@ as_float and the line fit; its logs are its own (fraction_log).
 
 import math
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 
 from echspec import Ellipsoid, FitResult, ZetaConvention, bernoulli, count_leq, scaled_spectrum
@@ -218,18 +219,35 @@ def _distinct_parts(a: Fraction, b: Fraction) -> tuple[int, int, Fraction]:
     return min(A, B) // g, max(A, B) // g, Fraction(g, den)
 
 
+@cache
+def _gap_factors(p: int, q: int) -> list[tuple[int, int]]:
+    """(t, f) for each gap t of <p, q>, ascending, f the least prime factor of
+    t (t itself for 1 and for a prime), by a sieve below p*q."""
+    least = list(range(p * q))
+    for f in range(2, math.isqrt(p * q - 1) + 1):
+        if least[f] == f:
+            for m in range(f * f, p * q, f):
+                least[m] = min(least[m], f)
+    return [(t, least[t]) for t in semigroup_gaps(p, q)]
+
+
 def distinct_zeta_gaps(s: complex, a: Fraction, b: Fraction) -> complex:
     """Continued sum of v^-s over the distinct nonzero values v of m*a + n*b:
     the values are step*t for t in <A', B'>, so the sum is step^-s [zeta(s) -
     sum over the finitely many gaps t of t^-s]. The smallest element is A',
     so zeta(s) and the gap sum cancel to about Re s log10(A') digits, which
-    the working precision adds to 45."""
+    the working precision adds to 45. A divisor of a gap is a gap, since a
+    multiple of an element is an element, so t^-s is one mpmath power for 1
+    and a prime t, and f^-s (t/f)^-s for a composite t of least prime factor f."""
     import mpmath
 
     Ap, Bp, step = _distinct_parts(a, b)
     with mpmath.workdps(45 + int(max(0.0, complex(s).real) * math.log10(Ap))):
         s = mpmath.mpc(s)
-        gaps = mpmath.fsum(mpmath.mpf(t) ** (-s) for t in semigroup_gaps(Ap, Bp))
+        power = {}
+        for t, f in _gap_factors(Ap, Bp):
+            power[t] = mpmath.mpf(t) ** (-s) if f == t else power[f] * power[t // f]
+        gaps = mpmath.fsum(power.values())
         return complex((mpmath.mpf(step.numerator) / step.denominator) ** (-s) * (mpmath.zeta(s) - gaps))
 
 

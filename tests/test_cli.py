@@ -280,20 +280,33 @@ class TestDispatch:
         ["capacities", "-a", "1.5", "-b", "2", "-k", "0..3", "--format", "json"],
         ["envelope", "-k", "1..2", "--per-decade", "0"],
         ["dk", "-a", "2", "-b", "3", "--range=0..50", "--windows", "3", "--format", "json"],
+        ZETA12 + ["-s", "3", "--format=json"],
+        ["capacities", "-a=", "-b", "2", "-k", "0..5"],
+        ["dk", "-a", "2", "-b", "3", "-k", "0..50", "--windows", "0"],
+        ["capacities", "-a", "1", "-b", "2", "-a", "3", "-k", "0..5"],
+        ["capacities", "-a", "1", "-b", "2", "--range=0..5"],
     ]
 
     @staticmethod
     def record_parses(monkeypatch) -> list:
-        """The namespace of each ArgumentParser.parse_known_args call, in the
-        order the calls return: the last is the whole parse's."""
-        seen, parse = [], argparse.ArgumentParser.parse_known_args
+        """(how, namespace) for each parse that gives a namespace, in the order
+        the calls return: how is "argparse" for an ArgumentParser.parse_known_args
+        call and "plain" for a _plain_parse call. The last is the whole parse's."""
+        seen, parse, plain = [], argparse.ArgumentParser.parse_known_args, echspec.cli._plain_parse
 
         def recording(self, *args, **kwargs):
             ns, extras = parse(self, *args, **kwargs)
-            seen.append(ns)
+            seen.append(("argparse", ns))
             return ns, extras
 
+        def recording_plain(*args):
+            ns = plain(*args)
+            if ns is not None:
+                seen.append(("plain", ns))
+            return ns
+
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+        monkeypatch.setattr(echspec.cli, "_plain_parse", recording_plain)
         return seen
 
     @staticmethod
@@ -316,18 +329,101 @@ class TestDispatch:
     def test_same_as_the_full_parse(self, argv, monkeypatch, capsys):
         seen = self.record_parses(monkeypatch)
         code = main(argv)
-        got = (code, *capsys.readouterr(), [list(vars(ns).items()) for ns in seen[-1:]])
+        got = (code, *capsys.readouterr(), [list(vars(ns).items()) for _, ns in seen[-1:]])
         seen.clear()
         code = self.full_parse(argv)
-        want = (code, *capsys.readouterr(), [list(vars(ns).items()) for ns in seen[-1:]])
+        want = (code, *capsys.readouterr(), [list(vars(ns).items()) for _, ns in seen[-1:]])
         assert got == want
 
     def test_one_parse_per_known_subcommand(self, monkeypatch, capsys):
+        # a plain command line takes no argparse parse, any other takes one
         seen = self.record_parses(monkeypatch)
-        for argv in (ZETA12 + ["-s", "3"], ["residues", "-a", "1", "-b", "2"], ["envelope", "-k", "1..2"]):
+        plain = [ZETA12 + ["-s", "3"], ["residues", "-a", "1", "-b", "2"], ["envelope", "-k", "1..2"]]
+        deferred = [ZETA12 + ["--conv", "interior", "-s", "3"], ["envelope", "--range", "1..2", "--per", "2"]]
+        for argv, how in [(argv, "plain") for argv in plain] + [(argv, "argparse") for argv in deferred]:
             seen.clear()
             assert main(argv) == 0
-            assert len(seen) == 1, argv
+            assert [h for h, _ in seen] == [how], argv
+
+
+# Values for each option string of some subcommand: some its type and choices
+# take, some they refuse, some with a leading "-". Each stays cheap to run.
+PLAIN_VALUES = {
+    "-a": ["2", "1/2", "-1"], "-b": ["3", "3/2", ""], "--format": ["csv", "json", "xml"],
+    "-k": ["0..5", "1..2", "-1..2"], "--range": ["3..4", "x"], "-R": ["10,20"],
+    "--windows": ["3", "0", "1.5"], "--tol": ["1e-3", "0", "-1e-3"],
+    "-s": ["3", "0.5,2", "-1.5,1", "1"], "--convention": ["interior", "full", "distinct", "none"],
+    "--per-decade": ["2", "0"], "--q": ["1", "-1", "x"], "--c0": ["0.5"], "--c1": ["2"],
+    "--c2": ["0.5"], "--vol": ["1000"],
+}
+# Each subcommand's option strings, and a command line it runs
+PLAIN_OPTIONS = {
+    "capacities": ["-a", "-b", "--format", "-k", "--range"],
+    "weyl": ["-a", "-b", "--format", "-R"],
+    "dk": ["-a", "-b", "--format", "-k", "--range", "--windows"],
+    "zeta": ["-a", "-b", "--format", "--tol", "-s", "--convention"],
+    "residues": ["-a", "-b", "--format", "--tol"],
+    "envelope": ["--format", "-k", "--range", "--per-decade", "--q", "--c0", "--c1", "--c2", "--vol"],
+}
+PLAIN_BASES = {
+    "capacities": ["-a", "2", "-b", "3", "-k", "0..5"],
+    "weyl": ["-a", "1", "-b", "2", "-R", "10,20"],
+    "dk": ["-a", "2", "-b", "3", "-k", "0..40"],
+    "zeta": ["-a", "1", "-b", "2", "-s", "3"],
+    "residues": ["-a", "1", "-b", "2"],
+    "envelope": ["-k", "1..2"],
+}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A subcommand and its arguments: mostly a command line it runs, then
+    options, mostly its own, as "opt value" or "opt=value", some abbreviated,
+    some with empty or dashed values, and some lone tokens."""
+    name = draw(st.sampled_from(sorted(PLAIN_BASES)))
+    argv = [name] + (PLAIN_BASES[name] if draw(st.integers(0, 3)) else [])
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(PLAIN_OPTIONS[name] if draw(st.integers(0, 3)) else sorted(PLAIN_VALUES)))
+        value = draw(st.sampled_from(PLAIN_VALUES[flag] if draw(st.integers(0, 4)) else ["", "-", "--", "x"]))
+        if not draw(st.integers(0, 4)):  # an abbreviation, or down to a lone "-"
+            flag = flag[: draw(st.integers(1, len(flag) - 1))]
+        form = draw(st.integers(0, 5))
+        if form == 0:
+            argv.append(draw(st.sampled_from([flag, value, "-h", "--help", "--", "--bogus"])))
+        else:
+            argv += [f"{flag}={value}"] if form == 1 else [flag, value]
+    return argv
+
+
+class TestPlainParse:
+    """_plain_parse gives argparse's namespace or None, and main what the full parse gives."""
+
+    @given(argv=command_lines())
+    @example(argv=["zeta", "-a", "1", "-b", "2", "-s=--"])
+    @example(argv=["capacities", "-a=", "-b", "2", "-k", "0..5"])
+    @example(argv=["zeta", "-a", "1", "-b", "2", "-s", "3", "-s=-1.5,1", "--format=json"])
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_as_argparse(self, argv, capsys):
+        name, args = argv[0], argv[1:]
+        ns = echspec.cli._plain_parse(name, args)
+        try:
+            ref, extras = echspec.cli._parser()[1][name].parse_known_args(args, argparse.Namespace(subcommand=name))
+        except SystemExit:
+            ref = extras = None
+        capsys.readouterr()
+        if ns is not None:
+            assert ref is not None and extras == []
+            assert list(vars(ns).items()) == list(vars(ref).items())
+        assert self.outcome(main, argv, capsys) == self.outcome(TestDispatch.full_parse, argv, capsys)
+
+    @staticmethod
+    def outcome(run, argv, capsys) -> tuple:
+        """The exit code, or the repr of an uncaught error, then stdout and stderr."""
+        try:
+            code = run(argv)
+        except Exception as exc:  # "-s=--" gives s = [[]], which cmd_zeta cannot read
+            code = repr(exc)
+        return (code, *capsys.readouterr())
 
 
 class TestDkFitOmitted:

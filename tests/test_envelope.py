@@ -236,6 +236,14 @@ class TestFBounds:
         with pytest.raises(ValueError):
             F_bounds(0.5 * r1_bar(100.0, k), 100.0, k)
 
+    @pytest.mark.parametrize(
+        "entry", [lambda j, k: F_bounds(1.0, j, k), r2_threshold], ids=["F_bounds", "r2_threshold"]
+    )
+    def test_r1_zero_message_fits_each_caller(self, entry):
+        # at q + j = 0 and c0 = 0, r1 = 0: the one message names r1, not a caller
+        with pytest.raises(ValueError, match=r"^r1_bar\(j\) = 0 is not positive; the F brackets divide by r1$"):
+            entry(1.0, EnvelopeConstants(q=-1.0, c0=0.0))
+
 
 class TestR2:
     def test_grows_with_j(self):

@@ -449,6 +449,26 @@ class TestEchZeta:
         got = ech_zeta(s, Ellipsoid(1, 10**e), ZetaConvention.FULL)
         assert abs(got - complex(ref)) <= 1e-11 * abs(ref)
 
+    @pytest.mark.parametrize("s,e", [(-3.5, 60), (complex(-3.5, 2), 65), (complex(-2.9, 0.5), 70)])
+    def test_thin_ellipsoid_whose_barnes_lead_overflows(self, s, e):
+        # xN = 16 b here, so the integral's lead xN^(2-s) is past the float
+        # range while its share of the value, xN^(2-s)/b, is not. The head and
+        # the integral cancel from about 16^(2 - Re s) times the value, as on
+        # any ellipsoid at Re s < -2: 1e-6 leaves room for that loss alone.
+        b = mpmath.mpf(10) ** e
+        ms = mpmath.mpc(s)
+        interior = b ** (1 - ms) * mpmath.zeta(ms - 1) / (ms - 1) - b**-ms * mpmath.zeta(ms) / 2
+        full = interior + mpmath.zeta(ms) * (1 + b**-ms)
+        for conv, ref in [(ZetaConvention.INTERIOR, interior), (ZetaConvention.FULL, full)]:
+            got = ech_zeta(s, Ellipsoid(1, 10**e), conv)
+            assert abs(got - complex(ref)) <= 1e-6 * abs(ref), conv
+
+    @pytest.mark.parametrize("conv", [ZetaConvention.INTERIOR, ZetaConvention.FULL])
+    def test_thin_ellipsoid_past_the_float_range(self, conv):
+        # about 7e311 on E(1, 10^70) at s = -3.5
+        with pytest.raises(ValueError, match="overflows a float"):
+            ech_zeta(-3.5, Ellipsoid(1, 10**70), conv)
+
     @pytest.mark.parametrize("conv", list(ZetaConvention))
     @pytest.mark.parametrize(
         "s,a,b",
