@@ -366,10 +366,10 @@ _parser = cache(_parsers)  # a parse leaves the parsers as they were, and gets a
 
 
 def _plain_parse(name: str, args: list[str]) -> argparse.Namespace | None:
-    """What subcommand name's parser makes of args, read from its option table
-    when each option is spelled out, its value after "=" or in the next token,
-    not starting with "-" there, and never "--", which argparse drops. None for
-    any other args, or a value refused or a required option missing: argparse's."""
+    """The namespace subcommand name's parser makes of args, read from its option
+    table: each option spelled out, its value after "=" or as the next token (no
+    leading "-" there; never "--", which argparse drops). Other args, a refused
+    value or a missing required option give None, for argparse to parse."""
     _, subs, table = _parser()
     by_flag = {flag: opt for opt in table[name] for flag in opt[0].option_strings}
     got, i = {}, 0
