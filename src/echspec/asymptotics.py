@@ -69,13 +69,19 @@ def scaled_defects(E: Ellipsoid, j0: int, values: list[int]) -> list[float]:
 
     The root is floor(sqrt(2jAB) * 2^_SQRT_BITS) by integer isqrt and the
     quotient is one correctly rounded int division, so each d lies within
-    max(1, v/den) * DEFECT_REL_ERR of the exact defect.
+    max(1, v/den) * DEFECT_REL_ERR of the exact defect. A defect past the
+    float range raises ValueError naming it.
     """
     bits = _SQRT_BITS
     root_arg = (2 * E.A * E.B) << (2 * bits)
     den = E.den << bits
     isqrt = math.isqrt
-    return [((v << bits) - isqrt(root_arg * j)) / den for j, v in enumerate(values, j0)]
+    try:
+        return [((v << bits) - isqrt(root_arg * j)) / den for j, v in enumerate(values, j0)]
+    except OverflowError:  # the same divisions again, to name the first that overflows
+        for j, v in enumerate(values, j0):
+            as_float(Fraction((v << bits) - isqrt(root_arg * j), den), f"defect d_{j}")
+        raise
 
 
 def d_sequence(E: Ellipsoid, j0: int, j1: int) -> list[DkPoint]:

@@ -6,11 +6,11 @@ The exact capacities and radii of capacities, weyl and dk are emitted as
 integer numerator/denominator pairs, never as decimals; residues prints its
 exact residues and values at s = 0, and its expected_* lines, as .17g
 floats. main builds its parsers once per process. It reads a plain command
-line from the parsers' own option table; argparse, with a known subcommand's
-subparser alone, parses everything else and owns every error and help text.
-residues takes each Laurent constant from one complex-step pass, with no
-contour and no Barnes value. dk fits no sup exponent on less than an octave
-of indices, and says so.
+line from the parsers' own option table; argparse's full parse reads any other
+and owns every error and help text, and an option written opt=-- exits 2. emit
+writes CSV and JSON rows through one % template per row. residues takes each
+Laurent constant from one complex-step pass, with no contour and no Barnes
+value. dk fits no sup exponent on less than an octave of indices, and says so.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii
 
 from .asymptotics import (
     DEFECT_REL_ERR,
@@ -101,49 +100,35 @@ def _fmt(x: float) -> str:
 # Rows are formatted and written this many at a time: holding the whole
 # output text at once would add its size to the peak memory of a long table.
 _CHUNK_ROWS = 256
-# The encoders json.dumps applies to the cells; every column is all int or all str.
-_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__}
-
-
-def _json_column(col: tuple) -> list[str]:
-    return list(map(_JSON_SCALAR[type(col[0])], col))
-
-
-def _json_rows(header: list[str], rows: list[tuple]):
-    """Text of the row objects of an indent=2 JSON document, in pieces of
-    _CHUNK_ROWS rows, from a per-header template."""
-    keys = [encode_basestring_ascii(h).replace("%", "%%") for h in header]
-    template = "\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
-    for i in range(0, len(rows), _CHUNK_ROWS):
-        cols = [_json_column(col) for col in zip(*rows[i : i + _CHUNK_ROWS])]
-        yield ("," if i else "") + ",".join(map(template.__mod__, zip(*cols)))
+# A JSON cell as json.dumps writes it: every str cell is a .17g float or a
+# convention name, with no character to escape. Other types raise KeyError.
+_JSON_CELL = {int: "%s", str: '"%s"'}
 
 
 def emit(cfg, header: list[str], rows: list[tuple], summary: dict, warnings: list[str]):
-    """Write the rows, tuples in header order, as CSV or as one JSON document.
-    The JSON text is what json.dump(doc, out, indent=2) writes, without its
-    pure-Python indent encoder."""
+    """Write the rows, tuples in header order, as CSV or as one JSON document,
+    _CHUNK_ROWS rows at a time through one % template per row. The JSON text is
+    what json.dump(doc, out, indent=2) writes: the document without its rows,
+    which go in through a template of its row object, each cell's form taken
+    from the type of the first row's."""
     out = sys.stdout
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if cfg.format == "json":
-
-        def nested(obj) -> str:  # a value one level into an indent=2 document
-            return json.dumps(obj, indent=2).replace("\n", "\n  ")
-
         config = {k: v for k, v in vars(cfg).items() if k != "func"}
-        out.write(f'{{\n  "config": {nested(config)},\n  "rows": [')
-        out.writelines(_json_rows(header, rows))
-        out.write(
-            ("\n  ]" if rows else "]")
-            + f',\n  "summary": {nested(summary)},\n  "warnings": {nested(warnings)}\n}}\n'
-        )
+        doc = json.dumps({"config": config, "rows": [], "summary": summary, "warnings": warnings}, indent=2)
+        head, key, tail = doc.partition('"rows": [')  # the key: json writes a " in a string as \"
+        cells = [_JSON_CELL[type(cell)] for cell in rows[0]] if rows else []
+        row = "\n    {" + ",".join(f"\n      {json.dumps(h)}: {c}" for h, c in zip(header, cells)) + "\n    }"
+        head, sep, tail = head + key, ",", ("\n  " if rows else "") + tail + "\n"
     else:
-        line = ",".join(["%s"] * len(header)) + "\n"
-        out.write(",".join(header) + "\n")
-        for i in range(0, len(rows), _CHUNK_ROWS):
-            out.write("".join(map(line.__mod__, rows[i : i + _CHUNK_ROWS])))
-        out.write("".join(f"# {key}={val}\n" for key, val in summary.items()))
+        row = ",".join(["%s"] * len(header)) + "\n"
+        head, sep = ",".join(header) + "\n", ""
+        tail = "".join(f"# {key}={val}\n" for key, val in summary.items())
+    out.write(head)
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        out.write((sep if i else "") + sep.join(map(row.__mod__, rows[i : i + _CHUNK_ROWS])))
+    out.write(tail)
 
 
 # ------------------------------------------------------------- commands
@@ -218,11 +203,11 @@ def cmd_dk(cfg) -> int:
     den = E.den
     js = range(j0, j1 + 1)
     vals = scaled_spectrum(E, j0, j1)
+    as_float(Fraction(vals[-1], den), "capacity")  # so every v / den below it fits
     ds = scaled_defects(E, j0, vals)
     def cells(v: int) -> tuple:  # c = v/den reduced, and its d_err
         g = math.gcd(v, den)
         return v // g, den // g, f"{max(1.0, v / den) * DEFECT_REL_ERR:.17g}"
-    as_float(Fraction(vals[-1], den), "capacity")  # so every v / den below it fits
     cs = map_distinct(cells, vals)
     rows = [(j, p, q, f"{d:.17g}", err) for j, (p, q, err), d in zip(js, cs, ds)]
     warnings = []
@@ -369,7 +354,7 @@ def _plain_parse(name: str, args: list[str]) -> argparse.Namespace | None:
     """The namespace subcommand name's parser makes of args, read from its option
     table: each option spelled out, its value after "=" or as the next token (no
     leading "-" there; never "--", which argparse drops). Other args, a refused
-    value or a missing required option give None, for argparse to parse."""
+    value or a missing required option give None, for the full parse."""
     _, subs, table = _parser()
     by_flag = {flag: opt for opt in table[name] for flag in opt[0].option_strings}
     got, i = {}, 0
@@ -396,17 +381,15 @@ def _plain_parse(name: str, args: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
-    (parser, subs, _), argv = _parser(), sys.argv[1:] if argv is None else list(argv)
+    (parser, subs, table), argv = _parser(), sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv and argv[0] in subs:  # the full parse's namespace, from the table or the subparser
-            cfg = _plain_parse(argv[0], argv[1:])
-            if cfg is None:
-                ns = argparse.Namespace(subcommand=argv[0])
-                cfg, extra = subs[argv[0]].parse_known_args(argv[1:], ns)
-                if extra:
-                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        else:
+        cfg = _plain_parse(argv[0], argv[1:]) if argv and argv[0] in subs else None
+        if cfg is None:
             cfg = parser.parse_args(argv)
+            for action, _ in table[cfg.subcommand]:  # argparse 3.11 stores opt=-- as []
+                value = getattr(cfg, action.dest)
+                if value == [] or isinstance(value, list) and [] in value:
+                    subs[cfg.subcommand].error(f"argument {'/'.join(action.option_strings)}: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -136,6 +136,13 @@ class TestScaledDefects:
         assert [p.c for p in pts] == [F(v, S.den) for v in vals]
         assert [p.d for p in pts] == scaled_defects(S, 7, vals)
 
+    def test_defect_past_the_float_range(self):
+        # on E(1, 10^700) every c_j fits a float, but d_1 = 1 - sqrt(2 * 10^700) does not
+        E = Ellipsoid(1, 10**700)
+        for defects in (lambda: scaled_defects(E, 0, scaled_spectrum(E, 0, 3)), lambda: d_sequence(E, 0, 3)):
+            with pytest.raises(ValueError, match=r"^defect d_1 exp\(806\.251\) overflows a float$"):
+                defects()
+
 
 class TestWeylCount:
     def test_square_radius_ten(self):

@@ -256,8 +256,9 @@ ZETA12 = ["zeta", "-a", "1", "-b", "2"]
 
 
 class TestDispatch:
-    """main parses a known subcommand's arguments with its subparser alone; each
-    argv gives what the full parse by build_parser() and cfg.func give."""
+    """main reads a known subcommand's plain command line from the option table
+    and gives every other argv to the full parse by build_parser(); each argv
+    gives what that full parse and cfg.func give."""
 
     ARGVS = [
         [],
@@ -290,13 +291,14 @@ class TestDispatch:
     @staticmethod
     def record_parses(monkeypatch) -> list:
         """(how, namespace) for each parse that gives a namespace, in the order
-        the calls return: how is "argparse" for an ArgumentParser.parse_known_args
-        call and "plain" for a _plain_parse call. The last is the whole parse's."""
+        the calls return: how is "plain" for a _plain_parse call, and for an
+        ArgumentParser.parse_known_args call the parser's prog ("echspec zeta",
+        then "echspec", in a full parse). The last is the whole parse's."""
         seen, parse, plain = [], argparse.ArgumentParser.parse_known_args, echspec.cli._plain_parse
 
         def recording(self, *args, **kwargs):
             ns, extras = parse(self, *args, **kwargs)
-            seen.append(("argparse", ns))
+            seen.append((self.prog, ns))
             return ns, extras
 
         def recording_plain(*args):
@@ -311,9 +313,15 @@ class TestDispatch:
 
     @staticmethod
     def full_parse(argv) -> int:
-        """main as it was before it parsed the subcommand alone."""
+        """main without the plain parse: the full parse, where an option written
+        opt=--, which Python 3.11's argparse stores as [], exits 2 naming it."""
         try:
             cfg = build_parser().parse_args(argv)
+            _, subs, table = echspec.cli._parser()
+            for action, _ in table[cfg.subcommand]:
+                value = getattr(cfg, action.dest)
+                if value == [] or isinstance(value, list) and [] in value:
+                    subs[cfg.subcommand].error(f"argument {'/'.join(action.option_strings)}: expected one argument")
         except SystemExit as exc:
             return int(exc.code or 0)
         try:
@@ -336,14 +344,29 @@ class TestDispatch:
         assert got == want
 
     def test_one_parse_per_known_subcommand(self, monkeypatch, capsys):
-        # a plain command line takes no argparse parse, any other takes one
+        # a plain command line takes one plain parse and no argparse parse; any
+        # other takes no plain parse and one full parse, its subparser's inside it
         seen = self.record_parses(monkeypatch)
         plain = [ZETA12 + ["-s", "3"], ["residues", "-a", "1", "-b", "2"], ["envelope", "-k", "1..2"]]
         deferred = [ZETA12 + ["--conv", "interior", "-s", "3"], ["envelope", "--range", "1..2", "--per", "2"]]
-        for argv, how in [(argv, "plain") for argv in plain] + [(argv, "argparse") for argv in deferred]:
+        for argv in plain + readme_cli_examples() + deferred:
             seen.clear()
             assert main(argv) == 0
-            assert [h for h, _ in seen] == [how], argv
+            want = [f"echspec {argv[0]}", "echspec"] if argv in deferred else ["plain"]
+            assert [h for h, _ in seen] == want, argv
+
+    def test_option_written_with_a_double_dash_value(self, capsys):
+        # Python 3.11's argparse stores opt=-- as [], or appends it: a usage error, not a traceback
+        for name, options in echspec.cli._parser()[2].items():
+            for action, _ in options:
+                for flag in action.option_strings:
+                    assert main([name, *PLAIN_BASES[name], f"{flag}=--"]) == 2, flag
+                    out, err = capsys.readouterr()
+                    assert out == ""
+                    assert err.startswith("usage: echspec "), flag
+                    assert err.endswith(
+                        f"\nechspec {name}: error: argument {'/'.join(action.option_strings)}: expected one argument\n"
+                    ), flag
 
 
 # Values for each option string of some subcommand: some its type and choices
@@ -421,7 +444,7 @@ class TestPlainParse:
         """The exit code, or the repr of an uncaught error, then stdout and stderr."""
         try:
             code = run(argv)
-        except Exception as exc:  # "-s=--" gives s = [[]], which cmd_zeta cannot read
+        except Exception as exc:
             code = repr(exc)
         return (code, *capsys.readouterr())
 
@@ -778,6 +801,19 @@ class TestExitCodes:
         # the approximant warning compares integers, so no axis is made a float
         assert main(["dk", "-a", "1/1" + "0" * 400, "-b", "1", "-k", "1..5"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("1,1,1" + "0" * 400 + ",")
+
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [
+            # c_3 = 3 * 10^400: the capacity check comes before the defects, as in d_sequence
+            ("1" + "0" * 400, "1" + "0" * 401, "capacity exp(922.133)"),
+            # every c_j fits a float, but d_1 = 1 - sqrt(2 * 10^700) does not
+            ("1", "1" + "0" * 700, "defect d_1 exp(806.251)"),
+        ],
+    )
+    def test_dk_past_the_float_range(self, a, b, message, capsys):
+        assert main(["dk", "-a", a, "-b", b, "-k", "0..3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message} overflows a float\n")
 
     @pytest.mark.parametrize(
         "argv",
