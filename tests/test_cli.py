@@ -810,6 +810,7 @@ class TestExitCodes:
             # every c_j fits a float, but d_1 = 1 - sqrt(2 * 10^700) does not
             ("1", "1" + "0" * 700, "defect d_1 exp(806.251)"),
         ],
+        ids=["capacity", "defect"],
     )
     def test_dk_past_the_float_range(self, a, b, message, capsys):
         assert main(["dk", "-a", a, "-b", b, "-k", "0..3"]) == 1
