@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, list]]:
-    p = argparse.ArgumentParser(prog="echspec", description=__doc__)
+    p = argparse.ArgumentParser(prog="echspec", description="ECH capacities of ellipsoids and their zeta functions.")
     sub = p.add_subparsers(dest="subcommand", required=True)
     table = {}  # per subparser, (action, appends) for each option in the order added
 

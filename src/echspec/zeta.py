@@ -3,19 +3,20 @@ functions, and their Laurent data at the poles: exact residues, and constants
 from one complex-step pass through the same kernel.
 
 Every Hurwitz value comes from one Euler-Maclaurin kernel, the entire function
-_eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one s and many
-shifts x and forms the correction coefficients of s once per call; each caller
-divides its sum of _eta values by (s - 1) once. The Barnes double zeta sorts
-its axes, a <= b, and is a sum of N = ceil(cutoff - w/b) of them, the head up
-to the shift xN >= cutoff * b/a, in one kernel call, plus the integral, half
-and Euler-Maclaurin tail terms in the larger axis. The cutoff, the kernel's
-shift point, depends on Im s alone, so at xN each of these is one power
-xN^(1-s) times a series in 1/xN, and both axis orders cost the same and agree
-bit for bit. Public functions reject non-finite input, the poles, and points
-outside Re s > -S_MAX, |Im s| <= IM_MAX once, at entry. The spectrum zeta has
-three conventions, one closed form each, with a <= b sorted and Z(s) =
-barnes_zeta(s, a), the sum over m >= 1, n >= 0; INTERIOR and FULL cost one
-Barnes pass, as its first head shift, a/a = 1, gives (s - 1) zeta(s):
+_eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one s and a list
+of shifts x and forms the correction coefficients of s once per call, and the
+powers and correction terms of a summation point that several shifts share once
+for them all; each caller divides its sum of _eta values by (s - 1) once. The
+Barnes double zeta sorts its axes, a <= b, and is a sum of N = ceil(cutoff - w/b)
+of them, the head up to the shift xN >= cutoff * b/a, in one kernel call, plus
+the integral, half and Euler-Maclaurin tail terms in the larger axis. The cutoff,
+the kernel's shift point, depends on Im s alone, so at xN these are one power
+xN^(1-s) times 14 series in 1/xN, summed in plain loops, and both axis orders
+cost the same and agree bit for bit. Public functions reject non-finite input,
+the poles, and points outside Re s > -S_MAX, |Im s| <= IM_MAX once, at entry.
+The spectrum zeta has three conventions, one closed form each, with a <= b
+sorted and Z(s) = barnes_zeta(s, a), the sum over m >= 1, n >= 0; INTERIOR and
+FULL cost one Barnes pass, as its first head shift, a/a = 1, gives (s - 1) zeta(s):
 
   INTERIOR  sum over m, n >= 1          Z(s) - a^-s zeta(s)
   FULL      sum over (m, n) != (0, 0)   Z(s) + b^-s zeta(s)
@@ -119,31 +120,43 @@ def _pow(x: float, p: complex) -> complex:
         raise ValueError(f"{x!r} ** {p} overflows a float") from None
 
 
-def _eta(s: complex, xs):
-    """(s - 1) zeta(s, x) for each shift x in xs, by Euler-Maclaurin summation
-    from x + N >= _cutoff(s): entire in s, equal to 1 at s = 1. The one Hurwitz
-    kernel; it forms the correction coefficients of s once, and checks nothing."""
+def _eta(s: complex, xs) -> list:
+    """[(s - 1) zeta(s, x) for x in xs], by Euler-Maclaurin summation from the point
+    X = x + N >= _cutoff(s): entire in s, equal to 1 at s = 1. The one Hurwitz kernel;
+    it forms the correction coefficients of s once, and at a point X that several
+    shifts share, its three powers and 12 correction terms once. It checks nothing."""
     cut, ms = _cutoff(s), -s
     coefs, poch = [], (s - 1) * s  # B_2k/(2k)! (s - 1) (s)_{2k-1}
     for k in range(1, _EM_TERMS + 1):
         coefs.append(_B2K_FACT[k] * poch)
         poch *= (s + 2 * k - 1) * (s + 2 * k)
-    for x in xs:
-        N = max(0, math.ceil(cut - x))
+    Ns = [math.ceil(cut - x) if x < cut else 0 for x in xs]
+    Xs, vals = [x + N for x, N in zip(xs, Ns)], []
+    srt = sorted(Xs) if len(set(Xs)) < len(Xs) else ()
+    shared = {X: None for X, Y in zip(srt, srt[1:]) if X == Y}
+    for x, N, X in zip(xs, Ns, Xs):
         head = 0.0 + 0.0j
         try:
             for n in range(N):
                 head += (x + n) ** ms
         except (OverflowError, ZeroDivisionError):
             raise ValueError(f"{x + n!r} ** {ms} overflows a float") from None
-        X = x + N
-        # form the cancelling part first; the corrections are small beside it
-        val = (s - 1) * (head + 0.5 * _pow(X, ms)) + _pow(X, 1 - s)
-        xpow, X2 = _pow(X, ms - 1), X * X
-        for c in coefs:
-            val += c * xpow
-            xpow /= X2
-        yield val
+        if X not in shared:  # form the cancelling part first; the corrections are small beside it
+            val = (s - 1) * (head + 0.5 * _pow(X, ms)) + _pow(X, 1 - s)
+            xpow, X2 = _pow(X, ms - 1), X * X
+            for c in coefs:
+                val += c * xpow
+                xpow /= X2
+        else:
+            if shared[X] is None:  # the first shift at X forms its terms in the same order
+                h, q, xpow, X2 = 0.5 * _pow(X, ms), _pow(X, 1 - s), _pow(X, ms - 1), X * X
+                shared[X] = h, q, [coefs[0] * xpow] + [c * (xpow := xpow / X2) for c in coefs[1:]]
+            h, q, terms = shared[X]
+            val = (s - 1) * (head + h) + q
+            for t in terms:
+                val += t
+        vals.append(val)
+    return vals
 
 
 def _guard(s: complex, name: str, poles: tuple[int, ...], x: float = 1.0) -> None:
@@ -175,7 +188,7 @@ def hurwitz_zeta(s, x: float) -> complex:
     s = complex(s)
     x = as_float(x, "offset x =")
     _guard(s, "hurwitz_zeta", (1,), x)
-    return next(_eta(s, (x,))) / (s - 1)
+    return _eta(s, (x,))[0] / (s - 1)
 
 
 def riemann_zeta(s) -> complex:
@@ -184,60 +197,51 @@ def riemann_zeta(s) -> complex:
 
 
 def _barnes_pieces(s, w: float, a: float, b: float):
-    """(head, integral, beta, half, tail) of the Barnes sum for sorted axes a <= b,
-    which is a^-s [head + integral / (beta (s - 2)) + half + tail] / (s - 1):
-    the head's terms in a list, the tail's lazily, and integral = _eta(s - 1,
-    xN) without its pole factor, beta = b / a; where its lead xN^(2-s) is past
-    the float range, the integral over b / a, and beta = 1."""
+    """(head, integral, beta, half, tail) of the Barnes sum for sorted axes a <= b, which is
+    a^-s [sum(head) + integral / (beta (s - 2)) + half + sum(tail)] / (s - 1): integral =
+    _eta(s - 1, xN) without its pole factor and beta = b / a, or where its lead xN^(2-s) is
+    past the float range, the integral over b / a and beta = 1."""
     N = max(0, math.ceil(_cutoff(s) - w / b))
     xN, beta = (w + N * b) / a, b / a
     lead, corr, half, tail = _em_tail(s, beta, xN)
     if not cmath.isfinite(lead):  # lead / beta = xN^(1-s) (xN / beta), and its series
         lead, beta = _pow(xN, 1 - s) * (xN / beta), 1.0
-        corr = _em_series(lead, s - 1, xN)
-    return list(_eta(s, ((w + n * b) / a for n in range(N)))), lead + corr, beta, half, tail
+    return _eta(s, [(w + n * b) / a for n in range(N)]), lead + lead * corr, beta, half, tail
 
 
 def _em_tail(s, beta: float, X: float):
     """(lead, corr, half, tail): for X >= _cutoff(s), 16 beta, sum_{n>=0} _eta(s, X + n beta) is
-    (lead + corr) / (beta (s - 2)) + half + tail, lead = X^(2-s) and corr = _eta(s - 1, X) - lead."""
+    lead (1 + corr) / (beta (s - 2)) + half + sum(tail), lead = X^(2-s), in 14 parts c (1 + S(sig)),
+    S(sig) = (sig - 1)/(2X) + sum_j B_2j/(2j)! (sig - 1) (sig)_{2j-1} X^-2j: _eta(s - 1, X) at s - 1,
+    the half X^(1-s)/2 (1 + S(s)), and tail term k, B_2k/(2k)! beta^{2k-1} (s - 1) (s)_{2k-2}
+    _eta(s + 2k - 1, X), with c = X^(1-s) B_2k/(2k)! r^{2k-1} (s - 1) (s)_{2k-2}, r = beta/X <= 1/16:
+    term j of its S is about r^(2(k + j)), so 12 - k terms drop only those near the dropped k = 13."""
     p = _pow(X, 1 - s)
-    lead, c = X * p, 0.5 * p
-    return lead, _em_series(lead, s - 1, X), c + _em_series(c, s, X), _barnes_tail(s, beta, X, p)
-
-
-def _em_series(c: complex, sig: complex, X: float, terms: int = _EM_TERMS) -> complex:
-    """c _eta(sig, X) / X^(1-sig) - c for X >= _cutoff(sig): c [(sig - 1)/(2X) + the
-    first terms of sum_j B_2j/(2j)! (sig - 1) (sig)_{2j-1} X^-2j], each a multiple
-    of sig - 1; callers add c."""
-    u = X**-2
-    corr, poch = (sig - 1) / (2 * X), (sig - 1) * sig * u  # (sig - 1) (sig)_{2j-1} u^j
-    for j in range(1, terms + 1):
-        corr += _B2K_FACT[j] * poch
-        poch *= (sig + 2 * j - 1) * (sig + 2 * j) * u
-    return c * corr
-
-
-def _barnes_tail(s, beta: float, xN: float, p: complex):
-    # Term k, B_2k/(2k)! beta^{2k-1} (s - 1) (s)_{2k-2} _eta(s + 2k - 1, xN), is p times
-    # B_2k/(2k)! r^{2k-1} (s - 1) (s)_{2k-2} and its series, r = beta/xN <= 1/16, whose
-    # part j is about r^(2(k + j)): 12 - k parts drop only terms near the dropped k = 13
-    r = beta / xN
-    scaled = r * (s - 1)  # r^{2k-1} (s - 1) (s)_{2k-2}
+    u, X2, r, sm1 = X**-2, 2 * X, beta / X, s - 1
+    cs, sigs, scaled = [0.5 * p], [sm1, s], r * sm1  # r^{2k-1} (s - 1) (s)_{2k-2}
     for k in range(1, _EM_TERMS + 1):
-        c = _B2K_FACT[k] * scaled * p
-        yield c + _em_series(c, s + 2 * k - 1, xN, _EM_TERMS - k)
-        scaled *= r * r * (s + 2 * k - 2) * (s + 2 * k - 1)
+        t = s + 2 * k
+        cs.append(_B2K_FACT[k] * scaled * p)
+        sigs.append(t - 1)
+        scaled *= r * r * (t - 2) * sigs[-1]
+    sums = []
+    for i, sig in enumerate(sigs, -1):  # S(sig) of the integral, the half, then tail term i
+        n, sig1 = _EM_TERMS - i if i > 0 else _EM_TERMS, sig - 1
+        corr, poch = sig1 / X2, sig1 * sig * u  # (sig - 1) (sig)_{2j-1} u^j
+        for j in range(1, n):
+            corr += _B2K_FACT[j] * poch
+            t = sig + 2 * j
+            poch *= (t - 1) * t * u
+        sums.append(corr + _B2K_FACT[n] * poch if n else corr)
+    parts = [c + c * q for c, q in zip(cs, sums[1:])]
+    return X * p, sums[0], parts[0], parts[1:]
 
 
 def _barnes_sum(s: complex, w: float, a: float, b: float) -> tuple[complex, complex]:
     """barnes_zeta at a checked s on sorted axes a <= b, and its head's first value or 0.0."""
     head, integral, beta, half, tail = _barnes_pieces(s, w, a, b)
     total = 0.0 + 0.0j
-    for v in head:
-        total += v
-    total += integral / (beta * (s - 2)) + half
-    for v in tail:
+    for v in (*head, integral / (beta * (s - 2)) + half, *tail):
         total += v
     val = _pow(a, -s) * total / (s - 1)
     if not cmath.isfinite(val):
@@ -269,14 +273,14 @@ def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
     if N < Ap and s == 2:
         return complex(_distinct_zeta(complex(2, _STEP), E).real)
     top = as_float(Fraction((Ap if N < Ap else Ap - 1) * Bp, Ap), "DISTINCT shift n B'/A' =")
-    values = _eta(s, (n * Bp / Ap if n else 1.0 for n in range(N)))
-    total = next(values)
+    total, *values = _eta(s, [n * Bp / Ap if n else 1.0 for n in range(N)])
     for v in values:
         total += v
     if N < Ap:
         beta = Bp / Ap
         lead, c0, h0, t0 = _em_tail(s, beta, N * Bp / Ap)
-        _, cB, hB, tB = _em_tail(s, beta, top)
+        leadB, cB, hB, tB = _em_tail(s, beta, top)
+        c0, cB = lead * c0, leadB * cB
         z = (2 - s) * math.log1p((Ap - N) / N)  # B'^(2-s) = x0^(2-s) exp(z)
         try:  # (x0^(2-s) - B'^(2-s)) / (s - 2) = x0^(2-s) expm1(z) / (2 - s)
             lead *= complex(math.expm1(z.real) * math.cos(z.imag) - 2 * math.sin(z.imag / 2) ** 2,
@@ -321,12 +325,13 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
     quad_err is 64 * 2^-52 times the sum of |value| + |derivative| over the
     parts the pass adds: a rounding bound, which covers the printed residue
     too, as the values of the parts sum to it; the kernel's truncation is far
-    below it. A constant that is not finite or a bound above
-    tol * max(1, |constant|) raises NonConvergent."""
-    a, b = sorted((E.a, E.b))
-    if s0 == 0:
-        zero = Fraction(1, 4) + (a / b + b / a) / 12
-        rows = [(0, as_float(v, "value at s=0"), 2.0**-53 * max(1, abs(v))) for v in (zero, zero - 1)]
+    below it. Where a part overflows (a thin E), the parts keep a^-s / a^-s0 and
+    the sums are scaled by a^-s0. A constant that is not finite or a bound
+    above tol * max(1, |constant|) raises NonConvergent."""
+    AB, sq = E.A * E.B, E.A**2 + E.B**2
+    if s0 == 0:  # 1/4 + (a/b + b/a)/12 = (A^2 + 3AB + B^2)/(12AB), a = A/den and b = B/den
+        rows = [(0, as_float(v, "value at s=0"), 2.0**-53 * max(1, abs(v)))
+                for v in (Fraction(sq + 3 * AB, 12 * AB), Fraction(sq - 9 * AB, 12 * AB))]
     elif s0 in (1, 2):
         (fa, fb), s = _float_axes(E), complex(s0, _STEP)
         try:
@@ -334,15 +339,20 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
             # c = (s - s0)/(s - 1) takes a^-s zeta(s) and the pieces of a^-s (s - 1) Z(s)
             # to their shares of (s - s0) f(s); the integral's 1/(s - 2) is folded in
             c, pole = (1.0, s - 2) if s0 == 1 else ((s - 2) / (s - 1), s - 1)
-            A = _pow(fa, -s)
-            parts = [A * c * p for p in (*head, half, *tail)] + [A * integral / (beta * pole)]
-            zeta = c * head[0]
-            res = 1 / (a * b) if s0 == 2 else (a + b) / (2 * a * b)
-            axes = ((res if s0 == 2 else -res, -(A * zeta)), (res, _pow(fb, -s) * zeta))
+            A, B = _pow(fa, -s), _pow(fb, -s)
         except ValueError:  # the inner message would show the step
             raise ValueError(f"Laurent pass overflows a float at s={s0} on E({fa}, {fb})") from None
-        Z, mag = sum(parts), sum(abs(p.real) + abs(p.imag / _STEP) for p in parts)
-        rows = [(r, (Z + t).imag / _STEP, 2.0**-46 * (mag + abs(t.real) + abs(t.imag / _STEP)))
+        zeta = c * head[0]
+        res = Fraction(E.den**2, AB) if s0 == 2 else Fraction(E.den * (E.A + E.B), 2 * AB)
+        for m in (1.0, A.real):  # a^-s in each part; where a part overflows, a^-s / a^-s0
+            k = A if m == 1.0 else A / m
+            Ac = k * c
+            parts = [Ac * p for p in (*head, half, *tail)] + [k * integral / (beta * pole)]
+            Z, mag = sum(parts), sum(abs(p.real) + abs(p.imag / _STEP) for p in parts)
+            if cmath.isfinite(Z) and math.isfinite(mag):
+                break
+        axes = ((res if s0 == 2 else -res, -(k * zeta)), (res, (B if m == 1.0 else B / m) * zeta))
+        rows = [(r, m * ((Z + t).imag / _STEP), m * 2.0**-46 * (mag + abs(t.real) + abs(t.imag / _STEP)))
                 for r, t in axes]
     else:
         raise ValueError(f"ech_laurent_pair takes s0 = 0, 1 or 2, not {s0!r}")

@@ -119,6 +119,16 @@ class TestParsers:
             parse_complex(bad)
 
 
+    @pytest.mark.parametrize("argv", [["-h"], ["--help", "zeta"]])
+    def test_help_describes_the_program_not_its_implementation(self, argv, capsys):
+        # the description is a line of its own, not the module docstring's notes
+        assert echspec.cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "ECH capacities of ellipsoids and their zeta functions." in out
+        for note in ("option table", "template", "complex-step", "argparse", "Subcommands:"):
+            assert note not in out, note
+
+
 class TestCapacitiesCommand:
     def test_csv_output(self, capsys):
         assert main(["capacities", "-a", "1", "-b", "1", "-k", "0..5"]) == 0

@@ -43,28 +43,35 @@ EULER_GAMMA = 0.5772156649015329
 
 def count_kernel_work(monkeypatch) -> list:
     """[shifts the kernel evaluates, series evaluated at the shift past a Barnes
-    head, complex powers of a float: three per kernel shift and one per power
-    outside the kernel], counted while the test runs"""
+    head (14 per tail), complex powers of a float: three per distinct summation
+    point of a kernel call and one per power outside the kernel], counted while
+    the test runs"""
     work = [0, 0, 0]
-    eta, em_series, pow_ = echspec.zeta._eta, echspec.zeta._em_series, echspec.zeta._pow
+    eta, em_tail, pow_ = echspec.zeta._eta, echspec.zeta._em_tail, echspec.zeta._pow
 
     def counting_eta(s, xs):
-        xs = list(xs)
         work[0] += len(xs)
         return eta(s, xs)
 
-    def counting_series(*args):
-        work[1] += 1
-        return em_series(*args)
+    def counting_tail(*args):
+        work[1] += 14
+        return em_tail(*args)
 
     def counting_pow(x, p):
         work[2] += 1
         return pow_(x, p)
 
     monkeypatch.setattr(echspec.zeta, "_eta", counting_eta)
-    monkeypatch.setattr(echspec.zeta, "_em_series", counting_series)
+    monkeypatch.setattr(echspec.zeta, "_em_tail", counting_tail)
     monkeypatch.setattr(echspec.zeta, "_pow", counting_pow)
     return work
+
+
+def summation_points(s, xs) -> int:
+    """How many distinct points x + N >= cutoff(s), N >= 0 the least integer,
+    the shifts xs reach: the kernel raises each to three powers once."""
+    cut = max(16.0, 0.5 * abs(complex(s).imag) + 8.0)
+    return len({x + max(0, math.ceil(cut - x)) for x in xs})
 
 
 class TestBernoulli:
@@ -248,7 +255,7 @@ class TestBarnes:
     )
     def test_cost_and_value_independent_of_axis_order(self, a, b, monkeypatch):
         work = count_kernel_work(monkeypatch)
-        lo = min(a, b)
+        lo, hi = sorted((a, b))
         points = [complex(-3.9, 0.5), complex(-2.9, 0.5), -1.3, complex(0.5, 10.0)]
         points += [complex(2.5, -16.0), complex(3.0, 1.0), 6.0]
         for s in points:
@@ -258,9 +265,11 @@ class TestBarnes:
                     work[:] = [0, 0, 0]
                     got.append((barnes_zeta(s, w, E), tuple(work)))
                 assert got[0] == got[1], (s, w)
-                # cutoff 16 and w < max(a, b) make a head of 16 shifts; past it
-                # one power xN^(1-s), and a^-s, serve the 14 series at xN
-                assert got[0][1] == (16, 14, 3 * 16 + 2), (s, w)
+                # cutoff 16 and w < max(a, b) make a head of 16 shifts, three powers
+                # at each distinct summation point; past it one power xN^(1-s),
+                # and a^-s, serve the 14 series at xN
+                points_reached = summation_points(s, [float((w + n * hi) / lo) for n in range(16)])
+                assert got[0][1] == (16, 14, 3 * points_reached + 2), (s, w)
             for conv in ZetaConvention:
                 assert ech_zeta(s, Ellipsoid(a, b), conv) == ech_zeta(s, Ellipsoid(b, a), conv)
         # an offset past cutoff * max(a, b) leaves an empty head, and the 14
@@ -336,17 +345,28 @@ class TestEchZeta:
 
     def test_one_kernel_call_per_sum(self, monkeypatch):
         # the first 16 DISTINCT shifts and the Barnes head each go to the
-        # kernel in one call, lazily; the integral, half and tail terms of a
-        # Barnes tail are 14 series at one shift: for DISTINCT on A' = 4181 at
+        # kernel as one list; the integral, half and tail terms of a Barnes
+        # tail are one call at one shift: for DISTINCT on A' = 4181 at
         # x0 = 16 B'/A' and at B' = 6765, for the Barnes value at xN = 25
-        seen, series = [], []
-        eta, em_series = echspec.zeta._eta, echspec.zeta._em_series
+        seen, tails = [], []
+        eta, em_tail = echspec.zeta._eta, echspec.zeta._em_tail
         monkeypatch.setattr(echspec.zeta, "_eta", lambda s, xs: seen.append(xs) or eta(s, xs))
-        monkeypatch.setattr(echspec.zeta, "_em_series", lambda *a: series.append(a[2]) or em_series(*a))
+        monkeypatch.setattr(echspec.zeta, "_em_tail", lambda *a: tails.append(a[2]) or em_tail(*a))
         ech_zeta(3.0, Ellipsoid(1, F(6765, 4181)), ZetaConvention.DISTINCT)
         barnes_zeta(3.0, 2.0, Ellipsoid(2, 3))
-        assert len(seen) == 2 and sorted(series) == [25.0] * 14 + [16 * 6765 / 4181] * 14 + [6765.0] * 14
-        assert not isinstance(seen[0], (list, tuple)) and not isinstance(seen[1], (list, tuple))
+        assert sorted(tails) == [25.0, 16 * 6765 / 4181, 6765.0]
+        assert [(type(xs), len(xs)) for xs in seen] == [(list, 16), (list, 16)]
+
+    def test_shared_summation_points(self, monkeypatch):
+        # on E(1, 2) the head shifts 1, 3, ..., 31 reach 9 summation points: the
+        # eight odd shifts below 16 all sum from 16, and each point's three
+        # powers serve all its shifts; on E(3/2, 5/7) no point repeats
+        work = count_kernel_work(monkeypatch)
+        for (a, b), points in [((1, 2), 9), ((F(3, 2), F(5, 7)), 16)]:
+            for s in (complex(0.7, 2.0), 3.0, complex(-2.5, 9.0)):
+                work[:] = [0, 0, 0]
+                ech_zeta(s, Ellipsoid(a, b), ZetaConvention.FULL)
+                assert work == [16, 14, 3 * points + 3], (a, b, s)
 
     def test_distinct_cost_is_independent_of_a_prime(self, monkeypatch):
         # with A' = 514229, 16 kernel shifts and 2 x 14 series per value, and
@@ -699,40 +719,45 @@ class TestLaurentPair:
             ref = laurent_at(lambda s: ech_zeta(s, E, conv), s0, radius=0.3, n_points=64, tol=1e-10)
             assert abs(lau.constant - ref.constant) <= lau.quad_err + ref.quad_err, conv
 
+    @staticmethod
+    def thin_constants(s0, E) -> list:
+        """(INTERIOR, FULL) constants at s0 from FULL's expansion in 1/B, B = b/a,
+        whose next term is O(B^-4), times a^-s; INTERIOR is FULL - (a^-s + b^-s) zeta(s)."""
+        lo, hi = sorted((E.a, E.b))
+        with mpmath.workdps(60 + len(str(hi // lo))):
+            a, b = (mpmath.mpf(x.numerator) / x.denominator for x in (lo, hi))
+            B = b / a
+
+            def full(s):
+                return a**-s * (
+                    mpmath.zeta(s) + B ** (1 - s) * mpmath.zeta(s - 1) / (s - 1)
+                    + B**-s * mpmath.zeta(s) / 2 + s * B ** (-s - 1) * mpmath.zeta(s + 1) / 12
+                )
+
+            fs = [lambda s: full(s) - (a**-s + b**-s) * mpmath.zeta(s), full]
+            h = mpmath.mpf("1e-20")
+            return [float((f(s0 + h) + f(s0 - h)) / 2) for f in fs]
+
     def test_bound_covers_a_thin_ellipsoid(self):
         # On E(1, 10^12) the head derivatives add up to about 400, and the
-        # constant at 1 is off by 3.3e-12. The reference is FULL's expansion in
-        # 1/B, B = b/a, whose next term is O(B^-4), times a^-s, and INTERIOR is
-        # FULL - (a^-s + b^-s) zeta(s). On E(10^-153, 1) a derivative passes the
+        # constant at 1 is off by 3.3e-12. On E(10^-153, 1) a derivative passes the
         # float range midway through the pass, but not its 2^-100 multiple; on
         # E(10^110, 249/170) the Barnes tail's kernel values underflow.
         cases = [(s0, E) for s0 in (1, 2) for E in (Ellipsoid(1, 10**12), Ellipsoid(10**12, 1))]
         cases += [(1, Ellipsoid(F(1, 10**e), 1)) for e in (150, 153)]
         cases += [(1, Ellipsoid(10**110, F(249, 170)))]
         for s0, E in cases:
-            lo, hi = sorted((E.a, E.b))
-            with mpmath.workdps(60 + len(str(hi // lo))):
-                a, b = (mpmath.mpf(x.numerator) / x.denominator for x in (lo, hi))
-                B = b / a
-
-                def full(s):
-                    return a**-s * (
-                        mpmath.zeta(s) + B ** (1 - s) * mpmath.zeta(s - 1) / (s - 1)
-                        + B**-s * mpmath.zeta(s) / 2 + s * B ** (-s - 1) * mpmath.zeta(s + 1) / 12
-                    )
-
-                fs = [lambda s: full(s) - (a**-s + b**-s) * mpmath.zeta(s), full]
-                h = mpmath.mpf("1e-20")
-                for lau, f in zip(ech_laurent_pair(s0, E), fs):
-                    ref = float((f(s0 + h) + f(s0 - h)) / 2)
-                    assert abs(lau.constant - ref) <= lau.quad_err, (s0, E)
+            for lau, ref in zip(ech_laurent_pair(s0, E), self.thin_constants(s0, E)):
+                assert abs(lau.constant - ref) <= lau.quad_err, (s0, E)
 
     @pytest.mark.parametrize("e", [154, 160])
-    def test_thinner_ellipsoid_raises(self, e):
-        # the derivative parts overflow and their sum is inf or nan; the
-        # constant near E(10^-160, 1), about -9.19e159, fits a float
-        with pytest.raises(NonConvergent):
-            ech_laurent_pair(1, Ellipsoid(F(1, 10**e), 1))
+    def test_thinner_ellipsoid_past_the_overflow(self, e):
+        # from e = 154 a^-s times the integral part is past the float range, so the
+        # parts keep a^-s / a^-s0 and the sums are scaled by a^-s0: the constant
+        # near E(10^-160, 1), about -9.19e159, is held to the same bound
+        E = Ellipsoid(F(1, 10**e), 1)
+        for lau, ref in zip(ech_laurent_pair(1, E), self.thin_constants(1, E)):
+            assert abs(lau.constant - ref) <= lau.quad_err <= 1e-10 * abs(ref)
 
     def test_overflow_message_is_stable(self):
         E = Ellipsoid(F(1, 10**160), 1)
