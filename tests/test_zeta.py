@@ -495,6 +495,7 @@ class TestEchZeta:
         [
             (3, F(1, 10**200), F(1)),  # the axis power a^-s = 1e600
             (3.08, F(1, 10**100), F(1, 10**100)),  # a^-s finite, the Barnes value not
+            (3, F(1, 10**200), F(10**200)),  # head shifts b/a = 1e400 past the float range
         ],
     )
     def test_overflow_raises(self, s, a, b, conv):
