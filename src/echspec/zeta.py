@@ -5,10 +5,10 @@ from one complex-step pass through the same kernel.
 Every Hurwitz value comes from one Euler-Maclaurin kernel, the entire function
 _eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one s and a list
 of shifts x and forms the correction coefficients of s once per call, and the
-powers and correction terms of a summation point that several shifts share once
-for them all; each caller divides its sum of _eta values by (s - 1) once. The
-Barnes double zeta sorts its axes, a <= b, and is a sum of N = ceil(cutoff - w/b)
-of them, the head up to the shift xN >= cutoff * b/a, in one kernel call, plus
+three powers of a summation point once for all the shifts that reach it; each
+caller divides its sum of _eta values by (s - 1) once. The Barnes double zeta
+sorts its axes, a <= b, and is a sum of N = ceil(cutoff - w/b) of them, the head
+up to the shift xN >= cutoff * b/a, in one kernel call, plus
 the integral, half and Euler-Maclaurin tail terms in the larger axis. The cutoff,
 the kernel's shift point, depends on Im s alone, so at xN these are one power
 xN^(1-s) times 14 series in 1/xN, summed in plain loops, and both axis orders
@@ -123,38 +123,30 @@ def _pow(x: float, p: complex) -> complex:
 def _eta(s: complex, xs) -> list:
     """[(s - 1) zeta(s, x) for x in xs], by Euler-Maclaurin summation from the point
     X = x + N >= _cutoff(s): entire in s, equal to 1 at s = 1. The one Hurwitz kernel;
-    it forms the correction coefficients of s once, and at a point X that several
-    shifts share, its three powers and 12 correction terms once. It checks nothing."""
+    it forms the correction coefficients of s once, and the three powers of each
+    point X once, for all the shifts that sum from it. It checks nothing."""
     cut, ms = _cutoff(s), -s
     coefs, poch = [], (s - 1) * s  # B_2k/(2k)! (s - 1) (s)_{2k-1}
     for k in range(1, _EM_TERMS + 1):
         coefs.append(_B2K_FACT[k] * poch)
         poch *= (s + 2 * k - 1) * (s + 2 * k)
-    Ns = [math.ceil(cut - x) if x < cut else 0 for x in xs]
-    Xs, vals = [x + N for x, N in zip(xs, Ns)], []
-    srt = sorted(Xs) if len(set(Xs)) < len(Xs) else ()
-    shared = {X: None for X, Y in zip(srt, srt[1:]) if X == Y}
-    for x, N, X in zip(xs, Ns, Xs):
-        head = 0.0 + 0.0j
+    vals, points = [], {}
+    for x in xs:
+        N = math.ceil(cut - x) if x < cut else 0
+        head, X = 0.0 + 0.0j, x + N
         try:
             for n in range(N):
                 head += (x + n) ** ms
         except (OverflowError, ZeroDivisionError):
             raise ValueError(f"{x + n!r} ** {ms} overflows a float") from None
-        if X not in shared:  # form the cancelling part first; the corrections are small beside it
-            val = (s - 1) * (head + 0.5 * _pow(X, ms)) + _pow(X, 1 - s)
-            xpow, X2 = _pow(X, ms - 1), X * X
-            for c in coefs:
-                val += c * xpow
-                xpow /= X2
-        else:
-            if shared[X] is None:  # the first shift at X forms its terms in the same order
-                h, q, xpow, X2 = 0.5 * _pow(X, ms), _pow(X, 1 - s), _pow(X, ms - 1), X * X
-                shared[X] = h, q, [coefs[0] * xpow] + [c * (xpow := xpow / X2) for c in coefs[1:]]
-            h, q, terms = shared[X]
-            val = (s - 1) * (head + h) + q
-            for t in terms:
-                val += t
+        pt = points.get(X)
+        if pt is None:  # the powers of X, once for every shift that sums from X
+            pt = points[X] = 0.5 * _pow(X, ms), _pow(X, 1 - s), _pow(X, ms - 1), X * X
+        h, q, xpow, X2 = pt
+        val = (s - 1) * (head + h) + q  # the cancelling part; the corrections are small beside it
+        for c in coefs:
+            val += c * xpow
+            xpow /= X2
         vals.append(val)
     return vals
 
@@ -345,13 +337,13 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
         zeta = c * head[0]
         res = Fraction(E.den**2, AB) if s0 == 2 else Fraction(E.den * (E.A + E.B), 2 * AB)
         for m in (1.0, A.real):  # a^-s in each part; where a part overflows, a^-s / a^-s0
-            k = A if m == 1.0 else A / m
-            Ac = k * c
-            parts = [Ac * p for p in (*head, half, *tail)] + [k * integral / (beta * pole)]
+            kA, kB = A / m, B / m  # exact at m = 1
+            Ac = kA * c
+            parts = [Ac * p for p in (*head, half, *tail)] + [kA * integral / (beta * pole)]
             Z, mag = sum(parts), sum(abs(p.real) + abs(p.imag / _STEP) for p in parts)
             if cmath.isfinite(Z) and math.isfinite(mag):
                 break
-        axes = ((res if s0 == 2 else -res, -(k * zeta)), (res, (B if m == 1.0 else B / m) * zeta))
+        axes = ((res if s0 == 2 else -res, -(kA * zeta)), (res, kB * zeta))
         rows = [(r, m * ((Z + t).imag / _STEP), m * 2.0**-46 * (mag + abs(t.real) + abs(t.imag / _STEP)))
                 for r, t in axes]
     else:

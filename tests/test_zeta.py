@@ -42,10 +42,10 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def count_kernel_work(monkeypatch) -> list:
-    """[shifts the kernel evaluates, series evaluated at the shift past a Barnes
-    head (14 per tail), complex powers of a float: three per distinct summation
-    point of a kernel call and one per power outside the kernel], counted while
-    the test runs"""
+    """[shifts the kernel evaluates, Barnes tails evaluated (each sums the 14
+    series of its integral, half and tail terms at one shift), complex powers of
+    a float: three per distinct summation point of a kernel call and one per power
+    outside the kernel], counted while the test runs"""
     work = [0, 0, 0]
     eta, em_tail, pow_ = echspec.zeta._eta, echspec.zeta._em_tail, echspec.zeta._pow
 
@@ -54,7 +54,7 @@ def count_kernel_work(monkeypatch) -> list:
         return eta(s, xs)
 
     def counting_tail(*args):
-        work[1] += 14
+        work[1] += 1
         return em_tail(*args)
 
     def counting_pow(x, p):
@@ -267,16 +267,16 @@ class TestBarnes:
                 assert got[0] == got[1], (s, w)
                 # cutoff 16 and w < max(a, b) make a head of 16 shifts, three powers
                 # at each distinct summation point; past it one power xN^(1-s),
-                # and a^-s, serve the 14 series at xN
+                # and a^-s, serve the tail's 14 series at xN
                 points_reached = summation_points(s, [float((w + n * hi) / lo) for n in range(16)])
-                assert got[0][1] == (16, 14, 3 * points_reached + 2), (s, w)
+                assert got[0][1] == (16, 1, 3 * points_reached + 2), (s, w)
             for conv in ZetaConvention:
                 assert ech_zeta(s, Ellipsoid(a, b), conv) == ech_zeta(s, Ellipsoid(b, a), conv)
-        # an offset past cutoff * max(a, b) leaves an empty head, and the 14
-        # series of the integral, half and tail terms at the offset
+        # an offset past cutoff * max(a, b) leaves an empty head, and one tail,
+        # the 14 series of the integral, half and tail terms at the offset
         work[:] = [0, 0, 0]
         barnes_zeta(3.0, 16 * max(a, b) + 1, Ellipsoid(a, b))
-        assert work == [0, 14, 2]
+        assert work == [0, 1, 2]
 
 
 class TestEchZeta:
@@ -366,17 +366,17 @@ class TestEchZeta:
             for s in (complex(0.7, 2.0), 3.0, complex(-2.5, 9.0)):
                 work[:] = [0, 0, 0]
                 ech_zeta(s, Ellipsoid(a, b), ZetaConvention.FULL)
-                assert work == [16, 14, 3 * points + 3], (a, b, s)
+                assert work == [16, 1, 3 * points + 3], (a, b, s)
 
     def test_distinct_cost_is_independent_of_a_prime(self, monkeypatch):
-        # with A' = 514229, 16 kernel shifts and 2 x 14 series per value, and
+        # with A' = 514229, 16 kernel shifts and two tails per value, and
         # the powers x0^(1-s), B'^(1-s) and (step A')^-s
         work = count_kernel_work(monkeypatch)
         E = Ellipsoid(1, F(832040, 514229))
         for s in (3.0, 0.5, complex(-2.5, 9.0), 2.0):
             work[:] = [0, 0, 0]
             ech_zeta(s, E, ZetaConvention.DISTINCT)
-            assert work == [16, 2 * 14, 3 * 16 + 3], s
+            assert work == [16, 2, 3 * 16 + 3], s
 
     def test_distinct_at_a_prime_past_a_million(self):
         # A' = 10^9: the shifts n B'/A' past the first 16 are two Barnes tails
@@ -511,14 +511,14 @@ class TestEchZeta:
 
     def test_barnes_calls_per_convention(self, monkeypatch):
         # INTERIOR and FULL make one Barnes pass and no barnes_zeta call: a head
-        # of 16 shifts, whose first gives zeta(s), and 14 series at xN, with
-        # xN^(1-s), a^-s and the axis power; DISTINCT sums A' = 10 Hurwitz values
+        # of 16 shifts, whose first gives zeta(s), and a tail of 14 series at xN,
+        # with xN^(1-s), a^-s and the axis power; DISTINCT sums A' = 10 Hurwitz values
         calls = self.count_barnes_calls(monkeypatch)
         work = count_kernel_work(monkeypatch)
         E = Ellipsoid(F(3, 2), F(5, 7))
         for conv, want in [
-            (ZetaConvention.INTERIOR, [16, 14, 3 * 16 + 3]),
-            (ZetaConvention.FULL, [16, 14, 3 * 16 + 3]),
+            (ZetaConvention.INTERIOR, [16, 1, 3 * 16 + 3]),
+            (ZetaConvention.FULL, [16, 1, 3 * 16 + 3]),
             (ZetaConvention.DISTINCT, [10, 0, 3 * 10 + 1]),
         ]:
             work[:] = [0, 0, 0]
@@ -529,8 +529,9 @@ class TestEchZeta:
         # residues prints exact residues and values at 0 and takes each constant
         # from one complex-step pass: no Barnes value and no contour. On E(3/2, 5/7) a
         # pass evaluates the 16 head shifts in one kernel call, the first of them
-        # the Riemann value, and the integral, half and 12 tail terms as 14 series
-        # from one power xN^(1-s); with a^-s and b^-s, 3 * 16 + 3 powers per pole.
+        # the Riemann value, and the integral, half and 12 tail terms as one tail,
+        # 14 series from one power xN^(1-s); with a^-s and b^-s, 3 * 16 + 3 powers
+        # per pole.
         calls = self.count_barnes_calls(monkeypatch)
         contours = []
         monkeypatch.setattr(echspec.zeta, "laurent_at", lambda *a, **k: contours.append(a))
@@ -539,7 +540,7 @@ class TestEchZeta:
             work[:] = [0, 0, 0]
             assert echspec.cli.main(["residues", "-a", "3/2", "-b", "5/7"]) == 0
             capsys.readouterr()
-            assert (len(calls), len(contours), work) == (0, 0, [2 * 16, 2 * 14, 2 * 51])
+            assert (len(calls), len(contours), work) == (0, 0, [2 * 16, 2, 2 * 51])
 
     def test_distinct_square_is_riemann(self):
         # all attained values of E(1,1) are the positive integers
