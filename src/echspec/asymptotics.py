@@ -12,9 +12,8 @@ math.fsum least-squares line in log-log coordinates, with no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .spectrum import (
     Ellipsoid,
@@ -31,30 +30,14 @@ _SQRT_BITS = 60
 DEFECT_REL_ERR = 2.0**-50  # d_err = max(1, c) * DEFECT_REL_ERR
 
 
-class DkPoint(NamedTuple):
-    """One defect sample: index j, exact capacity c_j, defect d and its rounding bound d_err."""
+DkPoint = namedtuple("DkPoint", "j c d d_err")
+DkPoint.__doc__ = "One defect sample: index j, exact capacity c_j, defect d and its rounding bound d_err."
 
-    j: int
-    c: Fraction
-    d: float
-    d_err: float
+FitResult = namedtuple("FitResult", "coefficient exponent")
+FitResult.__doc__ = "A power law coefficient * x^exponent."
 
-
-@dataclass(frozen=True)
-class FitResult:
-    """A power law coefficient * x^exponent."""
-
-    coefficient: float
-    exponent: float
-
-
-@dataclass(frozen=True)
-class WeylSample:
-    """Counts at radius R: lattice classes (with multiplicity) and distinct values."""
-
-    R: Fraction
-    count_classes: int
-    count_values: int
+WeylSample = namedtuple("WeylSample", "R count_classes count_values")
+WeylSample.__doc__ = "Counts at radius R: lattice classes (with multiplicity) and distinct values."
 
 
 def contact_volume(E: Ellipsoid) -> Fraction:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
 from fractions import Fraction
@@ -115,6 +114,7 @@ def emit(cfg, header: list[str], rows: list[tuple], summary: dict, warnings: lis
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if cfg.format == "json":
+        import json  # here, not at the top: only --format json pays for it
         config = {k: v for k, v in vars(cfg).items() if k != "func"}
         doc = json.dumps({"config": config, "rows": [], "summary": summary, "warnings": warnings}, indent=2)
         head, key, tail = doc.partition('"rows": [')  # the key: json writes a " in a string as \"
@@ -337,11 +337,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     common(sp, ellipsoid=False)
     add(sp, "-k", "--range", required=True, help="decade exponents 'lo..hi'")
     add(sp, "--per-decade", type=_positive(int), default=1)
-    add(sp, "--q", type=float, default=EnvelopeConstants.q)
-    add(sp, "--c0", type=float, default=EnvelopeConstants.c0)
-    add(sp, "--c1", type=float, default=EnvelopeConstants.c1)
-    add(sp, "--c2", type=float, default=EnvelopeConstants.c2)
-    add(sp, "--vol", type=float, default=EnvelopeConstants.vol)
+    for name, default in zip(EnvelopeConstants._fields, EnvelopeConstants()):
+        add(sp, f"--{name}", type=float, default=default)
     sp.set_defaults(func=cmd_envelope)
 
     return p, sub.choices, {name: table[sp] for name, sp in sub.choices.items()}

@@ -15,7 +15,7 @@ regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .spectrum import EchspecError, NonConvergent, as_float
 
@@ -32,23 +32,24 @@ class TooSmallJ(EchspecError):
     """r3 = j^{4/5} lies below r1, or r1 is not positive: the F brackets are undefined."""
 
 
-@dataclass(frozen=True)
-class EnvelopeConstants:
+class EnvelopeConstants(namedtuple("EnvelopeConstants", "q c0 c1 c2 vol", defaults=(0.0, 1.0, 1.0, 1.0, DEFAULT_VOL))):
     """The structural constants q, c0, c1, c2 and vol of the envelope; c3 is derived from c1."""
 
-    q: float = 0.0
-    c0: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    vol: float = DEFAULT_VOL
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.q, self.c0, self.c1, self.c2, self.vol))):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(map(math.isfinite, self)):
             raise ValueError("envelope constants must be finite")
         if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
             raise ValueError("constants c0, c1, c2 must be nonnegative")
         if self.vol <= 0:
             raise ValueError("vol must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both validate
+        return cls(*iterable)
 
     @property
     def c3(self) -> float:
@@ -57,21 +58,8 @@ class EnvelopeConstants:
         return 1.0 + 3.0 * t + 3.0 * t * t
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
-    """The envelope at index j: the radii r1, r2, r3, and the F, energy and capacity brackets."""
-
-    j: float
-    r1: float
-    r2: float
-    r3: float
-    F_lo: float
-    F_hi: float
-    e_lo: float
-    e_hi: float
-    c_lo: float
-    c_hi: float
-    admissible: bool
+EnvelopeResult = namedtuple("EnvelopeResult", "j r1 r2 r3 F_lo F_hi e_lo e_hi c_lo c_hi admissible")
+EnvelopeResult.__doc__ = "The envelope at index j: the radii r1, r2, r3, and the F, energy and capacity brackets."
 
 
 def r1_bar(j: float, k: EnvelopeConstants) -> float:

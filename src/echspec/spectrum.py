@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -63,17 +62,12 @@ def as_float(x, name: str) -> float:
         raise ValueError(f"{name} exp({rational_log(abs(x)):.6g}) overflows a float") from None
 
 
-@dataclass(frozen=True)
 class Ellipsoid:
     """E(a, b) with exact rational axes, and their integer form a = A/den,
     b = B/den with den the lcm of the denominators: the one currency of the
-    exact algorithms. A, B and den take no part in repr, == or hash."""
+    exact algorithms. Immutable; A, B and den take no part in repr, == or hash."""
 
-    a: Fraction
-    b: Fraction
-    A: int = field(init=False, repr=False, compare=False)
-    B: int = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "A", "B", "den")
 
     def __init__(self, a, b):
         a, b = as_rational(a), as_rational(b)
@@ -83,6 +77,23 @@ class Ellipsoid:
         A, B = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
         for name, value in (("a", a), ("b", b), ("A", A), ("B", B), ("den", den)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy would set the slots, which __setattr__ refuses
+        return Ellipsoid, (self.a, self.b)
+
+    def __eq__(self, other):
+        return (self.a, self.b) == (other.a, other.b) if other.__class__ is Ellipsoid else NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"Ellipsoid(a={self.a!r}, b={self.b!r})"
 
     def safe_coefficient_bound(self) -> int:
         """Largest lattice coefficient below which a high-denominator rational

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,15 +67,9 @@ class ZetaConvention(enum.Enum):
     DISTINCT = "distinct"
 
 
-@dataclass(frozen=True)
-class LaurentExpansion:
-    """Residue and constant at center; quad_err is the reported error bound: the
-    contour gap plus rounding in laurent_at, a rounding bound in ech_laurent_pair."""
-
-    center: complex
-    residue: complex
-    constant: complex
-    quad_err: float
+LaurentExpansion = namedtuple("LaurentExpansion", "center residue constant quad_err")
+LaurentExpansion.__doc__ = """Residue and constant at center; quad_err is the reported error bound: the
+contour gap plus rounding in laurent_at, a rounding bound in ech_laurent_pair."""
 
 
 @lru_cache(maxsize=None)

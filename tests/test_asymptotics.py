@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -246,7 +245,7 @@ def _planted(j0, j1, power, coeff=1.0):
 
 class TestExponentFit:
     def test_fit_is_the_power_law_alone(self):
-        assert [f.name for f in dataclasses.fields(FitResult)] == ["coefficient", "exponent"]
+        assert FitResult._fields == ("coefficient", "exponent")
 
     def test_planted_power_law(self):
         fit = exponent_fit(_planted(10, 20000, 0.4), 12)

@@ -453,6 +453,14 @@ class TestConstants:
         with pytest.raises(ValueError):
             EnvelopeConstants(vol=0.0)
 
+    def test_every_construction_path_validates(self):
+        k = EnvelopeConstants()
+        with pytest.raises(ValueError, match="vol must be positive"):
+            k._replace(vol=-1.0)
+        with pytest.raises(ValueError, match="vol must be positive"):
+            EnvelopeConstants._make([0.0, 1.0, 1.0, 1.0, -1.0])
+        assert k._replace(c1=0.0) == EnvelopeConstants(c1=0.0) and k._replace(c1=0.0).c3 == 1.0
+
     @pytest.mark.parametrize("name", ["q", "c0", "c1", "c2", "vol"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, name, bad):

@@ -1,16 +1,29 @@
 import argparse
 import ast
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import echspec
-from echspec import EchspecError, NonConvergent
-from echspec.cli import build_parser
+from echspec import (
+    EchspecError,
+    Ellipsoid,
+    EnvelopeConstants,
+    NonConvergent,
+    capacity_envelope,
+    d_sequence,
+    ech_laurent_pair,
+    weyl_count,
+    weyl_fit,
+)
+from echspec.cli import build_parser, main
 from echspec.envelope import _sup_below
 
 SRC = Path(echspec.__file__).resolve().parent
@@ -31,8 +44,7 @@ class TestErrorHierarchy:
 
 
 def test_every_exported_name_has_a_docstring():
-    # Its own: not one inherited, nor the Name(field, ...) text that
-    # dataclasses and NamedTuples generate.
+    # Its own: not one inherited, nor the Name(field, ...) text namedtuples generate.
     def own_doc(name: str) -> str:
         obj = getattr(echspec, name)
         doc = (obj.__dict__.get("__doc__") if isinstance(obj, type) else obj.__doc__) or ""
@@ -96,18 +108,56 @@ def test_package_imports_only_the_standard_library():
     assert {(m, name) for m, name in found if name.partition(".")[0] not in stdlib} == set()
 
 
-def test_fresh_import_loads_no_numpy():
-    # In a new interpreter: this process has numpy loaded through tests/oracles.py.
-    code = "import echspec, echspec.cli, sys; print('numpy' in sys.modules)"
+def test_records_survive_pickle_and_copy():
+    # Ellipsoid is rebuilt from its axes, EnvelopeConstants through its validation.
+    E = Ellipsoid(F(2, 3), F(5, 7))
+    records = [
+        E,
+        d_sequence(E, 3, 3)[0],
+        weyl_fit(E, [10, 20, 30, 40]),
+        weyl_count(E, 10),
+        ech_laurent_pair(2, E)[1],
+        EnvelopeConstants(q=1.0, c1=0.5),
+        capacity_envelope(1e4, EnvelopeConstants()),
+    ]
+    assert len({type(r) for r in records}) == 7
+    for r in records:
+        for c in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)):
+            assert type(c) is type(r) and c == r and repr(c) == repr(r)
+            if isinstance(c, Ellipsoid):
+                assert (c.A, c.B, c.den) == (14, 15, 21)
+
+
+def fresh_stdout(code: str, *flags: str) -> str:
+    """What code prints in a new interpreter, run with flags, that finds this package."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
+    ).stdout
+
+
+def test_fresh_import_loads_no_numpy():
+    # In a new interpreter: this process has numpy loaded through tests/oracles.py.
+    assert fresh_stdout("import echspec, echspec.cli, sys; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_fresh_cli_import_loads_no_dataclasses_typing_or_json(capsys):
+    # dataclasses alone would load inspect, ast, dis and tokenize at start-up.
+    # emit imports json in its JSON branch: the run exercises that import in a
+    # process where nothing else has loaded json.
+    argv = ["capacities", "-a", "2/3", "-b", "5/7", "-k", "3..4", "--format", "json"]
+    code = (
+        "import sys, echspec.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'typing', 'json') if m in sys.modules])\n"
+        f"sys.exit(echspec.cli.main({argv!r}))\n"
     )
-    assert run.stdout == "False\n"
+    out = fresh_stdout(code, "-S")
+    assert main(argv) == 0
+    assert out == "[]\n" + capsys.readouterr().out
 
 
 def test_every_cli_option_is_in_the_readme():
