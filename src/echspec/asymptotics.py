@@ -1,5 +1,5 @@
-"""Sub-leading asymptotics of the spectrum: the defect sequence
-d_j = c_j - sqrt(vol * 2j), Weyl counting samples, and power-law fits.
+"""Sub-leading asymptotics: the defect sequence d_j = c_j - sqrt(vol * 2j)
+and its exact limit interval, Weyl counting samples, and power-law fits.
 
 The square root is taken with 60 fractional bits via integer isqrt, so the
 recorded defect carries a certified rounding bound well below the scales
@@ -44,6 +44,14 @@ def contact_volume(E: Ellipsoid) -> Fraction:
     """Contact volume of the ellipsoid boundary; equals a*b, the value fixed
     by consistency of the zeta residue at s=2 with 1/(a*b)."""
     return E.a * E.b
+
+
+def defect_limits(E: Ellipsoid) -> tuple[Fraction, Fraction]:
+    """(liminf, limsup) of d_j, exactly: -(a+b)/2 -+ g/2 with g = gcd(A, B)/den.
+    A value c with M(c) ~ c g/(ab) copies fills the rows where sqrt(2abj) runs
+    over c + (a+b)/2 -+ g/2, up to O(1/c), so d_j fills the interval between."""
+    g, s = math.gcd(E.A, E.B), E.A + E.B
+    return Fraction(-s - g, 2 * E.den), Fraction(g - s, 2 * E.den)
 
 
 def scaled_defects(E: Ellipsoid, j0: int, values: list[int]) -> list[float]:

@@ -1,16 +1,16 @@
 """Command-line front end.
 
-Subcommands: capacities | weyl | dk | zeta | residues | envelope.
-Data goes to stdout as CSV (default) or JSON; diagnostics go to stderr.
-The exact capacities and radii of capacities, weyl and dk are emitted as
-integer numerator/denominator pairs, never as decimals; residues prints its
-exact residues and values at s = 0, and its expected_* lines, as .17g
-floats. main builds its parsers once per process. It reads a plain command
-line from the parsers' own option table; argparse's full parse reads any other
-and owns every error and help text, and an option written opt=-- exits 2. emit
-writes CSV and JSON rows through one % template per row. residues takes each
-Laurent constant from one complex-step pass, with no contour and no Barnes
-value. dk fits no sup exponent on less than an octave of indices, and says so.
+Subcommands: capacities | weyl | dk | zeta | residues | envelope. Data goes to
+stdout as CSV (default) or JSON; diagnostics go to stderr. The exact capacities
+and radii of capacities, weyl and dk are emitted as integer
+numerator/denominator pairs, and dk's defect limits as p/q; residues prints its
+exact residues and values at s = 0, and its expected_* lines, as .17g floats.
+main builds its parsers once per process. It reads a plain command line from
+the parsers' own option table; argparse's full parse reads any other and owns
+every error and help text, and an option written opt=-- exits 2. emit writes
+CSV and JSON rows through one % template per row. residues takes each Laurent
+constant from one complex-step pass, with no contour and no Barnes value. dk
+fits no sup exponent on less than an octave of indices, and says so.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .asymptotics import (
     DEFECT_REL_ERR,
     FitResult,
     column_exponent_fit,
+    defect_limits,
     scaled_defects,
     weyl_count,
     weyl_fit,
@@ -211,18 +212,13 @@ def cmd_dk(cfg) -> int:
     cs = map_distinct(cells, vals)
     rows = [(j, p, q, f"{d:.17g}", err) for j, (p, q, err), d in zip(js, cs, ds)]
     warnings = []
-    bound = E.safe_coefficient_bound()
-    if bound > 1 and vals[-1] // min(E.A, E.B) >= bound:  # the largest m with m*min(a, b) <= c
-        warnings.append(
-            "lattice coefficients reach the approximant denominator; "
-            "ties may be artifacts of the rational approximation"
-        )
     fit = _fit("sup exponent", warnings, _sup_fit, js, ds, cfg.windows)
     summary = {
         "sup_exponent": _fmt(fit.exponent),
         "sup_coefficient": _fmt(fit.coefficient),
         "fit_window": f"{max(j0, 1)}..{j1}",
     } if fit else {}
+    summary["defect_liminf"], summary["defect_limsup"] = map(str, defect_limits(E))
     emit(cfg, ["j", "c_num", "c_den", "d", "d_err"], rows, summary, warnings)
     return 0
 

@@ -95,13 +95,6 @@ class Ellipsoid:
     def __repr__(self):
         return f"Ellipsoid(a={self.a!r}, b={self.b!r})"
 
-    def safe_coefficient_bound(self) -> int:
-        """Largest lattice coefficient below which a high-denominator rational
-        approximant of an irrational axis ratio cannot create spurious ties:
-        m*A + n*B collisions with m, n below max(denominator) would force a
-        relation the approximant does not satisfy."""
-        return max(self.a.denominator, self.b.denominator)
-
 
 def floor_sum(n: int, p: int, q: int, m: int) -> int:
     """Sum of floor((p*i + q)/m) for i = 0..n-1, by Euclidean swap/modulo

@@ -113,6 +113,15 @@ def distinct_leq_by_classes(E: Ellipsoid, t) -> int:
     return sum((X - n * Bp) // Ap + 1 for n in range(min(Ap, X // Bp + 1)))
 
 
+def defect_limits_by_gcd(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """The limit interval -(a+b)/2 -+ g/2 of the defects of E(a, b), with the
+    rational gcd of a = p1/q1 and b = p2/q2 taken over the product of the
+    denominators: g = gcd(p1 q2, p2 q1)/(q1 q2)."""
+    p1, q1, p2, q2 = a.numerator, a.denominator, b.numerator, b.denominator
+    g = Fraction(gcd(p1 * q2, p2 * q1), q1 * q2)
+    return -(a + b) / 2 - g / 2, -(a + b) / 2 + g / 2
+
+
 def fraction_log(x: Fraction) -> float:
     """log of a positive rational: math.log of the Fraction where float(x) is
     a normal float, else from the integer parts."""

@@ -16,6 +16,7 @@ from echspec import (
     contact_volume,
     count_leq,
     d_sequence,
+    defect_limits,
     exponent_fit,
     scaled_defects,
     scaled_spectrum,
@@ -26,7 +27,7 @@ from echspec import (
 from echspec.asymptotics import DEFECT_REL_ERR
 from echspec.spectrum import rational_log
 
-from oracles import weyl_fit_fractions, window_sups_by_edge_list
+from oracles import defect_limits_by_gcd, weyl_fit_fractions, window_sups_by_edge_list
 from test_spectrum import tied_blocks
 
 
@@ -34,6 +35,42 @@ class TestContactVolume:
     def test_values(self):
         assert contact_volume(Ellipsoid(1, 1)) == 1
         assert contact_volume(Ellipsoid(F(2, 3), F(9, 4))) == F(3, 2)
+
+
+class TestDefectLimits:
+    @given(
+        a=st.fractions(F(1, 50), 50, max_denominator=60),
+        b=st.fractions(F(1, 50), 50, max_denominator=60),
+    )
+    @example(a=F(1), b=F(832040, 514229))
+    @example(a=F(3), b=F(200, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_gcd_oracle_in_both_axis_orders(self, a, b):
+        expected = defect_limits_by_gcd(a, b)
+        assert defect_limits(Ellipsoid(a, b)) == defect_limits(Ellipsoid(b, a)) == expected
+
+    def test_criterion_5_interval(self):
+        assert defect_limits(Ellipsoid(1, 1)) == (F(-3, 2), F(-1, 2))
+
+    def test_windows_approach_both_ends(self):
+        # Near depth J a value c ~ sqrt(2abJ) has about c*g/(ab) copies, so a
+        # window of four such runs and more holds several full ones. Returns
+        # how far the window's min and max of d_j + (a+b)/2 lie from -g/2 and
+        # g/2, and how far past them they reach.
+        def window(E, J):
+            lo, hi = defect_limits(E)
+            c = math.sqrt(2 * E.a * E.b * J)
+            n = 4 * (int(c * (hi - lo) / (E.a * E.b)) + 1) + 16
+            ds = scaled_defects(E, J, scaled_spectrum(E, J, J + n - 1))
+            below, above = float(lo) - min(ds), max(ds) - float(hi)
+            return max(abs(below), abs(above)), max(0.0, below) + max(0.0, above)
+
+        rng = random.Random(1308)
+        for _ in range(8):
+            E = Ellipsoid(F(rng.randint(1, 6), rng.randint(1, 4)), F(rng.randint(1, 6), rng.randint(1, 4)))
+            (_, past_4), (off_8, past_8) = window(E, 10**4), window(E, 10**8)
+            assert off_8 < 1e-2, E
+            assert past_8 < past_4, (E, past_4, past_8)
 
 
 class TestDSequence:

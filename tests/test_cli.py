@@ -25,7 +25,13 @@ from echspec.cli import (
     parse_rational,
 )
 
-from oracles import brute_count_leq, brute_distinct_leq, distinct_leq_by_classes, weyl_fit_fractions
+from oracles import (
+    brute_count_leq,
+    brute_distinct_leq,
+    defect_limits_by_gcd,
+    distinct_leq_by_classes,
+    weyl_fit_fractions,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,25 +43,26 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # the CLI's output format. The residues rows print exact residues and values
 # at s = 0, and Laurent constants from one complex-step pass per pole. The dk
 # summaries are the centred fsum line fit, within 1e-13 of the exact
-# least-squares fit (tests/test_asymptotics.py::TestFitAccuracy); the
-# 1000000..1000500 ranges span under an octave, so they print no summary.
+# least-squares fit (tests/test_asymptotics.py::TestFitAccuracy), then the
+# defect limit lines; the 1000000..1000500 ranges span under an octave, so
+# they print only the limit lines.
 PINNED_SHA256 = {
     ("capacities", "1", "832040/514229", "0..1500", "csv"): "6a6510a6435dff755f67cfe793ad49809682ed6972ada4daafcbe30568d7ee75",
     ("capacities", "1", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",
     ("capacities", "1", "832040/514229", "1000000..1000500", "csv"): "deaf2b6333bc330c2b426191a3c2b8fbcd37fb94d9c318aaa6784b87e99069ac",
     ("capacities", "1", "832040/514229", "1000000..1000500", "json"): "d482195ae8d4e33c7dc996bb51dc0825e6ebb0408cda190a4cac07bbc9875cb1",
-    ("dk", "1", "832040/514229", "0..1500", "csv"): "14dcf72d5eb0841ea9bea61578ba551833ea24ec83fca23488f84d9bdc38514d",
-    ("dk", "1", "832040/514229", "0..1500", "json"): "838585923cad37b1b4d0403178c86ee0d88c51fdafb2723540a163bbff2a198c",
-    ("dk", "1", "832040/514229", "1000000..1000500", "csv"): "10d0454c6fa9aeb1020c387039ac6bd7173f5ff99894d0f046690e2ec9227b51",
-    ("dk", "1", "832040/514229", "1000000..1000500", "json"): "f3bee3d08f35e91977a09a1cc3382d0f3103709a0efa5bb848fbb72396599178",
+    ("dk", "1", "832040/514229", "0..1500", "csv"): "9aa4032f7a244a161e20a22aab7b4fcbae77bedcc79236c13a88b690bc4f8970",
+    ("dk", "1", "832040/514229", "0..1500", "json"): "4ebdb5cbf621b91b6903ee0ee75f5adbfc1759a677ac795d3680dd99cc2d9f61",
+    ("dk", "1", "832040/514229", "1000000..1000500", "csv"): "27a897eb635f1b1d65a4a6f4839cad918cd6183497efd950cc3b7963d4d62691",
+    ("dk", "1", "832040/514229", "1000000..1000500", "json"): "dcb46c7e0e4ac4aad1d43e30bf68583a932f2938e5b3f8bfae06abc3b271a52e",
     ("capacities", "2", "3", "0..1500", "csv"): "88200fcff1fe82ae3a466a9432a09431fa852254a34cf5bff766f45d4cfa23da",
     ("capacities", "2", "3", "0..1500", "json"): "8cf28de4fc91fbd199f0f042a21644d095dd2a6006a76775c886da8ef490c80d",
     ("capacities", "2", "3", "1000000..1000500", "csv"): "6cf4b152635aef2e25d76e32771541538ce0f9ab7beedfae1d217c1c0335bfd4",
     ("capacities", "2", "3", "1000000..1000500", "json"): "ff25d4344d23a01f5e0cecdf25eb8a53a4018fcf8b2be0710c09c2cbb3c2d971",
-    ("dk", "2", "3", "0..1500", "csv"): "737938aa30c8cb2671e33fc413982afe7b7f90d0f00a1bc48952a5005053e586",
-    ("dk", "2", "3", "0..1500", "json"): "9cec620e5a2dd5de4aa47390901415d5a802cc3dd757a36112f2177bd3529fd7",
-    ("dk", "2", "3", "1000000..1000500", "csv"): "3abf2d8fab4aad67b44d3e4bf2cd798456a76293c471415630f327f9fbda5d87",
-    ("dk", "2", "3", "1000000..1000500", "json"): "93fc407859ca1e1ce5cca4799a71016a00acb1758e259265e6b70c635e8ca5f3",
+    ("dk", "2", "3", "0..1500", "csv"): "6d91f4c9beb667585245d21eef5e04c49a8c8fe72521ccf0fe3204ccc10e5aa2",
+    ("dk", "2", "3", "0..1500", "json"): "9b50c9cc972c09788be72247a324a84aaaca849ab3815af78f2af3e82b122289",
+    ("dk", "2", "3", "1000000..1000500", "csv"): "0ed56e657c3b312747c191a23de1c201c56e335ec2f8df3d339ba131a0aa292d",
+    ("dk", "2", "3", "1000000..1000500", "json"): "4fad749984960ad563e3af12ac7913bc6e2b4102edd99f42560ff9696e291d28",
     ("residues", "1", "2", "", "csv"): "f478093792d0e7fece8222442bbc748f09baf0fb0b67f3af28567c7d5734d182",
     ("residues", "1", "2", "", "json"): "b09b0f299e095f3e9fbef161703a300662dd05c5c36a6778ae203b024f00ac30",
     ("residues", "2", "3", "", "csv"): "f992d54dfeb3a881be41be3dea45bd3f25c6035d6f1d37cfc64742cd6939dae4",
@@ -78,10 +85,10 @@ PINNED_SHA256 = {
     ("capacities", "3/2", "5/7", "0..1500", "json"): "f8d8c73a5d88bd54ee5dd4d1260fb68eb0413a9fc1a0c2bc2115f6a8304561e5",
     ("capacities", "3/2", "5/7", "1000000..1000500", "csv"): "54526b2d64f8eb6e53105d2cc5423bb5c2d4fb3f10f9fc4ec9a5183a3338f88d",
     ("capacities", "3/2", "5/7", "1000000..1000500", "json"): "60207c023322e4f1e95d6f32f530c1e907489d15b0ebeebbbf2c12cdb8e90ffe",
-    ("dk", "3/2", "5/7", "0..1500", "csv"): "0a35312a0591e687de134045b9ca67688d3a13a3e34b267440fab4f8b28573d9",
-    ("dk", "3/2", "5/7", "0..1500", "json"): "7941cca26872e3ac736885ffb59ffb275d676167935b03e213f134826d887ba0",
-    ("dk", "3/2", "5/7", "1000000..1000500", "csv"): "835559c66acd3185450b7e66133eb0422de66d8544ebeae8e880e168eb629cf8",
-    ("dk", "3/2", "5/7", "1000000..1000500", "json"): "6b37c423c345b35eca827d5273e6b98795f3ba06a893c1c675f9ba003dd8b9ce",
+    ("dk", "3/2", "5/7", "0..1500", "csv"): "50b1b15b491068ac48f05aed4379448d1b0e9468af04324b3def6f034514f994",
+    ("dk", "3/2", "5/7", "0..1500", "json"): "be63feab74c56c4c0a07b24391274414a53dce71764da0f6478a57d06f6ea804",
+    ("dk", "3/2", "5/7", "1000000..1000500", "csv"): "584d53721dc157c7821d7d345d6ddef4e96c0bf8ef3f5405a90a7b6a803528ae",
+    ("dk", "3/2", "5/7", "1000000..1000500", "json"): "46a22dd7b1d70e84c4e724a087ef253d1ac81eb6c9f213f6b71b8429b047c8e5",
     ("envelope", "", "", "2..9 --per-decade 4", "csv"): "35a88ae855506bafe9fdad2f7a169153624df9caa98a00805a93aa7d66456e7f",
     ("envelope", "", "", "2..9 --per-decade 4", "json"): "a69e344c3d5cfa1de91660abaf19b75925810276dabcd3f336609bbb47067da1",
     ("envelope", "", "", "2..9 --per-decade 4 --vol 1000 --c1 2 --c2 0.5 --q 3 --c0 0.25", "csv"): "c56dd3766fad7f0966d4f0604fc8f09bc422103d8d046de859e29f0b17bd73cc",
@@ -463,8 +470,8 @@ class TestDkFitOmitted:
     def test_too_few_windows(self, capsys):
         assert main(["dk", "-a", "1", "-b", "1", "-k", "1..3", "--windows", "1"]) == 0
         captured = capsys.readouterr()
-        lines = captured.out.splitlines()
-        assert len(lines) == 4 and not any(ln.startswith("#") for ln in lines)
+        assert len(captured.out.splitlines()) == 6
+        assert _summary(captured.out) == _limits(1, 1)
         assert "warning: sup exponent fit omitted: exponent_fit requires at least two usable windows" in captured.err
 
     def test_non_finite_fit(self):
@@ -492,7 +499,8 @@ class TestDkFitOmitted:
         j = 10**309
         assert main(["dk", "-a", "1", "-b", "1", "-k", f"{j}..{j + 3}"]) == 0
         captured = capsys.readouterr()
-        assert len(captured.out.splitlines()) == 5
+        assert len(captured.out.splitlines()) == 7
+        assert _summary(captured.out) == _limits(1, 1)
         assert captured.err == "warning: sup exponent fit omitted: indices span 0 octaves, less than one\n"
         with pytest.raises(ValueError, match=r"^index exp\(711\.499\) overflows a float$"):
             column_exponent_fit(range(j, j + 4), [1.0, 2.0, 3.0, 4.0], 12)
@@ -504,7 +512,9 @@ class TestDkFitOmitted:
     def test_an_octave_of_indices_is_fitted(self, k, fitted, capsys):
         assert main(["dk", "-a", "2", "-b", "3", "-k", k]) == 0
         captured = capsys.readouterr()
-        assert bool(_summary(captured.out)) == fitted
+        summary = _summary(captured.out)
+        assert ("fit_window" in summary) == fitted
+        assert list(summary.items())[-2:] == list(_limits(2, 3).items())
         if fitted:
             assert captured.err == ""
         else:
@@ -519,7 +529,8 @@ class TestDkFitOmitted:
         monkeypatch.setattr(echspec.cli, "column_exponent_fit", fit)
         assert main(["dk", "-a", "2", "-b", "3", "-k", "1000000..1000500"]) == 0
         captured = capsys.readouterr()
-        assert len(captured.out.splitlines()) == 502
+        assert len(captured.out.splitlines()) == 504
+        assert _summary(captured.out) == _limits(2, 3)
         assert captured.err == (
             "warning: sup exponent fit omitted: indices span 0.000721 octaves, less than one\n"
         )
@@ -545,11 +556,12 @@ class TestDkFitOmitted:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert len([ln for ln in lines if not ln.startswith("#")]) == width + 2
-        # the approximant warning may come first; the fit's is the only other
-        omitted = [ln for ln in captured.err.splitlines() if "fit omitted" in ln]
+        # stderr holds at most the one fit omitted line
+        omitted = captured.err.splitlines()
+        limits = _limits(a, b)
         lo = max(j0, 1)
         if lo < j1 < 2 * lo:
-            assert _summary(captured.out) == {}
+            assert _summary(captured.out) == limits
             (line,) = omitted
             assert line.startswith("warning: sup exponent fit omitted: indices span 0.")
             assert line.endswith(" octaves, less than one")
@@ -558,13 +570,14 @@ class TestDkFitOmitted:
         try:
             fit = column_exponent_fit(range(j0, j1 + 1), ds, windows)
         except ValueError as exc:
-            assert _summary(captured.out) == {}
+            assert _summary(captured.out) == limits
             assert omitted == [f"warning: sup exponent fit omitted: {exc}"]
             return
         assert _summary(captured.out) == {
             "sup_exponent": _fmt(fit.exponent),
             "sup_coefficient": _fmt(fit.coefficient),
             "fit_window": f"{lo}..{j1}",
+            **limits,
         }
         assert omitted == []
 
@@ -578,7 +591,7 @@ class TestDkFitOmitted:
         assert main(["dk", "-a", "1", "-b", "1", "-k", "1..30", "--windows", "1" + "0" * 300]) == 0
         assert time.perf_counter() - t0 < 1.0
         captured = capsys.readouterr()
-        assert len(captured.out.splitlines()) == 31
+        assert len(captured.out.splitlines()) == 33
         assert captured.err == (
             "warning: sup exponent fit omitted: exponent_fit requires at least two usable windows\n"
         )
@@ -595,12 +608,67 @@ class TestDkFitOmitted:
     def test_under_two_indices_from_one(self, k, reason, capsys):
         assert main(["dk", "-a", "1", "-b", "2", "-k", k]) == 0
         captured = capsys.readouterr()
-        assert not any(ln.startswith("#") for ln in captured.out.splitlines())
+        assert _summary(captured.out) == _limits(1, 2)
         assert captured.err == f"warning: sup exponent fit omitted: {reason}\n"
 
 
 def _summary(out: str) -> dict:
     return dict(ln[2:].split("=", 1) for ln in out.splitlines() if ln.startswith("# "))
+
+
+def _limits(a, b) -> dict:
+    """dk's defect limit lines for E(a, b), from the gcd oracle."""
+    lo, hi = defect_limits_by_gcd(F(a), F(b))
+    return {"defect_liminf": str(lo), "defect_limsup": str(hi)}
+
+
+class TestDkDefectLimits:
+    def test_printed_as_p_over_q_after_the_fit(self, capsys):
+        assert main(["dk", "-a", "2", "-b", "3", "-k", "0..1500"]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "# fit_window=1..1500",
+            "# defect_liminf=-3",
+            "# defect_limsup=-2",
+        ]
+        assert main(["dk", "-a", "2", "-b", "3", "-k", "0..1500", "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert (summary["defect_liminf"], summary["defect_limsup"]) == ("-3", "-2")
+
+    @pytest.mark.parametrize(
+        "a,b,limits",
+        [
+            ("1", "1", ("-3/2", "-1/2")),
+            ("3", "200/7", ("-111/7", "-110/7")),
+            ("1", "832040/514229", ("-673135/514229", "-673134/514229")),
+            ("1/3", "1/3", ("-1/2", "-1/6")),
+        ],
+        ids=["1-1", "3-200/7", "1-832040/514229", "1/3-1/3"],
+    )
+    def test_the_gcd_interval(self, a, b, limits, capsys):
+        assert main(["dk", "-a", a, "-b", b, "-k", "0..10"]) == 0
+        summary = _summary(capsys.readouterr().out)
+        assert (summary["defect_liminf"], summary["defect_limsup"]) == limits
+        assert tuple(_limits(a, b).values()) == limits
+
+    @pytest.mark.parametrize(
+        "a,b,k,err",
+        [
+            ("1/3", "1/3", "0..6", ""),
+            (
+                "3",
+                "200/7",
+                "1000000..1000015",
+                "warning: sup exponent fit omitted: indices span 2.16e-05 octaves, less than one\n",
+            ),
+        ],
+        ids=["1/3-1/3-shallow", "3-200/7-deep"],
+    )
+    def test_exact_ties_raise_no_warning(self, a, b, k, err, capsys):
+        # real ties of exact rationals: no warning about an approximation
+        assert main(["dk", "-a", a, "-b", b, "-k", k]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert list(_summary(captured.out).items())[-2:] == list(_limits(a, b).items())
 
 
 class TestOtherCommands:
@@ -808,9 +876,11 @@ class TestExitCodes:
         assert line.endswith(") overflows a float")
 
     def test_dk_at_an_axis_below_the_float_range(self, capsys):
-        # the approximant warning compares integers, so no axis is made a float
+        # the defect limits are exact Fractions, so no axis is made a float
         assert main(["dk", "-a", "1/1" + "0" * 400, "-b", "1", "-k", "1..5"]) == 0
-        assert capsys.readouterr().out.splitlines()[1].startswith("1,1,1" + "0" * 400 + ",")
+        out = capsys.readouterr().out
+        assert out.splitlines()[1].startswith("1,1,1" + "0" * 400 + ",")
+        assert list(_summary(out).items())[-2:] == list(_limits(F(1, 10**400), 1).items())
 
     @pytest.mark.parametrize(
         "a,b,message",

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import copy
+import json
 import os
 import pickle
 import re
@@ -172,6 +173,28 @@ def test_every_cli_option_is_in_the_readme():
         for opt in action.option_strings
     }
     assert {opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)} == set()
+
+
+def test_every_summary_line_is_in_the_readme(capsys):
+    # A summary line the README never names is a number nobody can read.
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    small = {
+        "capacities": ["-a", "2", "-b", "3", "-k", "0..5"],
+        "weyl": ["-a", "2", "-b", "3", "-R", "10,20,30"],
+        "dk": ["-a", "2", "-b", "3", "-k", "1..50"],
+        "zeta": ["-a", "2", "-b", "3", "-s", "3"],
+        "residues": ["-a", "2", "-b", "3"],
+        "envelope": ["-k", "4..5"],
+    }
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(small) == set(commands.choices)
+    keys = set()
+    for name, argv in small.items():
+        assert main([name, *argv, "--format", "json"]) == 0
+        keys |= set(json.loads(capsys.readouterr().out)["summary"])
+    assert {"sup_exponent", "defect_liminf", "fit_coefficient", "note", "constants"} <= keys
+    assert {key for key in keys if f"`{key}`" not in readme} == set()
 
 
 def test_readme_python_blocks_run():
