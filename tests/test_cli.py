@@ -183,8 +183,13 @@ class TestDeterminism:
         assert not (tmp_path / "spec.cache").exists()
 
 
+def pinned_stdout_id(key) -> str:
+    """The command and its arguments, so that a re-pin renames no test."""
+    return "-".join(part for part in key if part).replace(" ", "_")
+
+
 class TestByteIdentity:
-    @pytest.mark.parametrize("key", sorted(PINNED_SHA256))
+    @pytest.mark.parametrize("key", sorted(PINNED_SHA256), ids=pinned_stdout_id)
     def test_pinned_stdout(self, key, capsys):
         cmd, a, b, arg, fmt = key
         axes = ["-a", a, "-b", b] if a else []
