@@ -7,13 +7,12 @@ _eta(s, x) = (s - 1) zeta(s, x), with _eta(1, x) = 1. It takes one s and a list
 of shifts x and forms the correction coefficients of s once per call, and the
 three powers of a summation point once for all the shifts that reach it; each
 caller divides its sum of _eta values by (s - 1) once. The Barnes double zeta
-sorts its axes, a <= b, and is a sum of N = ceil(cutoff - w/b) of them, the head
-up to the shift xN >= cutoff * b/a, in one kernel call, plus
-the integral, half and Euler-Maclaurin tail terms in the larger axis. The cutoff,
-the kernel's shift point, depends on Im s alone, so at xN these are one power
-xN^(1-s) times 14 series in 1/xN, summed in plain loops, and both axis orders
-cost the same and agree bit for bit. Public functions reject non-finite input,
-the poles, and points outside Re s > -S_MAX, |Im s| <= IM_MAX once, at entry.
+sorts its axes, a <= b: a head of N = ceil(cutoff - w/b) values from one kernel
+call, up to the shift xN >= cutoff * b/a, and the integral, half and tail of
+Euler-Maclaurin summation in the larger axis, one power xN^(1-s) times three
+series. The cutoff depends on Im s alone, so both axis orders cost the same and
+agree bit for bit. Public functions reject non-finite input, the poles, and
+points outside Re s > -S_MAX, |Im s| <= IM_MAX once, at entry.
 The spectrum zeta has three conventions, one closed form each, with a <= b
 sorted and Z(s) = barnes_zeta(s, a), the sum over m >= 1, n >= 0; INTERIOR and
 FULL cost one Barnes pass, as its first head shift, a/a = 1, gives (s - 1) zeta(s):
@@ -26,7 +25,7 @@ where g = gcd(A, B) of the scaled axes, A' <= B' are A/g and B/g, and
 step = g/den: each element of <A', B'> is j A' + n B' for exactly one
 j >= 0, 0 <= n < A'. DISTINCT has one simple pole, at s = 1, residue 1/step.
 Its first N = min(A', ceil(cutoff)) shifts are a Barnes head and the rest the tail at N B'/A'
-less the one at B': no convention needs more than ceil(cutoff) shifts and 2 x 14 series.
+less the one at B': no convention needs more than ceil(cutoff) shifts and two Barnes tails.
 """
 
 from __future__ import annotations
@@ -184,7 +183,7 @@ def riemann_zeta(s) -> complex:
 
 def _barnes_pieces(s, w: float, a: float, b: float):
     """(head, integral, beta, half, tail) of the Barnes sum for sorted axes a <= b, which is
-    a^-s [sum(head) + integral / (beta (s - 2)) + half + sum(tail)] / (s - 1): integral =
+    a^-s [sum(head) + integral / (beta (s - 2)) + half + tail] / (s - 1): integral =
     _eta(s - 1, xN) without its pole factor and beta = b / a, or where its lead xN^(2-s) is
     past the float range, the integral over b / a and beta = 1."""
     N = max(0, math.ceil(_cutoff(s) - w / b))
@@ -196,38 +195,41 @@ def _barnes_pieces(s, w: float, a: float, b: float):
 
 
 def _em_tail(s, beta: float, X: float):
-    """(lead, corr, half, tail): for X >= _cutoff(s), 16 beta, sum_{n>=0} _eta(s, X + n beta) is
-    lead (1 + corr) / (beta (s - 2)) + half + sum(tail), lead = X^(2-s), in 14 parts c (1 + S(sig)),
-    S(sig) = (sig - 1)/(2X) + sum_j B_2j/(2j)! (sig - 1) (sig)_{2j-1} X^-2j: _eta(s - 1, X) at s - 1,
-    the half X^(1-s)/2 (1 + S(s)), and tail term k, B_2k/(2k)! beta^{2k-1} (s - 1) (s)_{2k-2}
-    _eta(s + 2k - 1, X), with c = X^(1-s) B_2k/(2k)! r^{2k-1} (s - 1) (s)_{2k-2}, r = beta/X <= 1/16:
-    term j of its S is about r^(2(k + j)), so 12 - k terms drop only those near the dropped k = 13."""
+    """(lead, corr, half, tail) with sum_{n>=0} _eta(s, X + n beta) = lead (1 + corr) / (beta (s - 2))
+    + half + tail for X >= _cutoff(s), 16 beta: with b_j = B_2j/(2j)! and S(sig) = (sig - 1)/(2X) +
+    sum_j b_j (sig - 1) (sig)_{2j-1} X^-2j, lead = X^(2-s), corr = S(s - 1), half = X^(1-s)/2 (1 + S(s)),
+    and tail = sum_k b_k beta^{2k-1} (s - 1) (s)_{2k-2} _eta(s + 2k - 1, X), each _eta expanded at X: its
+    terms (k, j), k + j <= 12, each about r^(2(k+j)), r = beta/X <= 1/16, make one series X^(1-s) (s - 1)
+    sum_{q<24} H_q (s)_q, H_{2k-1} = b_k r^{2k-1}/(2X), H_{2m-2} = sum_{k<=m} b_k b_{m-k} r^{2k-1} X^(2k-2m)."""
     p = _pow(X, 1 - s)
-    u, X2, r, sm1 = X**-2, 2 * X, beta / X, s - 1
-    cs, sigs, scaled = [0.5 * p], [sm1, s], r * sm1  # r^{2k-1} (s - 1) (s)_{2k-2}
-    for k in range(1, _EM_TERMS + 1):
-        t = s + 2 * k
-        cs.append(_B2K_FACT[k] * scaled * p)
-        sigs.append(t - 1)
-        scaled *= r * r * (t - 2) * sigs[-1]
+    u, X2, r = X**-2, 2 * X, beta / X
     sums = []
-    for i, sig in enumerate(sigs, -1):  # S(sig) of the integral, the half, then tail term i
-        n, sig1 = _EM_TERMS - i if i > 0 else _EM_TERMS, sig - 1
-        corr, poch = sig1 / X2, sig1 * sig * u  # (sig - 1) (sig)_{2j-1} u^j
-        for j in range(1, n):
+    for sig in (s - 1, s):  # S(sig) of the integral, then of the half
+        corr, poch = (sig - 1) / X2, (sig - 1) * sig * u  # (sig - 1) (sig)_{2j-1} u^j
+        for j in range(1, _EM_TERMS):
             corr += _B2K_FACT[j] * poch
             t = sig + 2 * j
             poch *= (t - 1) * t * u
-        sums.append(corr + _B2K_FACT[n] * poch if n else corr)
-    parts = [c + c * q for c, q in zip(cs, sums[1:])]
-    return X * p, sums[0], parts[0], parts[1:]
+        sums.append(corr + _B2K_FACT[_EM_TERMS] * poch)
+    A = [_B2K_FACT[k + 1] * r ** (2 * k + 1) for k in range(_EM_TERMS)]  # b_k r^(2k-1): beta^(2k-1) overflows
+    B = [_B2K_FACT[j] * u**j for j in range(_EM_TERMS)]  # b_j X^-2j
+    series, poch = 0.0, 1.0 + 0.0j  # (s)_q
+    for m in range(_EM_TERMS):
+        h = 0.0  # H_{2m}
+        for k in range(m + 1):
+            h += A[k] * B[m - k]
+        series += h * poch
+        poch *= s + 2 * m
+        series += A[m] / X2 * poch
+        poch *= s + 2 * m + 1
+    return X * p, sums[0], 0.5 * p + 0.5 * p * sums[1], (s - 1) * series * p
 
 
 def _barnes_sum(s: complex, w: float, a: float, b: float) -> tuple[complex, complex]:
     """barnes_zeta at a checked s on sorted axes a <= b, and its head's first value or 0.0."""
     head, integral, beta, half, tail = _barnes_pieces(s, w, a, b)
     total = 0.0 + 0.0j
-    for v in (*head, integral / (beta * (s - 2)) + half, *tail):
+    for v in (*head, integral / (beta * (s - 2)) + half, tail):
         total += v
     val = _pow(a, -s) * total / (s - 1)
     if not cmath.isfinite(val):
@@ -273,9 +275,7 @@ def _distinct_zeta(s: complex, E: Ellipsoid) -> complex:
                             math.exp(z.real) * math.sin(z.imag)) / (2 - s)
         except OverflowError:  # exp(z) past the float range: the value check below raises
             lead = math.inf
-        total += (lead + (c0 - cB) / (s - 2)) / beta + (h0 - hB)
-        for u, v in zip(t0, tB):
-            total += u - v
+        total += (lead + (c0 - cB) / (s - 2)) / beta + (h0 - hB) + (t0 - tB)
     val = _pow(g / E.den * Ap, -s) * total / (s - 1)
     if not cmath.isfinite(val):
         raise ValueError(f"distinct zeta overflows a float at s={s}")
@@ -333,7 +333,7 @@ def ech_laurent_pair(s0, E: Ellipsoid, tol: float = 1e-10) -> tuple[LaurentExpan
         for m in (1.0, A.real):  # a^-s in each part; where a part overflows, a^-s / a^-s0
             kA, kB = A / m, B / m  # exact at m = 1
             Ac = kA * c
-            parts = [Ac * p for p in (*head, half, *tail)] + [kA * integral / (beta * pole)]
+            parts = [Ac * p for p in (*head, half, tail)] + [kA * integral / (beta * pole)]
             Z, mag = sum(parts), sum(abs(p.real) + abs(p.imag / _STEP) for p in parts)
             if cmath.isfinite(Z) and math.isfinite(mag):
                 break

@@ -287,6 +287,17 @@ def interior_zeta_hurwitz(s: complex, a: Fraction, b: Fraction) -> complex:
         return complex(_interior_zeta_mp(mpmath.mpc(s), a, b))
 
 
+def full_zeta_hurwitz(s: complex, a: Fraction, b: Fraction) -> complex:
+    """Continued sum over (m, n) != (0, 0) of (m*a + n*b)^-s at 40 digits:
+    interior_zeta_hurwitz plus the axis terms (a^-s + b^-s) zeta(s)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        s = mpmath.mpc(s)
+        fa, fb = (mpmath.mpf(x.numerator) / x.denominator for x in (a, b))
+        return complex(_interior_zeta_mp(s, a, b) + (fa**-s + fb**-s) * mpmath.zeta(s))
+
+
 def _interior_zeta_mp(s, a: Fraction, b: Fraction):
     """interior_zeta_hurwitz at the working precision, as an mpmath number."""
     import mpmath
@@ -326,6 +337,35 @@ def barnes_zeta_hurwitz(s: complex, w: Fraction, a: Fraction, b: Fraction) -> co
                 h = mpmath.mpf(W + r * B + i * A) / (M * A)
                 total += mpmath.zeta(s - 1, h) + (1 - h) * mpmath.zeta(s, h)
         return complex((mpmath.mpf(d) / (M * A)) ** s * total)
+
+
+def barnes_tail_terms(s: complex, beta: float, X: float) -> tuple[complex, float]:
+    """The Euler-Maclaurin tail of sum_{n>=0} (s - 1) zeta(s, X + n beta) over X^(1-s), as 12
+    separate terms at 40 digits: term k is c_k (1 + S_k), c_k = b_k r^(2k-1) (s - 1) (s)_{2k-2},
+    b_k = B_2k/(2k)!, r = beta/X, the k-th correction -b_k f^(2k-1)(0) of f(n) = (s - 1)
+    zeta(s, X + n beta), with zeta(sig, X) = X^(1-sig)/(sig - 1) (1 + S_k) expanded at X,
+    sig = s + 2k - 1, to 12 - k terms: S_k = (sig - 1)/(2X) + sum_{j<=12-k} b_j (sig - 1)
+    (sig)_{2j-1} X^-2j. Returns (the sum, the sum of the magnitudes of every term c_k,
+    c_k (sig - 1)/(2X) and c_k b_j ... of the double sum)."""
+    import mpmath
+
+    def poch(x, n):  # rising factorial (x)_n, as a plain product
+        out = mpmath.mpf(1)
+        for i in range(n):
+            out *= x + i
+        return out
+
+    with mpmath.workdps(40):
+        s, beta, X = mpmath.mpc(s), mpmath.mpf(beta), mpmath.mpf(X)
+        b = [mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) for k in range(13)]
+        r, total, magnitude = beta / X, mpmath.mpf(0), mpmath.mpf(0)
+        for k in range(1, 13):
+            c, sig = b[k] * r ** (2 * k - 1) * (s - 1) * poch(s, 2 * k - 2), s + 2 * k - 1
+            terms = [c, c * (sig - 1) / (2 * X)]
+            terms += [c * b[j] * (sig - 1) * poch(sig, 2 * j - 1) * X ** (-2 * j) for j in range(1, 13 - k)]
+            total += mpmath.fsum(terms)
+            magnitude += mpmath.fsum(abs(t) for t in terms)
+        return complex(total), float(magnitude)
 
 
 def laurent_constant(s0: int, a: Fraction, b: Fraction, conv: ZetaConvention) -> float:

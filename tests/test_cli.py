@@ -63,18 +63,18 @@ PINNED_SHA256 = {
     ("dk", "2", "3", "0..1500", "json"): "9b50c9cc972c09788be72247a324a84aaaca849ab3815af78f2af3e82b122289",
     ("dk", "2", "3", "1000000..1000500", "csv"): "0ed56e657c3b312747c191a23de1c201c56e335ec2f8df3d339ba131a0aa292d",
     ("dk", "2", "3", "1000000..1000500", "json"): "4fad749984960ad563e3af12ac7913bc6e2b4102edd99f42560ff9696e291d28",
-    ("residues", "1", "2", "", "csv"): "f478093792d0e7fece8222442bbc748f09baf0fb0b67f3af28567c7d5734d182",
-    ("residues", "1", "2", "", "json"): "b09b0f299e095f3e9fbef161703a300662dd05c5c36a6778ae203b024f00ac30",
-    ("residues", "2", "3", "", "csv"): "f992d54dfeb3a881be41be3dea45bd3f25c6035d6f1d37cfc64742cd6939dae4",
-    ("residues", "2", "3", "", "json"): "9a0679e21bad44ac8f1954c71593499c734c3d475af51b5256a66cc1a3b84266",
-    ("residues", "1/2", "3/2", "", "csv"): "7b29df81097bb00df960001a4aa31bc1f3c2e3ceed6d93af4e0ad6562e8938a4",
-    ("residues", "1/2", "3/2", "", "json"): "c9a7f29288fb6900832bf3031d258e44a21bc8f08f5877b0d572456c2feae234",
-    ("residues", "1", "832040/514229", "", "csv"): "4dd5a98391fabc026ce07942782b87e71b3c0b4d26d7334d9390d3eb65bde41d",
-    ("residues", "1", "832040/514229", "", "json"): "05d173f239af6e542b687aee529b66b56b66aecb39fbf6db4c566f2396c46e38",
-    ("zeta", "2", "3", "interior", "csv"): "9381e70b9fef0a1ba10e534e5cb8d4c63c57a3b22af0b5a522bf7b471cd63fff",
-    ("zeta", "2", "3", "interior", "json"): "31538edcd127b4d0cd6138918b8388d048670049bb469f07b0c37157791eec92",
-    ("zeta", "2", "3", "full", "csv"): "268cf63c533eb436cacf2cbaac2879eb5704cad9fb856a35fc0a6086462001db",
-    ("zeta", "2", "3", "full", "json"): "4827960c1844a29ec3c5de7e5c1478719e7981e7a2d7650a218e01bdb0771828",
+    ("residues", "1", "2", "", "csv"): "46dd08bdf29fc7a0d39aebe223d9093ab4411d366dbcf74ca063a7f9fed5935e",
+    ("residues", "1", "2", "", "json"): "c1333e604bb6bc8771e088ba01b74ae0cb59c746649b53bad390397c4d020b04",
+    ("residues", "2", "3", "", "csv"): "dc51e31e5f0cc56242b9b122104b5c5fc06e77cffd95b13019e48e3b96a2d2f0",
+    ("residues", "2", "3", "", "json"): "dd6e05daa7e59d0842bde72711655b02504e39041e230bfa828ce2f652abc4c0",
+    ("residues", "1/2", "3/2", "", "csv"): "b6c948e9a40137f240dea2a7da27a2cc6b2d319579dacecf80bc6606395d4432",
+    ("residues", "1/2", "3/2", "", "json"): "12af8a564d7315a2384ba92368fb5e75844b524d7b04661a413a48413d04da72",
+    ("residues", "1", "832040/514229", "", "csv"): "85b888ed7b1bec1ae1b63f2e77bdc43b3e41f5942477f86e235bfa828488c9cc",
+    ("residues", "1", "832040/514229", "", "json"): "b7c0c36c74653d7bfbdac64fc23786ee256fef90ff51aecdaa16a3bc16ce2a2f",
+    ("zeta", "2", "3", "interior", "csv"): "fc6f029644cd987974f3ebbf9aadbf8d7768df97f2f2e4b74e5837384c36e0a7",
+    ("zeta", "2", "3", "interior", "json"): "52da764a4e30fb0c104b938593f67e74d7e785eb3633eda934b816881a8edbef",
+    ("zeta", "2", "3", "full", "csv"): "5eee9361c6300a458864c31ab3971ee24b4b763de35965c1665fe24d8740d9d1",
+    ("zeta", "2", "3", "full", "json"): "5cc251b894144154d5d3609ef2020e0a41c641755267b3a1dda6d08b9a095512",
     ("zeta", "2", "3", "distinct", "csv"): "f9b0c286b3638708f2dd2c448ea59c6b37440317dd8c033108bb75b3a6b10bed",
     ("zeta", "2", "3", "distinct", "json"): "f283e98aded0a8b917663cee7c8f61f295774e5106750b90db2fd3865767b36f",
     ("weyl", "1", "2", "10,20,30,40", "csv"): "42f32f20913833b1b812e1fa3c21af38bcc67d92ab3de00f1f7464b7d2e6d321",

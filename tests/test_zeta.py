@@ -27,6 +27,7 @@ from echspec import (
 )
 
 from oracles import (
+    barnes_tail_terms,
     barnes_zeta_at_negative_integer,
     barnes_zeta_hurwitz,
     direct_zeta_sum,
@@ -42,8 +43,8 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def count_kernel_work(monkeypatch) -> list:
-    """[shifts the kernel evaluates, Barnes tails evaluated (each sums the 14
-    series of its integral, half and tail terms at one shift), complex powers of
+    """[shifts the kernel evaluates, Barnes tails evaluated (each sums the three
+    series of its integral, half and tail at one shift), complex powers of
     a float: three per distinct summation point of a kernel call and one per power
     outside the kernel], counted while the test runs"""
     work = [0, 0, 0]
@@ -267,16 +268,37 @@ class TestBarnes:
                 assert got[0] == got[1], (s, w)
                 # cutoff 16 and w < max(a, b) make a head of 16 shifts, three powers
                 # at each distinct summation point; past it one power xN^(1-s),
-                # and a^-s, serve the tail's 14 series at xN
+                # and a^-s, serve the tail's three series at xN
                 points_reached = summation_points(s, [float((w + n * hi) / lo) for n in range(16)])
                 assert got[0][1] == (16, 1, 3 * points_reached + 2), (s, w)
             for conv in ZetaConvention:
                 assert ech_zeta(s, Ellipsoid(a, b), conv) == ech_zeta(s, Ellipsoid(b, a), conv)
         # an offset past cutoff * max(a, b) leaves an empty head, and one tail,
-        # the 14 series of the integral, half and tail terms at the offset
+        # the three series of the integral, half and tail at the offset
         work[:] = [0, 0, 0]
         barnes_zeta(3.0, 16 * max(a, b) + 1, Ellipsoid(a, b))
         assert work == [0, 1, 2]
+
+    def test_tail_series_matches_its_terms_one_by_one(self):
+        # _em_tail sums the tail as one series in (s)_q; barnes_tail_terms sums its 12 terms
+        # c_k (1 + S_k) one by one at 40 digits, over X^(1-s). That power is CPython's complex
+        # power, whose phase error grows as |Im s| log X, so the float power scales the oracle:
+        # the series is held to 16 eps times the sum of its terms' magnitudes, plus the rounding
+        # of a value below the normal range. A power past the float range raises.
+        rng, eps, normal = random.Random(39), 2.0**-52, 0
+        for _ in range(300):
+            s = complex(rng.uniform(-3.999, 30.0), rng.uniform(-1000.0, 1000.0))
+            beta = 10.0 ** rng.uniform(0.0, 60.0)
+            X = max(echspec.zeta._cutoff(s), 16 * beta) * rng.choice((1.0, rng.uniform(1.0, 100.0)))
+            if (1 - s.real) * math.log(X) > 709.8:
+                with pytest.raises(ValueError, match="overflows a float"):
+                    echspec.zeta._em_tail(s, beta, X)
+                continue
+            tail, p = echspec.zeta._em_tail(s, beta, X)[3], echspec.zeta._pow(X, 1 - s)
+            want, magnitude = barnes_tail_terms(s, beta, X)
+            assert abs(tail - want * p) <= 16 * eps * magnitude * abs(p) + 2.0**-1072, (s, beta, X)
+            normal += abs(p) > 2.0**-1000
+        assert normal >= 150
 
 
 class TestEchZeta:
@@ -511,7 +533,7 @@ class TestEchZeta:
 
     def test_barnes_calls_per_convention(self, monkeypatch):
         # INTERIOR and FULL make one Barnes pass and no barnes_zeta call: a head
-        # of 16 shifts, whose first gives zeta(s), and a tail of 14 series at xN,
+        # of 16 shifts, whose first gives zeta(s), and a tail of three series at xN,
         # with xN^(1-s), a^-s and the axis power; DISTINCT sums A' = 10 Hurwitz values
         calls = self.count_barnes_calls(monkeypatch)
         work = count_kernel_work(monkeypatch)
@@ -529,8 +551,8 @@ class TestEchZeta:
         # residues prints exact residues and values at 0 and takes each constant
         # from one complex-step pass: no Barnes value and no contour. On E(3/2, 5/7) a
         # pass evaluates the 16 head shifts in one kernel call, the first of them
-        # the Riemann value, and the integral, half and 12 tail terms as one tail,
-        # 14 series from one power xN^(1-s); with a^-s and b^-s, 3 * 16 + 3 powers
+        # the Riemann value, and the integral, half and tail as one Barnes tail,
+        # three series from one power xN^(1-s); with a^-s and b^-s, 3 * 16 + 3 powers
         # per pole.
         calls = self.count_barnes_calls(monkeypatch)
         contours = []
