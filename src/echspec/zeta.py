@@ -211,7 +211,7 @@ def _em_tail(s, beta: float, X: float):
             t = sig + 2 * j
             poch *= (t - 1) * t * u
         sums.append(corr + _B2K_FACT[_EM_TERMS] * poch)
-    A = [_B2K_FACT[k + 1] * r ** (2 * k + 1) for k in range(_EM_TERMS)]  # b_k r^(2k-1): beta^(2k-1) overflows
+    A = [_B2K_FACT[k + 1] * r ** (2 * k + 1) for k in range(_EM_TERMS)]  # b_k r^(2k-1): beta^(2k-1) can overflow
     B = [_B2K_FACT[j] * u**j for j in range(_EM_TERMS)]  # b_j X^-2j
     series, poch = 0.0, 1.0 + 0.0j  # (s)_q
     for m in range(_EM_TERMS):

@@ -340,13 +340,13 @@ def barnes_zeta_hurwitz(s: complex, w: Fraction, a: Fraction, b: Fraction) -> co
 
 
 def barnes_tail_terms(s: complex, beta: float, X: float) -> tuple[complex, float]:
-    """The Euler-Maclaurin tail of sum_{n>=0} (s - 1) zeta(s, X + n beta) over X^(1-s), as 12
-    separate terms at 40 digits: term k is c_k (1 + S_k), c_k = b_k r^(2k-1) (s - 1) (s)_{2k-2},
-    b_k = B_2k/(2k)!, r = beta/X, the k-th correction -b_k f^(2k-1)(0) of f(n) = (s - 1)
-    zeta(s, X + n beta), with zeta(sig, X) = X^(1-sig)/(sig - 1) (1 + S_k) expanded at X,
-    sig = s + 2k - 1, to 12 - k terms: S_k = (sig - 1)/(2X) + sum_{j<=12-k} b_j (sig - 1)
-    (sig)_{2j-1} X^-2j. Returns (the sum, the sum of the magnitudes of every term c_k,
-    c_k (sig - 1)/(2X) and c_k b_j ... of the double sum)."""
+    """The Barnes tail of zeta._em_tail over X^(1-s), term by term at 40 digits: the
+    Euler-Maclaurin corrections -b_k f^(2k-1)(0), b_k = B_2k/(2k)!, k = 1..12, of
+    f(n) = (s - 1) zeta(s, X + n beta) are c_k (1 + S_k), c_k = b_k r^(2k-1) (s - 1) (s)_{2k-2}
+    and r = beta/X, with zeta(sig, X), sig = s + 2k - 1, expanded at X to 12 - k terms:
+    S_k = (sig - 1)/(2X) + sum_{j<=12-k} b_j (sig - 1) (sig)_{2j-1} X^-2j. Returns the sum of
+    the 12 terms and the sum of the magnitudes of the products c_k, c_k (sig - 1)/(2X) and
+    c_k b_j (sig - 1) (sig)_{2j-1} X^-2j that make them."""
     import mpmath
 
     def poch(x, n):  # rising factorial (x)_n, as a plain product

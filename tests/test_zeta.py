@@ -284,16 +284,12 @@ class TestBarnes:
         # c_k (1 + S_k) one by one at 40 digits, over X^(1-s). That power is CPython's complex
         # power, whose phase error grows as |Im s| log X, so the float power scales the oracle:
         # the series is held to 16 eps times the sum of its terms' magnitudes, plus the rounding
-        # of a value below the normal range. A power past the float range raises.
+        # of a value below the normal range.
         rng, eps, normal = random.Random(39), 2.0**-52, 0
         for _ in range(300):
             s = complex(rng.uniform(-3.999, 30.0), rng.uniform(-1000.0, 1000.0))
             beta = 10.0 ** rng.uniform(0.0, 60.0)
             X = max(echspec.zeta._cutoff(s), 16 * beta) * rng.choice((1.0, rng.uniform(1.0, 100.0)))
-            if (1 - s.real) * math.log(X) > 709.8:
-                with pytest.raises(ValueError, match="overflows a float"):
-                    echspec.zeta._em_tail(s, beta, X)
-                continue
             tail, p = echspec.zeta._em_tail(s, beta, X)[3], echspec.zeta._pow(X, 1 - s)
             want, magnitude = barnes_tail_terms(s, beta, X)
             assert abs(tail - want * p) <= 16 * eps * magnitude * abs(p) + 2.0**-1072, (s, beta, X)
