@@ -5,12 +5,14 @@ stdout as CSV (default) or JSON; diagnostics go to stderr. The exact capacities
 and radii of capacities, weyl and dk are emitted as integer
 numerator/denominator pairs, and dk's defect limits as p/q; residues prints its
 exact residues and values at s = 0, and its expected_* lines, as .17g floats.
-main builds its parsers once per process. It reads a plain command line from
-the parsers' own option table; argparse's full parse reads any other and owns
-every error and help text, and an option written opt=-- exits 2. emit writes
-CSV and JSON rows through one % template per row. residues takes each Laurent
-constant from one complex-step pass, with no contour and no Barnes value. dk
-fits no sup exponent on less than an octave of indices, and says so.
+Each cmd_* maps a parsed config to its table, the (header, rows, summary,
+warnings) that emit takes. main is the one writer: it writes the table and
+returns 0, or prints "error: ..." and returns 2 for a CLIError and 1 for any
+other domain error, or returns 1 when the reader closes stdout early. It reads
+a plain command line from the option table of parsers built once per process;
+argparse reads any other and owns every usage error and help text. residues
+takes each Laurent constant from one complex-step pass, with no contour and no
+Barnes value. dk fits no sup exponent on less than an octave of indices.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -160,7 +163,7 @@ def _sup_fit(js: range, ds: list[float], windows: int) -> FitResult:
     return column_exponent_fit(js, ds, windows)
 
 
-def cmd_capacities(cfg) -> int:
+def cmd_capacities(cfg) -> tuple:
     E = _ellipsoid(cfg)
     k0, k1 = parse_range(cfg.range)
     if k0 < 0:
@@ -173,11 +176,10 @@ def cmd_capacities(cfg) -> int:
     as_float(Fraction(vals[-1], den), "capacity")  # so every v / den below it fits
     cs = map_distinct(cells, vals)
     rows = [(k, p, q, c) for k, (p, q, c) in zip(range(k0, k1 + 1), cs)]
-    emit(cfg, ["k", "c_num", "c_den", "c_float"], rows, {}, [])
-    return 0
+    return ["k", "c_num", "c_den", "c_float"], rows, {}, []
 
 
-def cmd_weyl(cfg) -> int:
+def cmd_weyl(cfg) -> tuple:
     E = _ellipsoid(cfg)
     if not cfg.R:
         raise CLIError("weyl requires -R")
@@ -192,11 +194,10 @@ def cmd_weyl(cfg) -> int:
         "fit_coefficient": _fmt(fit.coefficient),
         "fit_remainder_exponent": _fmt(fit.exponent),
     } if fit else {}
-    emit(cfg, ["R_num", "R_den", "count_classes", "count_values"], rows, summary, warnings)
-    return 0
+    return ["R_num", "R_den", "count_classes", "count_values"], rows, summary, warnings
 
 
-def cmd_dk(cfg) -> int:
+def cmd_dk(cfg) -> tuple:
     E = _ellipsoid(cfg)
     j0, j1 = parse_range(cfg.range)
     if j0 < 0:
@@ -219,11 +220,10 @@ def cmd_dk(cfg) -> int:
         "fit_window": f"{max(j0, 1)}..{j1}",
     } if fit else {}
     summary["defect_liminf"], summary["defect_limsup"] = map(str, defect_limits(E))
-    emit(cfg, ["j", "c_num", "c_den", "d", "d_err"], rows, summary, warnings)
-    return 0
+    return ["j", "c_num", "c_den", "d", "d_err"], rows, summary, warnings
 
 
-def cmd_zeta(cfg) -> int:
+def cmd_zeta(cfg) -> tuple:
     """The `err` column echoes --tol; it is not an error bound."""
     E = _ellipsoid(cfg)
     if not cfg.s:
@@ -234,11 +234,10 @@ def cmd_zeta(cfg) -> int:
         s = parse_complex(text)
         val = ech_zeta(s, E, conv)
         rows.append((_fmt(s.real), _fmt(s.imag), _fmt(val.real), _fmt(val.imag), _fmt(cfg.tol)))
-    emit(cfg, ["s_re", "s_im", "value_re", "value_im", "err"], rows, {}, [])
-    return 0
+    return ["s_re", "s_im", "value_re", "value_im", "err"], rows, {}, []
 
 
-def cmd_residues(cfg) -> int:
+def cmd_residues(cfg) -> tuple:
     E = _ellipsoid(cfg)
     pairs = [ech_laurent_pair(s0, E, cfg.tol) for s0 in (1, 2, 0)]
     rows = []
@@ -254,11 +253,10 @@ def cmd_residues(cfg) -> int:
         "note": "res at s=1 is positive for full and negative for interior",
     }
     header = "convention point residue_re residue_im constant_re constant_im quad_err".split()
-    emit(cfg, header, rows, summary, [])
-    return 0
+    return header, rows, summary, []
 
 
-def cmd_envelope(cfg) -> int:
+def cmd_envelope(cfg) -> tuple:
     e0, e1 = parse_range(cfg.range)
     if e1 > sys.float_info.max_10_exp:
         raise CLIError(f"10**{e1} overflows a float")
@@ -276,8 +274,7 @@ def cmd_envelope(cfg) -> int:
     header = ("j r1 r2 r3 F_lo F_hi e_lo e_hi c_lo c_hi width_over_j25 r1_minus_leading "
               "admissible").split()
     summary = {"constants": f"q={k.q} c0={k.c0} c1={k.c1} c2={k.c2} c3={k.c3} vol={k.vol}"}
-    emit(cfg, header, rows, summary, [])
-    return 0
+    return header, rows, summary, []
 
 
 # ------------------------------------------------------------------ main
@@ -386,13 +383,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return cfg.func(cfg)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        emit(cfg, *cfg.func(cfg))
+        sys.stdout.flush()  # a reader that closed stdout early fails here, not at exit
+    except BrokenPipeError:  # what is left in the buffer goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, EchspecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CLIError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@ import hashlib
 import json
 import math
 import shlex
-import sys
 import time
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,6 +19,7 @@ from echspec.cli import (
     CLIError,
     _fmt,
     build_parser,
+    emit,
     main,
     parse_complex,
     parse_range,
@@ -183,20 +184,14 @@ class TestDeterminism:
         assert not (tmp_path / "spec.cache").exists()
 
 
-def pinned_stdout_id(position, key) -> str:
-    """The command and its arguments, so that a re-pin renames no test.
-
-    The `capacities` and `dk` keys, which sort first, still take their
-    position in the sorted keys (`key0` to `key23`).
-    """
-    if key[0] in ("capacities", "dk"):
-        return f"key{position}"
+def pinned_stdout_id(key) -> str:
+    """The command and its arguments, so that a re-pin renames no test."""
     return "-".join(part for part in key if part).replace(" ", "_")
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize(
-        "key", [pytest.param(key, id=pinned_stdout_id(i, key)) for i, key in enumerate(sorted(PINNED_SHA256))]
+        "key", [pytest.param(key, id=pinned_stdout_id(key)) for key in PINNED_SHA256]
     )
     def test_pinned_stdout(self, key, capsys):
         cmd, a, b, arg, fmt = key
@@ -235,7 +230,7 @@ class TestRepeatedCalls:
     @staticmethod
     def fresh(argv, capsys) -> str:
         cfg = build_parser().parse_args(argv)
-        assert cfg.func(cfg) == 0
+        emit(cfg, *cfg.func(cfg))
         return capsys.readouterr().out
 
     def run(self, argv, capsys) -> str:
@@ -287,8 +282,8 @@ ZETA12 = ["zeta", "-a", "1", "-b", "2"]
 
 class TestDispatch:
     """main reads a known subcommand's plain command line from the option table
-    and gives every other argv to the full parse by build_parser(); each argv
-    gives what that full parse and cfg.func give."""
+    and gives every other argv to argparse's full parse; each argv gives what
+    main gives with its plain parse declining."""
 
     ARGVS = [
         [],
@@ -343,25 +338,10 @@ class TestDispatch:
 
     @staticmethod
     def full_parse(argv) -> int:
-        """main without the plain parse: the full parse, where an option written
-        opt=--, which Python 3.11's argparse stores as [], exits 2 naming it."""
-        try:
-            cfg = build_parser().parse_args(argv)
-            _, subs, table = echspec.cli._parser()
-            for action, _ in table[cfg.subcommand]:
-                value = getattr(cfg, action.dest)
-                if value == [] or isinstance(value, list) and [] in value:
-                    subs[cfg.subcommand].error(f"argument {'/'.join(action.option_strings)}: expected one argument")
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        try:
-            return cfg.func(cfg)
-        except CLIError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (ValueError, EchspecError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        """main with its plain parse declining: the full parse, where an option
+        written opt=--, which Python 3.11's argparse stores as [], exits 2 naming it."""
+        with mock.patch.object(echspec.cli, "_plain_parse", lambda name, args: None):
+            return main(argv)
 
     @pytest.mark.parametrize("argv", ARGVS + readme_cli_examples())
     def test_same_as_the_full_parse(self, argv, monkeypatch, capsys):

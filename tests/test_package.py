@@ -129,16 +129,43 @@ def test_records_survive_pickle_and_copy():
                 assert (c.A, c.B, c.den) == (14, 15, 21)
 
 
+def fresh_env() -> dict:
+    """The environment of a new interpreter that finds this package."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def fresh_stdout(code: str, *flags: str) -> str:
     """What code prints in a new interpreter, run with flags, that finds this package."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=fresh_env(),
         capture_output=True,
         text=True,
         check=True,
     ).stdout
+
+
+@pytest.mark.parametrize("last", [10, 200000])
+def test_closed_stdout_exits_one_without_a_traceback(last):
+    # `echspec capacities ... | head -1` with stdout block-buffered, as in a shell
+    # pipe, and the reader gone before the command writes: stdin holds the run
+    # until then. 0..10 stays in the buffer until main's flush; 0..200000 meets
+    # the closed pipe in emit's writes.
+    code = "import sys, echspec.cli; sys.stdin.read(); sys.exit(echspec.cli.main(sys.argv[1:]))"
+    env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+    argv = ["capacities", "-a", "1", "-b", "2", "-k", f"0..{last}"]
+    with subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        proc.stdout.close()
+        proc.stdin.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (1, "")
 
 
 def test_fresh_import_loads_no_numpy():

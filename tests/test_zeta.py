@@ -576,6 +576,12 @@ class TestEchZeta:
         with pytest.raises(ValueError, match=r"axis b = exp\(-921.034\) is outside"):
             barnes_zeta(3.0, 1, Ellipsoid(1, F(1, 10**400)))
 
+    def test_distinct_lead_past_the_float_range(self):
+        # E(1, 1 + 10^-70) has A' = 10^70: at s = -3 the lead's exp(z), with
+        # z = 5 log(A'/N), overflows a float before the value check sees it
+        with pytest.raises(ValueError, match=r"^distinct zeta overflows a float at s=\(-3\+0j\)$"):
+            ech_zeta(-3, Ellipsoid(1, F(10**70 + 1, 10**70)), ZetaConvention.DISTINCT)
+
     @pytest.mark.parametrize("conv", [ZetaConvention.INTERIOR, ZetaConvention.FULL])
     def test_matches_direct_sum(self, conv):
         E = Ellipsoid(F(3, 2), F(5, 7))
