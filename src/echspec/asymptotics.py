@@ -1,12 +1,12 @@
 """Sub-leading asymptotics: the defect sequence d_j = c_j - sqrt(vol * 2j)
 and its exact limit interval, Weyl counting samples, and power-law fits.
 
-The square root is taken with 60 fractional bits via integer isqrt, so the
-recorded defect carries a certified rounding bound well below the scales
-at which the O(1) limits are distinguished. The Weyl fit's coefficient,
-residuals and checks are exact integers over one denominator, with floats
-only at the coefficient and the logs. Power laws come from one centred
-math.fsum least-squares line in log-log coordinates, with no numpy.
+The square root is taken with 60 fractional bits via integer isqrt; a window
+of defects shares one certified bound, about an ulp of its largest |d|. The
+Weyl fit's coefficient, residuals and checks are exact integers over one
+denominator, with floats only at the coefficient and the logs. Power laws
+come from one centred math.fsum least-squares line in log-log coordinates,
+with no numpy.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .spectrum import (
 )
 
 _SQRT_BITS = 60
-DEFECT_REL_ERR = 2.0**-50  # d_err = max(1, c) * DEFECT_REL_ERR
 
 
 DkPoint = namedtuple("DkPoint", "j c d d_err")
-DkPoint.__doc__ = "One defect sample: index j, exact capacity c_j, defect d and its rounding bound d_err."
+DkPoint.__doc__ = "One defect sample: index j, exact capacity c_j, defect d and its window's bound d_err."
 
 FitResult = namedtuple("FitResult", "coefficient exponent")
 FitResult.__doc__ = "A power law coefficient * x^exponent."
@@ -58,10 +57,10 @@ def scaled_defects(E: Ellipsoid, j0: int, values: list[int]) -> list[float]:
     """Defects d_j = (v - sqrt(2jAB))/den for the scaled capacities
     values[i] = v of index j = j0 + i.
 
-    The root is floor(sqrt(2jAB) * 2^_SQRT_BITS) by integer isqrt and the
-    quotient is one correctly rounded int division, so each d lies within
-    max(1, v/den) * DEFECT_REL_ERR of the exact defect. A defect past the
-    float range raises ValueError naming it.
+    With the root floor(sqrt(2jAB) * 2^60) by integer isqrt, X = v * 2^60 - root
+    lies less than 1 above the exact numerator, and d = X / (den * 2^60) is one
+    correctly rounded int division: |d - d*| <= ulp(d)/2 + 2^-60/den. A defect
+    past the float range raises ValueError naming it.
     """
     bits = _SQRT_BITS
     root_arg = (2 * E.A * E.B) << (2 * bits)
@@ -75,17 +74,27 @@ def scaled_defects(E: Ellipsoid, j0: int, values: list[int]) -> list[float]:
         raise
 
 
+def defect_bound(E: Ellipsoid, ds: list[float]) -> float:
+    """One error bound for all the scaled_defects ds of a window: 2^-53 max|d| +
+    2^-59/den, rounded up. Each d is within ulp(d)/2 + 2^-60/den: ulp(d)/2 is at most
+    2^-53 |d|, or 2^-1075 for a subnormal d, which the bound's least value 2^-1074 or
+    its other 2^-60/den covers, as it covers a reference within 2^-60/den of d*."""
+    n, d = max(map(abs, ds), default=0.0).as_integer_ratio()
+    num, den = (n * E.den << 6) + d, d * E.den << 59  # the bound n/d 2^-53 + 2^-59/E.den, exactly
+    p, q = (bound := num / den).as_integer_ratio()  # the int division rounds to nearest
+    return bound if p * den >= num * q else math.nextafter(bound, math.inf)
+
+
 def d_sequence(E: Ellipsoid, j0: int, j1: int) -> list[DkPoint]:
-    """Defect samples d_j = c_j - sqrt(vol * 2j) for j in [j0, j1]: exact
-    c_j and the scaled_defects of the block. Tied c_j share one Fraction."""
+    """Defect samples d_j = c_j - sqrt(vol * 2j) for j in [j0, j1]: exact c_j, the
+    block's scaled_defects and their one defect_bound. Tied c_j share a Fraction."""
     if j0 > j1:
         raise ValueError("d_sequence requires j0 <= j1")
     den = E.den
     vals = scaled_spectrum(E, j0, j1)
-    as_float(Fraction(vals[-1], den), "capacity")  # so every v / den below it fits
-    exact = map_distinct(lambda v: (Fraction(v, den), max(1.0, v / den) * DEFECT_REL_ERR), vals)
     ds = scaled_defects(E, j0, vals)
-    return [DkPoint(j, c, d, e) for j, (c, e), d in zip(range(j0, j1 + 1), exact, ds)]
+    cs = map_distinct(lambda v: Fraction(v, den), vals)
+    return list(map(DkPoint._make, zip(range(j0, j1 + 1), cs, ds, [defect_bound(E, ds)] * len(ds))))
 
 
 def weyl_count(E: Ellipsoid, R) -> WeylSample:

@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import cache
 
 from .asymptotics import (
-    DEFECT_REL_ERR,
     FitResult,
     column_exponent_fit,
+    defect_bound,
     defect_limits,
     scaled_defects,
     weyl_count,
@@ -103,17 +103,17 @@ def _fmt(x: float) -> str:
 # Rows are formatted and written this many at a time: holding the whole
 # output text at once would add its size to the peak memory of a long table.
 _CHUNK_ROWS = 256
-# A JSON cell as json.dumps writes it: every str cell is a .17g float or a
-# convention name, with no character to escape. Other types raise KeyError.
-_JSON_CELL = {int: "%s", str: '"%s"'}
+# A JSON cell as json.dumps writes it (a float as its .17g text): a str cell is
+# a .17g float or a convention name, with nothing to escape. Others: KeyError.
+_JSON_CELL = {int: "%s", str: '"%s"', float: '"%.17g"'}
 
 
 def emit(cfg, header: list[str], rows: list[tuple], summary: dict, warnings: list[str]):
     """Write the rows, tuples in header order, as CSV or as one JSON document,
-    _CHUNK_ROWS rows at a time through one % template per row. The JSON text is
-    what json.dump(doc, out, indent=2) writes: the document without its rows,
-    which go in through a template of its row object, each cell's form taken
-    from the type of the first row's."""
+    _CHUNK_ROWS rows at a time through one % template per row, each cell's form
+    taken from the type of the first row's: a float as .17g text. The JSON text
+    is what json.dump(doc, out, indent=2) writes: the document without its
+    rows, which go in through a template of its row object."""
     out = sys.stdout
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -126,7 +126,7 @@ def emit(cfg, header: list[str], rows: list[tuple], summary: dict, warnings: lis
         row = "\n    {" + ",".join(f"\n      {json.dumps(h)}: {c}" for h, c in zip(header, cells)) + "\n    }"
         head, sep, tail = head + key, ",", ("\n  " if rows else "") + tail + "\n"
     else:
-        row = ",".join(["%s"] * len(header)) + "\n"
+        row = ",".join("%.17g" if type(cell) is float else "%s" for cell in rows[0]) + "\n" if rows else ""
         head, sep = ",".join(header) + "\n", ""
         tail = "".join(f"# {key}={val}\n" for key, val in summary.items())
     out.write(head)
@@ -205,13 +205,13 @@ def cmd_dk(cfg) -> tuple:
     den = E.den
     js = range(j0, j1 + 1)
     vals = scaled_spectrum(E, j0, j1)
-    as_float(Fraction(vals[-1], den), "capacity")  # so every v / den below it fits
     ds = scaled_defects(E, j0, vals)
-    def cells(v: int) -> tuple:  # c = v/den reduced, and its d_err
+    def cells(v: int) -> tuple:  # c = v/den reduced
         g = math.gcd(v, den)
-        return v // g, den // g, f"{max(1.0, v / den) * DEFECT_REL_ERR:.17g}"
+        return v // g, den // g
     cs = map_distinct(cells, vals)
-    rows = [(j, p, q, f"{d:.17g}", err) for j, (p, q, err), d in zip(js, cs, ds)]
+    err = _fmt(defect_bound(E, ds))  # one text, shared by every row
+    rows = [(j, p, q, d, err) for j, (p, q), d in zip(js, cs, ds)]
     warnings = []
     fit = _fit("sup exponent", warnings, _sup_fit, js, ds, cfg.windows)
     summary = {

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here enumerates or sums naively, or evaluates closed forms in
-exact or mpmath arithmetic; none of it shares code with the fast paths it
+exact, decimal or mpmath arithmetic; none of it shares code with the fast paths it
 checks. It uses three package functions: the exact bernoulli;
 scaled_spectrum, which direct_zeta_sum sums over to check the zeta
 functions (tests/test_spectrum.py checks it against brute_spectrum); and
@@ -11,6 +11,7 @@ weyl_fit_fractions also shares the edge of the fit it checks: as_rational,
 as_float and the line fit; its logs are its own (fraction_log).
 """
 
+import decimal
 import math
 from fractions import Fraction
 from functools import cache
@@ -120,6 +121,19 @@ def defect_limits_by_gcd(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     p1, q1, p2, q2 = a.numerator, a.denominator, b.numerator, b.denominator
     g = Fraction(gcd(p1 * q2, p2 * q1), q1 * q2)
     return -(a + b) / 2 - g / 2, -(a + b) / 2 + g / 2
+
+
+def defect_error_decimal(c: Fraction, a: Fraction, b: Fraction, j: int, d: float) -> Fraction:
+    """An upper bound on |d - (c - sqrt(2abj))|, from a decimal square root
+    carried 40 digits past the digits of 2abj's numerator and denominator,
+    which puts its own error near 10^-40 / den or below."""
+    r = 2 * a * b * j
+    prec = len(str(r.numerator)) + len(str(r.denominator)) + 40
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        root = Fraction((decimal.Decimal(r.numerator) / r.denominator).sqrt())
+    # the division and the square root each round once, to prec digits
+    return abs(Fraction(d) - c + root) + root / 10 ** (prec - 2)
 
 
 def fraction_log(x: Fraction) -> float:

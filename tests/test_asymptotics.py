@@ -16,6 +16,7 @@ from echspec import (
     contact_volume,
     count_leq,
     d_sequence,
+    defect_bound,
     defect_limits,
     exponent_fit,
     scaled_defects,
@@ -24,11 +25,10 @@ from echspec import (
     weyl_fit,
     window_sups,
 )
-from echspec.asymptotics import DEFECT_REL_ERR
 from echspec.spectrum import rational_log
 
-from oracles import defect_limits_by_gcd, weyl_fit_fractions, window_sups_by_edge_list
-from test_spectrum import tied_blocks
+from oracles import defect_error_decimal, defect_limits_by_gcd, weyl_fit_fractions, window_sups_by_edge_list
+from test_spectrum import GOLDEN, tied_blocks
 
 
 class TestContactVolume:
@@ -96,9 +96,14 @@ class TestDSequence:
             d_sequence(Ellipsoid(1, 1), 5, 4)
 
     def test_capacity_past_the_float_range(self):
-        # c_j is about 1.4e400 at j = 10^800: its d_err is a float of c_j
-        with pytest.raises(ValueError, match=r"^capacity exp\(921\.381\) overflows a float$"):
-            d_sequence(Ellipsoid(1, 1), 10**800, 10**800)
+        # c_j is about 1.4e400 at j = 10^800, but d_j is O(1), and no float of c_j is made
+        j = 10**800
+        (p,) = d_sequence(Ellipsoid(1, 1), j, j)
+        n = (math.isqrt(8 * j + 1) - 1) // 2  # E(1, 1) has n + 1 copies of n, from index n(n+1)/2
+        r = math.isqrt(2 * j << 400)  # sqrt(2j) lies in [r, r + 1) / 2^200
+        assert p.c == n
+        assert abs(F(p.d) - F((n << 200) - r, 1 << 200)) + F(1, 1 << 200) <= F(p.d_err)
+        assert p.d == -0.60386899970699004 and p.d_err < 1e-16
 
     def test_err_bound_is_small(self):
         pts = d_sequence(Ellipsoid(1, 1), 10**6, 10**6 + 10)
@@ -111,15 +116,79 @@ class TestDSequence:
         assert max(abs(p.d) for p in pts) < 2.0
 
 
+TINY = F(1, 10**400)  # den * 2^59 is past the float range, and so is 2^-59/den
+
+
+class TestDefectBound:
+    """defect_bound against the decimal oracle, which shares no code with it
+    or with scaled_defects."""
+
+    @staticmethod
+    def errors(E, j0, j1):
+        pts = d_sequence(E, j0, j1)
+        return pts, [defect_error_decimal(p.c, E.a, E.b, p.j, p.d) for p in pts]
+
+    @given(
+        a=st.fractions(F(1, 50), 50, max_denominator=60),
+        b=st.fractions(F(1, 50), 50, max_denominator=60),
+        j0=st.one_of(st.integers(0, 100), st.builds(lambda m, e: m * 10**e, st.integers(1, 999), st.integers(0, 37))),
+        width=st.integers(0, 60),
+    )
+    @example(a=F(1), b=F(1), j0=0, width=0)  # d_0 = 0
+    @example(a=F(2), b=F(3), j0=10**40, width=3)
+    @example(a=GOLDEN.a, b=GOLDEN.b, j0=10**15, width=20)
+    @example(a=TINY, b=F(1), j0=1, width=4)  # |d| near 1e-200, and no float of den
+    @example(a=TINY, b=TINY, j0=0, width=5)  # every d underflows to 0.0
+    @example(a=F(1, 10**320), b=F(3, 10**320), j0=0, width=40)  # subnormal d
+    @settings(max_examples=120, deadline=None)
+    def test_covers_every_defect_of_the_window(self, a, b, j0, width):
+        pts, errs = self.errors(Ellipsoid(a, b), j0, j0 + width)
+        (bound,) = {p.d_err for p in pts}
+        assert max(errs) <= F(bound)
+
+    @pytest.mark.parametrize(
+        "E,ds,exact",
+        [
+            (Ellipsoid(F(3, 2), F(5, 7)), [-0.75, 2.5, 0.0], F(5, 2**54) + F(1, 14 * 2**59)),
+            (Ellipsoid(F(3, 2), F(5, 7)), [], F(1, 14 * 2**59)),
+            (Ellipsoid(2, 3), [-2.0, 2.0**-1074], F(2, 2**53) + F(1, 2**59)),
+            (Ellipsoid(TINY, 1), [0.0], F(1, 10**400 * 2**59)),
+        ],
+    )
+    def test_least_float_at_or_above_the_window_formula(self, E, ds, exact):
+        bound = defect_bound(E, ds)
+        assert F(bound) >= exact > F(math.nextafter(bound, 0.0))
+
+    @pytest.mark.parametrize(
+        "E,j0",
+        [(Ellipsoid(2, 3), 10**3), (Ellipsoid(2, 3), 10**6), (Ellipsoid(2, 3), 10**12), (Ellipsoid(2, 3), 10**28),
+         (GOLDEN, 10**3), (GOLDEN, 10**9), (GOLDEN, 10**15), (Ellipsoid(F(3, 2), F(5, 7)), 10**6),
+         (Ellipsoid(1, 3), 10**20)],
+    )
+    def test_within_four_times_the_worst_error(self, E, j0):
+        # on 200 rows whose |d| varies by less than 2x, the one bound is near
+        # the worst row's error. At 10^40 on E(2, 3) the 200 rows share one c
+        # and round to one d, so the window has one error, however small.
+        pts, errs = self.errors(E, j0, j0 + 199)
+        mags = [abs(p.d) for p in pts]
+        assert max(mags) < 2 * min(mags)
+        assert pts[0].d_err <= 4 * max(errs)
+
+
 class TestTiedDSequence:
     @pytest.mark.parametrize("E,j0,j1", tied_blocks())
     def test_fields_match_the_per_row_formula(self, E, j0, j1):
-        S = E
-        vals = scaled_spectrum(S, j0, j1)
-        rows = zip(range(j0, j1 + 1), vals, scaled_defects(S, j0, vals))
-        old = [(j, F(v, S.den), d, max(1.0, v / S.den) * DEFECT_REL_ERR) for j, v, d in rows]
+        # every point carries the block's one bound: the least float at or
+        # above 2^-53 max|d| + 2^-59/den
+        vals = scaled_spectrum(E, j0, j1)
+        ds = scaled_defects(E, j0, vals)
+        exact = F(max(abs(d) for d in ds)) / 2**53 + F(1, E.den * 2**59)
         got = d_sequence(E, j0, j1)
-        assert [(p.j, p.c, p.d, p.d_err) for p in got] == old
+        (err,) = {p.d_err for p in got}
+        assert F(err) >= exact > F(math.nextafter(err, 0.0))
+        assert [(p.j, p.c, p.d, p.d_err) for p in got] == [
+            (j, F(v, E.den), d, err) for j, v, d in zip(range(j0, j1 + 1), vals, ds)
+        ]
         assert all(type(p.c) is F and type(p.d) is float and type(p.d_err) is float for p in got)
 
     @pytest.mark.parametrize("E,j0,j1", tied_blocks())

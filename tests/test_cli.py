@@ -29,6 +29,7 @@ from echspec.cli import (
 from oracles import (
     brute_count_leq,
     brute_distinct_leq,
+    defect_error_decimal,
     defect_limits_by_gcd,
     distinct_leq_by_classes,
     weyl_fit_fractions,
@@ -52,18 +53,18 @@ PINNED_SHA256 = {
     ("capacities", "1", "832040/514229", "0..1500", "json"): "1b1e2c926fdc3ec03783fe68000e91e5f3a85a4b2764ca2a0c87b8c4f7413fc1",
     ("capacities", "1", "832040/514229", "1000000..1000500", "csv"): "deaf2b6333bc330c2b426191a3c2b8fbcd37fb94d9c318aaa6784b87e99069ac",
     ("capacities", "1", "832040/514229", "1000000..1000500", "json"): "d482195ae8d4e33c7dc996bb51dc0825e6ebb0408cda190a4cac07bbc9875cb1",
-    ("dk", "1", "832040/514229", "0..1500", "csv"): "9aa4032f7a244a161e20a22aab7b4fcbae77bedcc79236c13a88b690bc4f8970",
-    ("dk", "1", "832040/514229", "0..1500", "json"): "4ebdb5cbf621b91b6903ee0ee75f5adbfc1759a677ac795d3680dd99cc2d9f61",
-    ("dk", "1", "832040/514229", "1000000..1000500", "csv"): "27a897eb635f1b1d65a4a6f4839cad918cd6183497efd950cc3b7963d4d62691",
-    ("dk", "1", "832040/514229", "1000000..1000500", "json"): "dcb46c7e0e4ac4aad1d43e30bf68583a932f2938e5b3f8bfae06abc3b271a52e",
+    ("dk", "1", "832040/514229", "0..1500", "csv"): "b1c020cfd5335c0a203a13fb949e2cc403d598738ddfc1c637f3ea89f449200e",
+    ("dk", "1", "832040/514229", "0..1500", "json"): "1c4024e9263f3d4754ab490c4a70e24dd797f93c91fa438e0c4f6fa5e8fe39ba",
+    ("dk", "1", "832040/514229", "1000000..1000500", "csv"): "cf282c8abf20150e183aa420df90674b4951bfa552d36496b06572422fa62d31",
+    ("dk", "1", "832040/514229", "1000000..1000500", "json"): "0220982cea3720ce6c318060532c6caf11b1552980f76af3b9b18a3e857bee7a",
     ("capacities", "2", "3", "0..1500", "csv"): "88200fcff1fe82ae3a466a9432a09431fa852254a34cf5bff766f45d4cfa23da",
     ("capacities", "2", "3", "0..1500", "json"): "8cf28de4fc91fbd199f0f042a21644d095dd2a6006a76775c886da8ef490c80d",
     ("capacities", "2", "3", "1000000..1000500", "csv"): "6cf4b152635aef2e25d76e32771541538ce0f9ab7beedfae1d217c1c0335bfd4",
     ("capacities", "2", "3", "1000000..1000500", "json"): "ff25d4344d23a01f5e0cecdf25eb8a53a4018fcf8b2be0710c09c2cbb3c2d971",
-    ("dk", "2", "3", "0..1500", "csv"): "6d91f4c9beb667585245d21eef5e04c49a8c8fe72521ccf0fe3204ccc10e5aa2",
-    ("dk", "2", "3", "0..1500", "json"): "9b50c9cc972c09788be72247a324a84aaaca849ab3815af78f2af3e82b122289",
-    ("dk", "2", "3", "1000000..1000500", "csv"): "0ed56e657c3b312747c191a23de1c201c56e335ec2f8df3d339ba131a0aa292d",
-    ("dk", "2", "3", "1000000..1000500", "json"): "4fad749984960ad563e3af12ac7913bc6e2b4102edd99f42560ff9696e291d28",
+    ("dk", "2", "3", "0..1500", "csv"): "b4337b5fe24492c459629cb2fad884169aa1446e4cab926ff503ea95fb6156ec",
+    ("dk", "2", "3", "0..1500", "json"): "9d875da196c2e280e334cf4abb44146c3065fbf705b628e22d1bd375120fd9b4",
+    ("dk", "2", "3", "1000000..1000500", "csv"): "2068685b48803acf611b33b4acab7f33cc8488fc5d78b4bbc3bf4db7f7ee712a",
+    ("dk", "2", "3", "1000000..1000500", "json"): "aa95941407891347afb552a3aa486fe8e96830c885608084b01ac4d0fcb008ac",
     ("residues", "1", "2", "", "csv"): "46dd08bdf29fc7a0d39aebe223d9093ab4411d366dbcf74ca063a7f9fed5935e",
     ("residues", "1", "2", "", "json"): "c1333e604bb6bc8771e088ba01b74ae0cb59c746649b53bad390397c4d020b04",
     ("residues", "2", "3", "", "csv"): "dc51e31e5f0cc56242b9b122104b5c5fc06e77cffd95b13019e48e3b96a2d2f0",
@@ -86,10 +87,10 @@ PINNED_SHA256 = {
     ("capacities", "3/2", "5/7", "0..1500", "json"): "f8d8c73a5d88bd54ee5dd4d1260fb68eb0413a9fc1a0c2bc2115f6a8304561e5",
     ("capacities", "3/2", "5/7", "1000000..1000500", "csv"): "54526b2d64f8eb6e53105d2cc5423bb5c2d4fb3f10f9fc4ec9a5183a3338f88d",
     ("capacities", "3/2", "5/7", "1000000..1000500", "json"): "60207c023322e4f1e95d6f32f530c1e907489d15b0ebeebbbf2c12cdb8e90ffe",
-    ("dk", "3/2", "5/7", "0..1500", "csv"): "50b1b15b491068ac48f05aed4379448d1b0e9468af04324b3def6f034514f994",
-    ("dk", "3/2", "5/7", "0..1500", "json"): "be63feab74c56c4c0a07b24391274414a53dce71764da0f6478a57d06f6ea804",
-    ("dk", "3/2", "5/7", "1000000..1000500", "csv"): "584d53721dc157c7821d7d345d6ddef4e96c0bf8ef3f5405a90a7b6a803528ae",
-    ("dk", "3/2", "5/7", "1000000..1000500", "json"): "46a22dd7b1d70e84c4e724a087ef253d1ac81eb6c9f213f6b71b8429b047c8e5",
+    ("dk", "3/2", "5/7", "0..1500", "csv"): "c9a097bcc2ba545f5cee814b918aacc2b6be0e87d3705d45f1699a45313f99e9",
+    ("dk", "3/2", "5/7", "0..1500", "json"): "7e97a6df16dc19f6530a2a4ad8150bdde377bf094f2cf0185d749a6d4dd973b9",
+    ("dk", "3/2", "5/7", "1000000..1000500", "csv"): "1e8071212ec68bd01e619a52607f82a2b567e8131f15823746f8746e4c503393",
+    ("dk", "3/2", "5/7", "1000000..1000500", "json"): "f9d5d73ca7d7d673f7833a8ac334d56939229f0560f66675521f439324ec17b6",
     ("envelope", "", "", "2..9 --per-decade 4", "csv"): "35a88ae855506bafe9fdad2f7a169153624df9caa98a00805a93aa7d66456e7f",
     ("envelope", "", "", "2..9 --per-decade 4", "json"): "a69e344c3d5cfa1de91660abaf19b75925810276dabcd3f336609bbb47067da1",
     ("envelope", "", "", "2..9 --per-decade 4 --vol 1000 --c1 2 --c2 0.5 --q 3 --c0 0.25", "csv"): "c56dd3766fad7f0966d4f0604fc8f09bc422103d8d046de859e29f0b17bd73cc",
@@ -765,6 +766,18 @@ class TestOtherCommands:
         j3 = [ln for ln in lines if ln.startswith("3,")][0]
         assert abs(float(j3.split(",")[3]) - (2 - 6**0.5)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "a,b,k",
+        [("2", "3", "0..300"), ("1", "832040/514229", "1000000..1000300"), ("1/1" + "0" * 400, "1", "1..5")],
+        ids=["2-3", "golden", "tiny-axis"],
+    )
+    def test_dk_rows_share_one_bound_on_their_errors(self, a, b, k, capsys):
+        assert main(["dk", "-a", a, "-b", b, "-k", k]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:] if not ln.startswith("#")]
+        (err,) = {row[4] for row in rows}
+        errors = [defect_error_decimal(F(int(p), int(q)), F(a), F(b), int(j), float(d)) for j, p, q, d, _ in rows]
+        assert max(errors) <= F(float(err))
+
     def test_zeta(self, capsys):
         assert main(["zeta", "-a", "1", "-b", "1", "-s", "3,0", "--convention", "interior"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -878,8 +891,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "a,b,message",
         [
-            # c_3 = 3 * 10^400: the capacity check comes before the defects, as in d_sequence
-            ("1" + "0" * 400, "1" + "0" * 401, "capacity exp(922.133)"),
+            # c_3 = 3 * 10^400 makes no float, but d_1 = 10^400 - sqrt(2 * 10^801) is one
+            ("1" + "0" * 400, "1" + "0" * 401, "defect d_1 exp(922.279)"),
             # every c_j fits a float, but d_1 = 1 - sqrt(2 * 10^700) does not
             ("1", "1" + "0" * 700, "defect d_1 exp(806.251)"),
         ],
@@ -906,6 +919,16 @@ class TestExitCodes:
         ],
     )
     def test_axis_past_the_float_range(self, argv, capsys):
+        if argv[0] == "dk":  # c_j is about 1.4e400 at j = 10^800, but d_j is O(1)
+            assert main(argv) == 0
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            j = 10**800
+            n = (math.isqrt(8 * j + 1) - 1) // 2  # E(1, 1) has n + 1 copies of n, from index n(n+1)/2
+            r = math.isqrt(2 * j << 400)  # sqrt(2j) lies in [r, r + 1) / 2^200
+            assert row[:3] == [str(j), str(n), "1"]
+            assert abs(F(float(row[3])) - F((n << 200) - r, 1 << 200)) + F(1, 1 << 200) <= F(float(row[4]))
+            assert row[3:] == ["-0.60386899970699004", "6.8777650209183032e-17"]
+            return
         if argv[0] == "weyl":  # its counts and fit take no float of an axis
             assert main(argv) == 0
             captured = capsys.readouterr()
@@ -920,7 +943,7 @@ class TestExitCodes:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and line.endswith(("is outside the float range", "overflows a float"))
-        if argv[0] in ("capacities", "dk"):  # c_k is about 1.4e400 at k = 10^800
+        if argv[0] == "capacities":  # c_k is about 1.4e400 at k = 10^800
             assert line == "error: capacity exp(921.381) overflows a float"
 
     def test_weyl_radius_zero(self, capsys):

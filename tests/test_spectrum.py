@@ -557,6 +557,15 @@ class TestWindows:
         want = [bisect_nth_capacity(E, k) * E.den for k in range(k0, k0 + width + 1)]
         assert scaled_spectrum(E, k0, k0 + width) == want
 
+    @pytest.mark.parametrize("a,b", [(2, 3), (1, 2), (3, 5), (1, 1), (F(3, 2), F(5, 7)), (2, 7)])
+    def test_short_windows_from_zero_match_brute(self, a, b):
+        # from index 0 the value walk starts at w = 0, whose next value is A'
+        # at position 1 (the branch for L = 0)
+        E = Ellipsoid(a, b)
+        want = [c * E.den for c in brute_spectrum(F(a), F(b), 8)]
+        for k1 in range(8):
+            assert scaled_spectrum(E, 0, k1) == want[: k1 + 1], k1
+
     @given(
         A=st.integers(1, 30),
         B=st.integers(1, 30),

@@ -823,7 +823,7 @@ class TestLaurentPair:
 # Measured error of ech_zeta at s = -k, k = 0..3, against the exact oracle: the
 # larger of INTERIOR and FULL, rounded up. It grows with k because the Barnes
 # head and integral term cancel from about xN^(2 + k) down to the value.
-# Direction 2 of ROADMAP.md replaces these measurements with reported bounds.
+# Direction 1 of ROADMAP.md replaces these measurements with reported bounds.
 NEGATIVE_INTEGER_ERRORS = {
     (F(1), F(2)): (1.9e-14, 6.0e-16, 4.6e-12, 1.7e-10),
     (F(2), F(3)): (1.3e-14, 1.6e-13, 5.0e-12, 1.6e-11),
